@@ -432,7 +432,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(
             f"drained: {report['sessions_checkpointed']} sessions "
             f"checkpointed across {len(report['workers'])} workers "
-            f"(exit codes {[w['exit_code'] for w in report['workers']]})"
+            f"(exit codes {[w['exit_code'] for w in report['workers']]}); "
+            f"checkpoint: {report['checkpoint']}"
         )
     elif args.state_dir is not None:
         # In-process mode still honours --state-dir as "where the final

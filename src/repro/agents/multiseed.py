@@ -394,11 +394,7 @@ class MultiSeedTrainer:
                 if first.architecture == "shared"
                 else MonolithicSDPBank
             )
-            self._bank = bank_cls(
-                networks,
-                dtype=self.backend.dtype,
-                batched=self.backend.batched_gemm,
-            )
+            self._bank = bank_cls(networks, dtype=self.backend.dtype)
             self._kind = first.architecture
         elif isinstance(first, JiangDRLAgent):
             for policy in policies:

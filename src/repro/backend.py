@@ -10,9 +10,7 @@ plain numpy, which gives two natural execution tiers:
     This is the gold standard: stacked (multi-seed) execution through
     this tier is **bit-identical** to serial :class:`PolicyTrainer`
     runs, and it is the only tier any parity gate (``--check``, CI,
-    tests) is allowed to use.  ``Backend("reference", "float64",
-    batched_gemm=False)`` selects a per-seed Python GEMM loop instead —
-    a structural fallback for cross-checking the batched path.
+    tests) is allowed to use.
 
 ``fast``
     float32 tape buffers with BLAS-batched 3-D GEMMs over the seed
@@ -59,14 +57,11 @@ class Backend:
         Numpy dtype name for tape buffers (``"float64"``/``"float32"``).
         Parameters and optimizer state always stay float64; only the
         per-step tape (drives, voltages, spikes, gradients in flight)
-        takes this dtype.
-    batched_gemm:
-        When True (both built-in tiers), per-seed weight GEMMs run as
-        one 3-D ``np.matmul`` over an ``(S, rows, features)`` stack of
+        takes this dtype.  Per-seed weight GEMMs always run as one 3-D
+        ``np.matmul`` over an ``(S, rows, features)`` stack of
         contiguous per-seed banks — in float64 this issues the serial
-        kernel's exact BLAS call per slice and stays bit-identical
-        (the parity suite asserts it).  False selects a Python loop of
-        2-D GEMMs, a float64-only structural fallback.
+        kernel's exact BLAS call per slice and stays bit-identical (the
+        parity suite asserts it).
     threads:
         Thread count for the optional panel fan-out in multi-panel
         back-tests.  ``0``/``1`` means sequential.
@@ -74,7 +69,6 @@ class Backend:
 
     name: str
     precision: str
-    batched_gemm: bool
     threads: int = 0
 
     @property
@@ -91,10 +85,10 @@ class Backend:
 
 
 #: Bit-identical gold standard: float64, batched per-seed GEMM banks.
-REFERENCE = Backend(name="reference", precision="float64", batched_gemm=True)
+REFERENCE = Backend(name="reference", precision="float64")
 
 #: Accelerated tier: float32 tapes, BLAS-batched seed GEMMs.
-FAST = Backend(name="fast", precision="float32", batched_gemm=True)
+FAST = Backend(name="fast", precision="float32")
 
 _BACKENDS = {REFERENCE.name: REFERENCE, FAST.name: FAST}
 

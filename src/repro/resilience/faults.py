@@ -371,24 +371,28 @@ class FaultInjector:
         )
 
     def corrupt_checkpoint(self, path: PathLike) -> List[str]:
-        """Tear checkpoint files in ``path`` per the plan.
+        """Tear checkpoint files anywhere under ``path`` per the plan.
 
-        Each regular file is truncated to half its size when its keyed
-        draw fires — the torn-write shape ``load_checkpoint`` must turn
-        into a structured :class:`~repro.serving.CheckpointCorrupt`.
-        Returns the names of the files corrupted.
+        Each regular file is truncated to half its size when its draw,
+        keyed on the file's path relative to ``path`` (e.g.
+        ``sessions/a/state.json``), fires — the torn-write shape
+        ``load_checkpoint`` must turn into a structured
+        :class:`~repro.serving.CheckpointCorrupt`.  Returns the relative
+        paths of the files corrupted.
         """
         rate = self.plan.serving.checkpoint_corrupt_rate
         torn: List[str] = []
         if rate <= 0.0:
             return torn
-        for file in sorted(Path(path).iterdir()):
+        root = Path(path)
+        for file in sorted(root.rglob("*")):
             if not file.is_file():
                 continue
-            if self.fires("serving.checkpoint", file.name, rate):
+            key = file.relative_to(root).as_posix()
+            if self.fires("serving.checkpoint", key, rate):
                 data = file.read_bytes()
                 file.write_bytes(data[: len(data) // 2])
-                torn.append(file.name)
+                torn.append(key)
         return torn
 
     # -- data seam -----------------------------------------------------

@@ -28,7 +28,6 @@ worker and no fault plan it is bit-identical to the in-process service.
 
 from .service import (
     BatcherStats,
-    CheckpointCorrupt,
     DeadlineExceeded,
     InvalidStrategyOutput,
     MicroBatcher,
@@ -40,7 +39,7 @@ from .service import (
     ServingResilience,
     SessionInfo,
 )
-from .store import SessionStateStore
+from .store import CheckpointCorrupt, SessionStateStore
 from .supervisor import (
     Draining,
     LoadShed,

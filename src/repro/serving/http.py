@@ -161,13 +161,34 @@ class ServingHandler(BaseHTTPRequestHandler):
         head = path.split("/", 2)[1] if path.startswith("/") else path
         return f"/{head}/*"
 
-    def _write_json(self, status: int, payload: Dict[str, Any]) -> None:
-        body = json.dumps(payload).encode("utf-8")
+    def _send(self, status: int, content_type: str, body: bytes) -> None:
+        """Record this request's route metrics, then write the response.
+
+        Recording first is what lets a client read its own writes: once
+        it has this response, a following ``GET /metrics`` counts it.
+        """
+        obs = self.server.obs
+        route = self._route()
+        obs.counter(
+            "repro_http_requests_total",
+            help="HTTP requests by route",
+            route=route,
+            method=self.command,
+        ).inc()
+        obs.histogram(
+            "repro_http_request_seconds",
+            help="HTTP request wall-clock by route",
+            route=route,
+            method=self.command,
+        ).observe(time.perf_counter() - self._t0)
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
+
+    def _write_json(self, status: int, payload: Dict[str, Any]) -> None:
+        self._send(status, "application/json", json.dumps(payload).encode("utf-8"))
 
     def _read_json(self) -> Dict[str, Any]:
         length = int(self.headers.get("Content-Length", 0))
@@ -206,34 +227,15 @@ class ServingHandler(BaseHTTPRequestHandler):
         obs.gauge(
             "repro_uptime_seconds", help="seconds since backend construction"
         ).set(self.server.uptime_seconds())
-        body = render_prometheus(obs.metrics).encode("utf-8")
-        self.send_response(200)
-        self.send_header(
-            "Content-Type", "text/plain; version=0.0.4; charset=utf-8"
+        self._send(
+            200,
+            "text/plain; version=0.0.4; charset=utf-8",
+            render_prometheus(obs.metrics).encode("utf-8"),
         )
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _observe_request(self, method: str, t0: float) -> None:
-        obs = self.server.obs
-        route = self._route()
-        obs.counter(
-            "repro_http_requests_total",
-            help="HTTP requests by route",
-            route=route,
-            method=method,
-        ).inc()
-        obs.histogram(
-            "repro_http_request_seconds",
-            help="HTTP request wall-clock by route",
-            route=route,
-            method=method,
-        ).observe(time.perf_counter() - t0)
 
     # -- routes --------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802
-        t0 = time.perf_counter()
+        self._t0 = time.perf_counter()
         try:
             self._do_get()
         except (KeyError, ValueError) as exc:
@@ -241,8 +243,6 @@ class ServingHandler(BaseHTTPRequestHandler):
             self._error(400, str(message))
         except Exception as exc:
             self._error(500, f"{type(exc).__name__}: {exc}")
-        finally:
-            self._observe_request("GET", t0)
 
     def _do_get(self) -> None:
         service = self.server.service
@@ -326,13 +326,7 @@ class ServingHandler(BaseHTTPRequestHandler):
             self._error(404, f"unknown path {self.path!r}")
 
     def do_POST(self) -> None:  # noqa: N802
-        t0 = time.perf_counter()
-        try:
-            self._do_post()
-        finally:
-            self._observe_request("POST", t0)
-
-    def _do_post(self) -> None:
+        self._t0 = time.perf_counter()
         try:
             payload = self._read_json()
         except (ValueError, json.JSONDecodeError) as exc:

@@ -1,4 +1,4 @@
-"""Durable per-session state for the multi-worker serving tier.
+"""Durable per-session state: the one on-disk format for serving.
 
 ``SessionStateStore`` is the persistence half of the supervised serving
 tier (:mod:`repro.serving.supervisor`): every committed rebalance round
@@ -8,26 +8,38 @@ lose at most the round that was in flight — the supervisor replays that
 round against a fresh worker, which *rehydrates* each session lazily
 from its last stored state on first touch.
 
+A service checkpoint is the same directory plus a commit mark:
+:meth:`~repro.serving.PortfolioService.save_checkpoint` writes every
+market and session through :meth:`SessionStateStore.save_checkpoint`
+(which, unlike the write-once hot path, replaces re-used names and
+deletes what the service no longer has) and then ``checkpoint.json``, and a
+drained supervisor writes ``checkpoint.json`` over its state dir, so
+either directory loads with :func:`read_checkpoint` (and opens as a
+supervisor state dir).
+
 Layout (all writes atomic, via :mod:`repro.utils.serialization`)::
 
     root/
       markets/<quoted-name>.npz          # panels, write-once (immutable)
       sessions/<quoted-id>/state.json    # per-session checkpoint payload
       sessions/<quoted-id>/weights.npz   # learned-agent state dict, if any
+      checkpoint.json                    # {"version": 3, "commission",
+                                         #  "markets", "sessions"}
 
 ``state.json`` is the commit point for a session write: it lands last
 (after the weights sidecar) via temp-file + ``os.replace``, so a torn
 write leaves the previous state, never half of the new one.  Weights
 are written once per session — serving never mutates network weights —
 which keeps the per-round write to a single small JSON file.
+``checkpoint.json`` is the commit point for a whole checkpoint: it
+lands after every file it lists.
 
 The store also tracks *residency* (which sessions a worker holds in
 memory) as an LRU: :meth:`touch` bumps a session and returns the ids
 that overflow ``max_resident``, which the worker then evicts from its
 service (safe, because write-through means their state is already on
 disk) and rehydrates lazily if touched again.  Corrupt files surface as
-:class:`~repro.serving.CheckpointCorrupt` naming the file, the same
-contract full checkpoints honour.
+:class:`CheckpointCorrupt` naming the file.
 """
 
 from __future__ import annotations
@@ -35,8 +47,10 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 from urllib.parse import quote, unquote
+
+import numpy as np
 
 from ..data.market import MarketData, market_from_state, market_to_state
 from ..utils.serialization import (
@@ -46,14 +60,72 @@ from ..utils.serialization import (
     save_json,
     save_state_dict,
 )
-from .service import _read_checkpoint_file
 
-__all__ = ["SessionStateStore"]
+__all__ = ["CheckpointCorrupt", "SessionStateStore", "read_checkpoint"]
+
+CHECKPOINT_FILE = "checkpoint.json"
+CHECKPOINT_VERSION = 3
+# Versions 1 and 2 kept one manifest beside market_i.npz/agent_k.npz.
+LEGACY_MANIFEST = "manifest.json"
+
+
+class CheckpointCorrupt(RuntimeError):
+    """A checkpoint file failed to load — truncated, tampered, or
+    missing.  The message names the offending file so operators know
+    what to restore."""
+
+
+def _read_checkpoint_file(path: Path, loader, referenced: bool = False):
+    """Load one checkpoint file, turning damage into a structured error.
+
+    Truncated/corrupt bytes (a torn npz, half a JSON file) raise
+    :class:`CheckpointCorrupt` naming the file.  ``referenced=True``
+    marks files a commit mark points at — for those, *missing* is also
+    corruption (the mark exists but its contents do not), while a
+    missing commit mark itself stays ``FileNotFoundError``.
+    """
+    try:
+        return loader(path)
+    except FileNotFoundError:
+        if referenced:
+            raise CheckpointCorrupt(
+                f"checkpoint file {path} is referenced by the checkpoint "
+                "but missing"
+            ) from None
+        raise
+    except Exception as exc:
+        # np.load raises zipfile.BadZipFile/ValueError/EOFError on torn
+        # archives and json raises JSONDecodeError on torn text; the
+        # loader does nothing but read, so anything it throws is a
+        # damaged file.
+        raise CheckpointCorrupt(
+            f"checkpoint file {path} is corrupt: {type(exc).__name__}: {exc}"
+        ) from exc
 
 
 def _safe(name: str) -> str:
     """Filesystem-safe, reversible encoding of a user-chosen name."""
     return quote(name, safe="")
+
+
+def _stale(path: Path, state: Dict[str, Any]) -> bool:
+    """Whether ``path`` holds an npz that is not bit-identical to
+    ``state`` — a name re-used for new content.  An unreadable file
+    counts as stale."""
+    if not path.exists():
+        return False
+    try:
+        stored = load_state_dict(path)
+    except Exception:
+        return True
+
+    def bits(array) -> Tuple[Any, ...]:
+        array = np.asarray(array)
+        return array.dtype, array.shape, array.tobytes()
+
+    return stored.keys() != state.keys() or any(
+        bits(stored[key]) != bits(value) for key, value in state.items()
+    )
 
 
 class SessionStateStore:
@@ -202,3 +274,124 @@ class SessionStateStore:
     def resident_ids(self) -> Tuple[str, ...]:
         with self._lock:
             return tuple(self._resident)
+
+    # -- checkpoints ---------------------------------------------------
+    def save_checkpoint(
+        self,
+        commission: float,
+        markets: Mapping[str, MarketData],
+        payloads: Iterable[Dict[str, Any]],
+    ) -> Path:
+        """Write a whole checkpoint: ``markets``, every ``export_session``
+        payload, then the commit mark, then delete the stored markets
+        and sessions the mark does not list.
+
+        Unlike the write-once hot path, a stored panel or session
+        weights file that differs from the one being saved (a market
+        name or session id re-used since an earlier save into this
+        directory) is replaced.  It is deleted before it is rewritten,
+        so a crash in between leaves the older checkpoint raising
+        :class:`CheckpointCorrupt` for it rather than loading a mix.
+        """
+        for name, data in markets.items():
+            path, state = self._market_path(name), market_to_state(data)
+            if _stale(path, state):
+                path.unlink()
+            if not path.exists():
+                save_state_dict(path, state)
+        sessions = []
+        for payload in payloads:
+            session_id = payload["session_id"]
+            weights = payload.get("weights")
+            if weights is not None and _stale(
+                self._session_dir(session_id) / "weights.npz", weights
+            ):
+                self.delete_session(session_id)
+            self.save_session(payload)
+            sessions.append(session_id)
+        path = self.write_checkpoint(commission, markets, sessions)
+        for session_id in set(self.session_ids()) - set(sessions):
+            self.delete_session(session_id)
+        for name in set(self.market_names()) - set(markets):
+            self._market_path(name).unlink()
+        return path
+
+    def committed_commission(self) -> Optional[float]:
+        """The commission ``checkpoint.json`` records, or ``None`` when
+        the store holds no commit mark."""
+        path = self.root / CHECKPOINT_FILE
+        if not path.exists():
+            return None
+        return float(_read_checkpoint_file(path, load_json)["commission"])
+
+    def write_checkpoint(
+        self, commission: float, markets: Iterable[str], sessions: Iterable[str]
+    ) -> Path:
+        """Write ``checkpoint.json`` listing ``markets`` and ``sessions``
+        — the commit mark, so call it only once they are all stored."""
+        path = self.root / CHECKPOINT_FILE
+        save_json(path, {
+            "version": CHECKPOINT_VERSION,
+            "commission": float(commission),
+            "markets": sorted(markets),
+            "sessions": sorted(sessions),
+        })
+        return path
+
+
+Checkpoint = Tuple[float, Dict[str, MarketData], List[Dict[str, Any]]]
+
+
+def read_checkpoint(path: PathLike) -> Checkpoint:
+    """``(commission, markets, import_session payloads)`` of a checkpoint
+    directory; one holding only a version-1/2 ``manifest.json`` goes
+    through the legacy reader.  A missing checkpoint raises
+    ``FileNotFoundError``; a torn file, or a listed market or session
+    that is absent, raises :class:`CheckpointCorrupt`."""
+    path = Path(path)
+    if not (path / CHECKPOINT_FILE).exists() and (path / LEGACY_MANIFEST).exists():
+        return _read_legacy_checkpoint(path)
+    index = _read_checkpoint_file(path / CHECKPOINT_FILE, load_json)
+    if index.get("version") != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {index.get('version')!r}")
+    store = SessionStateStore(path)
+    try:
+        markets = {name: store.load_market(name) for name in index["markets"]}
+        payloads = [store.load_session(sid) for sid in index["sessions"]]
+    except KeyError as exc:  # listed in the mark but not stored
+        raise CheckpointCorrupt(f"{path / CHECKPOINT_FILE}: {exc.args[0]}") from None
+    return float(index["commission"]), markets, payloads
+
+
+def _read_legacy_checkpoint(path: Path) -> Checkpoint:
+    """Version 1/2: each manifest session plus its agent entry (and
+    ``agent_k.npz`` weights) becomes one ``export_session`` payload."""
+    manifest = _read_checkpoint_file(path / LEGACY_MANIFEST, load_json)
+    if manifest.get("version") not in (1, 2):
+        raise ValueError(f"unsupported checkpoint version {manifest.get('version')!r}")
+
+    def npz(filename: str) -> Dict[str, Any]:
+        return _read_checkpoint_file(path / filename, load_state_dict, referenced=True)
+
+    agents = manifest["agents"]
+    weights = {k: npz(a["weights"]) for k, a in agents.items() if a["weights"]}
+    payloads = []
+    for entry in manifest["sessions"]:
+        agent = agents[entry["agent"]]
+        payloads.append({
+            "version": 2,
+            "session_id": entry["session_id"],
+            "market": entry["market"],
+            "spec": agent["spec"],
+            "shared": agent["shared"],
+            # Absent in version 1: import_session then shares under the
+            # spec-canonical key, as version 1 did.
+            "agent_key": agent.get("agent_key"),
+            "state": {
+                k: v for k, v in entry.items()
+                if k not in ("session_id", "agent", "market")
+            },
+            "weights": weights.get(entry["agent"]),
+        })
+    markets = {n: market_from_state(npz(f)) for n, f in manifest["markets"].items()}
+    return float(manifest["commission"]), markets, payloads

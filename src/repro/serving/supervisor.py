@@ -33,9 +33,10 @@ replay.
 
 *Graceful drain.*  :meth:`drain` stops admission (new work gets a
 structured :class:`Draining` → HTTP 503), waits for in-flight batches
-to flush, then asks each worker to checkpoint every resident session
-(write-through store + a shard-labelled ``save_checkpoint``) and exit
-with code 0.
+to flush, asks each worker to persist every resident session and exit
+with code 0, then writes ``checkpoint.json`` over the store — so a
+drained state dir is itself a checkpoint
+:meth:`~repro.serving.PortfolioService.load_checkpoint` loads.
 
 *Load shedding.*  ``max_pending`` bounds the front's in-flight request
 count: past it, a request is shed with :class:`LoadShed` (a
@@ -64,7 +65,6 @@ import threading
 import time
 import weakref
 from dataclasses import asdict, dataclass, replace
-from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..envs.costs import DEFAULT_COMMISSION
@@ -286,34 +286,11 @@ def _worker_main(conn, config: _WorkerConfig) -> None:
                     "rehydrated": rehydrated,
                     "evicted": evicted_count,
                 }
-            elif command == "checkpoint":
-                for session_id in service.session_ids():
-                    persist(session_id)
-                reply = len(service.session_ids())
             elif command == "drain":
                 session_ids = service.session_ids()
                 for session_id in session_ids:
                     persist(session_id)
-                shard_path = None
-                if session_ids:
-                    shard_dir = (
-                        Path(config.state_dir)
-                        / "shards"
-                        / f"worker_{config.index}"
-                    )
-                    shard_path = str(
-                        service.save_checkpoint(
-                            shard_dir,
-                            session_ids=session_ids,
-                            shard=f"worker-{config.index}",
-                        )
-                    )
-                conn.send(
-                    ("ok", {
-                        "checkpointed": len(session_ids),
-                        "shard_checkpoint": shard_path,
-                    })
-                )
+                conn.send(("ok", {"checkpointed": len(session_ids)}))
                 return  # normal return → exit code 0, the drain contract
             else:
                 raise ValueError(f"unknown worker command {command!r}")
@@ -428,6 +405,9 @@ class ServingSupervisor:
     cadence), ``worker_timeout`` (per-command liveness bound; a hung
     worker is killed and failed over), and ``crash_retries`` (how many
     times one batch may be replayed before the crash is surfaced).
+    ``commission`` defaults to the one a ``checkpoint.json`` in
+    ``state_dir`` records (else ``DEFAULT_COMMISSION``); passing a
+    different one raises ``ValueError``.
 
     Markets must be registered by name (``register_market``) before
     sessions reference them — inline ``data=`` panels are an
@@ -439,7 +419,7 @@ class ServingSupervisor:
         state_dir: PathLike,
         workers: int = 2,
         registry=None,
-        commission: float = DEFAULT_COMMISSION,
+        commission: Optional[float] = None,
         execution=None,
         risk=None,
         resilience: Optional[ServingResilience] = None,
@@ -460,7 +440,18 @@ class ServingSupervisor:
         injector = injector_from(faults)
         self._fault_plan = injector.plan if injector is not None else None
         self.store = SessionStateStore(state_dir)
+        # A state dir holding checkpoint.json (drained, or written by
+        # save_checkpoint) fixes the commission its sessions run at.
+        committed = self.store.committed_commission()
+        if commission is None:
+            commission = DEFAULT_COMMISSION if committed is None else committed
+        elif committed is not None and float(commission) != committed:
+            raise ValueError(
+                f"commission {commission} differs from the {committed} "
+                f"recorded in {self.store.root / 'checkpoint.json'}"
+            )
         self.registry = registry if registry is not None else DEFAULT_REGISTRY
+        self.commission = float(commission)
         self.max_pending = max_pending
         self.worker_timeout = worker_timeout
         self.crash_retries = int(crash_retries)
@@ -501,7 +492,7 @@ class ServingSupervisor:
         base = _WorkerConfig(
             index=0,
             state_dir=str(state_dir),
-            commission=float(commission),
+            commission=self.commission,
             registry=registry,
             execution=execution,
             risk=risk,
@@ -1001,7 +992,8 @@ class ServingSupervisor:
     # -- drain ---------------------------------------------------------
     def drain(self, timeout: Optional[float] = None) -> Dict[str, Any]:
         """Graceful stop: refuse new work, flush in-flight batches,
-        checkpoint every session, exit every worker with code 0.
+        persist every session, exit every worker with code 0, then
+        commit the state dir as a checkpoint (``checkpoint.json``).
 
         Idempotent — a second call returns the first report.  Raises
         ``TimeoutError`` if in-flight work does not flush within
@@ -1031,14 +1023,12 @@ class ServingSupervisor:
                 entry: Dict[str, Any] = {
                     "worker": worker.index,
                     "checkpointed": 0,
-                    "shard_checkpoint": None,
                     "exit_code": None,
                 }
                 if worker.alive:
                     try:
                         payload = worker.request(("drain",), timeout=60.0)
                         entry["checkpointed"] = payload["checkpointed"]
-                        entry["shard_checkpoint"] = payload["shard_checkpoint"]
                     except WorkerDied:
                         pass  # its committed state is already in the store
                 if worker.process is not None:
@@ -1047,9 +1037,16 @@ class ServingSupervisor:
                 worker.close()
                 checkpointed += entry["checkpointed"]
                 workers_report.append(entry)
+        # Every worker has exited, so the store holds each session's
+        # last committed state (a worker that died mid-drain had
+        # already written its sessions through).
+        checkpoint = self.store.write_checkpoint(
+            self.commission, self.store.market_names(), self.store.session_ids()
+        )
         report = {
             "sessions": len(self.session_ids()),
             "sessions_checkpointed": checkpointed,
+            "checkpoint": str(checkpoint),
             "workers": workers_report,
         }
         with self._cond:

@@ -178,7 +178,6 @@ class SpikingLinearBank:
         self,
         layers: Sequence[SpikingLinear],
         dtype=np.float64,
-        batched: bool = True,
     ):
         layers = list(layers)
         if not layers:
@@ -196,16 +195,12 @@ class SpikingLinearBank:
                 )
             if layer.lif != first.lif:
                 raise ValueError("banked layers must share LIF parameters")
-        self.layers = layers
         self.n_seeds = len(layers)
         self.in_features = first.in_features
         self.out_features = first.out_features
         self.lif = first.lif
         self.surrogate = first.surrogate
         self.dtype = np.dtype(dtype)
-        self.batched = bool(batched)
-        if not self.batched and self.dtype != np.float64:
-            raise ValueError("the per-seed GEMM loop path is float64-only")
 
         # Live parameter banks: w (S, out, in) and b (S, out); the
         # layers' Parameters become views into them.  Both GEMM
@@ -266,16 +261,10 @@ class SpikingLinearBank:
         drive = tape.lif.drive
         S = self.n_seeds
         R = drive.shape[0] // S
-        if self.batched:
-            x3 = input_spikes.reshape(S, R, self.in_features)
-            d3 = drive.reshape(S, R, self.out_features)
-            np.matmul(x3, self._fw_weight(), out=d3)
-            np.add(d3, self._fw_bias(), out=d3)
-        else:
-            for s, layer in enumerate(self.layers):
-                sl = slice(s * R, (s + 1) * R)
-                np.matmul(input_spikes[sl], layer.weight.data.T, out=drive[sl])
-                np.add(drive[sl], layer.bias.data, out=drive[sl])
+        x3 = input_spikes.reshape(S, R, self.in_features)
+        d3 = drive.reshape(S, R, self.out_features)
+        np.matmul(x3, self._fw_weight(), out=d3)
+        np.add(d3, self._fw_bias(), out=d3)
         return lif_step_train(drive, tape.lif, self.lif, t)
 
     # -- backward ------------------------------------------------------
@@ -294,38 +283,21 @@ class SpikingLinearBank:
         )
         S = self.n_seeds
         R = g_drive.shape[0] // S
-        last = t == tape.lif.timesteps
-        if self.batched:
-            x3 = input_spikes.reshape(S, R, self.in_features)
-            g3 = g_drive.reshape(S, R, self.out_features)
-            if last:
-                np.matmul(x3.transpose(0, 2, 1), g3, out=tape.g_weight)
-                np.add.reduce(g3, axis=1, out=tape.g_bias)
-            else:
-                np.matmul(x3.transpose(0, 2, 1), g3, out=tape.g_weight_step)
-                np.add(tape.g_weight, tape.g_weight_step, out=tape.g_weight)
-                np.add.reduce(g3, axis=1, out=tape.g_bias_step)
-                np.add(tape.g_bias, tape.g_bias_step, out=tape.g_bias)
-            if need_input_grad:
-                gi3 = tape.g_input.reshape(S, R, self.in_features)
-                np.matmul(g3, self._bw_weight(), out=gi3)
-                return tape.g_input
-            return None
-        for s, layer in enumerate(self.layers):
-            sl = slice(s * R, (s + 1) * R)
-            if last:
-                np.matmul(input_spikes[sl].T, g_drive[sl], out=tape.g_weight[s])
-                np.add.reduce(g_drive[sl], axis=0, out=tape.g_bias[s])
-            else:
-                np.matmul(
-                    input_spikes[sl].T, g_drive[sl], out=tape.g_weight_step[s]
-                )
-                np.add(tape.g_weight[s], tape.g_weight_step[s], out=tape.g_weight[s])
-                np.add.reduce(g_drive[sl], axis=0, out=tape.g_bias_step[s])
-                np.add(tape.g_bias[s], tape.g_bias_step[s], out=tape.g_bias[s])
-            if need_input_grad:
-                np.matmul(g_drive[sl], layer.weight.data, out=tape.g_input[sl])
-        return tape.g_input if need_input_grad else None
+        x3 = input_spikes.reshape(S, R, self.in_features)
+        g3 = g_drive.reshape(S, R, self.out_features)
+        if t == tape.lif.timesteps:
+            np.matmul(x3.transpose(0, 2, 1), g3, out=tape.g_weight)
+            np.add.reduce(g3, axis=1, out=tape.g_bias)
+        else:
+            np.matmul(x3.transpose(0, 2, 1), g3, out=tape.g_weight_step)
+            np.add(tape.g_weight, tape.g_weight_step, out=tape.g_weight)
+            np.add.reduce(g3, axis=1, out=tape.g_bias_step)
+            np.add(tape.g_bias, tape.g_bias_step, out=tape.g_bias)
+        if need_input_grad:
+            gi3 = tape.g_input.reshape(S, R, self.in_features)
+            np.matmul(g3, self._bw_weight(), out=gi3)
+            return tape.g_input
+        return None
 
     def finalize_train_grads(self, tape: BankedLinearTape) -> None:
         """Flush the tape's accumulated gradients into the grad banks.
@@ -350,7 +322,6 @@ class SpikingStackBank:
         self,
         stacks: Sequence[SpikingStack],
         dtype=np.float64,
-        batched: bool = True,
     ):
         stacks = list(stacks)
         depth = len(stacks[0].layers)
@@ -358,9 +329,7 @@ class SpikingStackBank:
             if len(stack.layers) != depth:
                 raise ValueError("banked stacks must share depth")
         self.banks = [
-            SpikingLinearBank(
-                [stack.layers[k] for stack in stacks], dtype=dtype, batched=batched
-            )
+            SpikingLinearBank([stack.layers[k] for stack in stacks], dtype=dtype)
             for k in range(depth)
         ]
         self.n_seeds = len(stacks)
@@ -465,16 +434,14 @@ class SharedSDPBank:
         self,
         networks: Sequence[SharedSDPNetwork],
         dtype=np.float64,
-        batched: bool = True,
     ):
         networks = list(networks)
         _check_bank_networks(networks)
         self.networks = networks
         self.n_seeds = len(networks)
         self.dtype = np.dtype(dtype)
-        self.batched = bool(batched)
         self.stack_bank = SpikingStackBank(
-            [net.stack for net in networks], dtype=self.dtype, batched=batched
+            [net.stack for net in networks], dtype=self.dtype
         )
         self.encoder = networks[0].encoder
         # Head banks: readout weight (S, P), readout bias (S, 1),
@@ -655,16 +622,14 @@ class MonolithicSDPBank:
         self,
         networks: Sequence[SDPNetwork],
         dtype=np.float64,
-        batched: bool = True,
     ):
         networks = list(networks)
         _check_bank_networks(networks)
         self.networks = networks
         self.n_seeds = len(networks)
         self.dtype = np.dtype(dtype)
-        self.batched = bool(batched)
         self.stack_bank = SpikingStackBank(
-            [net.stack for net in networks], dtype=self.dtype, batched=batched
+            [net.stack for net in networks], dtype=self.dtype
         )
         self.encoder = networks[0].encoder
         # Decoder head banks: weight (S, N, P), bias (S, N).

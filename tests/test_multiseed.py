@@ -4,9 +4,8 @@ Gates the stacked multi-seed tape against serial training: per-seed
 RNG-stream purity (``GeometricBatchSampler.for_seed``), bit-identical
 weights/PVM/histories after full ``train()`` runs for both SDP
 architectures and the EIIE network, the float32 fast tier's documented
-tolerance (and its exclusion from every exactness check), the
-non-batched GEMM structural fallback, seed-group coalescing in the
-sweep engine (artifact/manifest byte-stability, mid-group interrupt and
+tolerance (and its exclusion from every exactness check), seed-group
+coalescing in the sweep engine (artifact/manifest byte-stability, mid-group interrupt and
 resume), and the wall-clock attribution surfaced in sweep tables.
 """
 
@@ -24,7 +23,7 @@ from repro.agents import (
     TrainConfig,
 )
 from repro.autograd.optim import SGD, Adam
-from repro.backend import FAST, REFERENCE, Backend, resolve_backend, thread_map
+from repro.backend import FAST, REFERENCE, resolve_backend, thread_map
 from repro.data import MarketGenerator
 from repro.envs import ObservationConfig
 from repro.envs.sampling import GeometricBatchSampler
@@ -218,32 +217,6 @@ def test_multiseed_matches_serial_jiang(panel):
         )
         assert np.array_equal(multi.pvms[s].snapshot(), ref_trainer.pvm.snapshot())
         assert histories[s].loss == ref_history.loss
-
-
-def test_non_batched_gemm_fallback_is_bit_identical(panel):
-    """``batched_gemm=False`` switches the bank to a per-seed GEMM loop
-    — a structural fallback that must not change a single bit."""
-    loop_backend = Backend("reference", "float64", batched_gemm=False)
-
-    def train(backend):
-        agents = [_sdp(seed) for seed in SEEDS]
-        multi = MultiSeedTrainer(
-            agents, panel,
-            [SGD(agent.parameters(), 1e-4) for agent in agents],
-            observation=CFG, config=TRAIN, seeds=SEEDS, backend=backend,
-        )
-        multi.train(60)
-        return agents, multi
-
-    batched_agents, batched = train(None)
-    loop_agents, loop = train(loop_backend)
-    for s in range(len(SEEDS)):
-        _assert_states_equal(
-            batched_agents[s].network.state_dict(),
-            loop_agents[s].network.state_dict(),
-            f"loop fallback seed {SEEDS[s]}",
-        )
-        assert np.array_equal(batched.pvms[s].snapshot(), loop.pvms[s].snapshot())
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,7 @@ The suite leans on two invariants:
 """
 
 import json
+import shutil
 import threading
 import urllib.request
 
@@ -513,6 +514,28 @@ def make_resilient_service(panel, faults=None, resilience=ServingResilience(),
     return service
 
 
+SMALL_SDP = dict(
+    hidden_sizes=(8, 8), timesteps=3, encoder_pop_size=2, decoder_pop_size=2
+)
+
+
+class _TearOne(FaultInjector):
+    """An injector whose checkpoint seam fires for one file only."""
+
+    def __init__(self, target):
+        super().__init__(
+            FaultPlan(serving=ServingFaults(checkpoint_corrupt_rate=1.0))
+        )
+        self.target = target
+        self.torn = []
+
+    def fires(self, site, key, rate):
+        if site == "serving.checkpoint" and key == self.target:
+            self.torn.append(key)
+            return True
+        return False
+
+
 class TestServingChaos:
     def test_healthy_resilient_service_bit_identical(self, panel):
         plain = make_resilient_service(panel, resilience=None)
@@ -589,7 +612,29 @@ class TestServingChaos:
         with pytest.raises(CheckpointCorrupt) as info:
             PortfolioService.load_checkpoint(path)
         assert "corrupt" in str(info.value)
-        assert any(name in str(info.value) for name in ("manifest.json", ".npz"))
+        assert any(
+            name in str(info.value)
+            for name in ("checkpoint.json", "state.json", "weights.npz", ".npz")
+        )
+
+    @pytest.mark.parametrize(
+        "target",
+        ["checkpoint.json", "sessions/a/state.json", "sessions/a/weights.npz"],
+    )
+    def test_torn_store_file_named_in_error(self, panel, tmp_path, target):
+        # The seam walks the whole checkpoint tree, keyed on each
+        # file's relative path; tearing any one file must surface as
+        # CheckpointCorrupt naming exactly that file.
+        injector = _TearOne(target)
+        service = PortfolioService(faults=injector)
+        service.register_market("m", panel)
+        service.create_session("a", "sdp", params=SMALL_SDP, market="m")
+        service.rebalance("a")
+        path = service.save_checkpoint(tmp_path / "ckpt")
+        assert injector.torn == [target]
+        with pytest.raises(CheckpointCorrupt, match="corrupt") as info:
+            PortfolioService.load_checkpoint(path)
+        assert str(path / target) in str(info.value)
 
     def test_clean_checkpoint_round_trips(self, panel, tmp_path):
         service = make_resilient_service(panel)
@@ -603,6 +648,12 @@ class TestServingChaos:
     def test_missing_checkpoint_still_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             PortfolioService.load_checkpoint(tmp_path / "nope")
+
+    def test_listed_but_missing_session_is_corrupt(self, panel, tmp_path):
+        path = make_resilient_service(panel).save_checkpoint(tmp_path / "ckpt")
+        shutil.rmtree(path / "sessions" / "b")
+        with pytest.raises(CheckpointCorrupt, match="session 'b'"):
+            PortfolioService.load_checkpoint(path)
 
 
 class TestBackpressure:

@@ -5,6 +5,8 @@ integration (including lockout state through checkpoints), and the
 ``RiskRegime`` sweep axis (grid expansion, resume, tables, CLI)."""
 
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +49,9 @@ from repro.risk import (
 from repro.serving import PortfolioService, RebalanceRequest
 
 OBS = ObservationConfig(window=6, stride=1, momentum_horizons=(1, 3, 6))
+# A version-2 (manifest.json) checkpoint written before checkpoints
+# became session-store directories; see its README.
+LEGACY_V2 = Path(__file__).parent / "fixtures" / "checkpoint_v2"
 
 
 def _paper_cost():
@@ -635,9 +640,14 @@ class TestServingIntegration:
         for _ in range(5):
             service.rebalance_many(requests)
         path = service.save_checkpoint(tmp_path / "ckpt")
-        manifest = json.loads((path / "manifest.json").read_text())
-        assert manifest["version"] == 2
-        assert all("risk" in s for s in manifest["sessions"])
+        index = json.loads((path / "checkpoint.json").read_text())
+        assert index["version"] == 3
+        assert all(
+            "risk" in json.loads(
+                (path / "sessions" / sid / "state.json").read_text()
+            )["state"]
+            for sid in index["sessions"]
+        )
 
         restored = PortfolioService.load_checkpoint(path, risk=engine())
         for sid in ("s0", "s1"):
@@ -654,34 +664,41 @@ class TestServingIntegration:
                 assert np.array_equal(ra.weights, rb.weights)
                 assert ra.risk == rb.risk
 
-    def test_pre_risk_checkpoint_arms_fresh(self, panel, tmp_path):
-        # A checkpoint saved without a risk engine has no guardrail
-        # entries (the version-1 session schema); loading it under an
-        # engine arms each session lazily on its next decision.
-        plain = self._service(panel)
-        plain.rebalance("s0")
-        path = plain.save_checkpoint(tmp_path / "v1")
+    @staticmethod
+    def _legacy_copy(tmp_path, version, strip_risk=False):
+        """A copy of the version-2 fixture with its manifest edited."""
+        path = shutil.copytree(LEGACY_V2, tmp_path / f"v{version}")
         manifest = json.loads((path / "manifest.json").read_text())
-        assert all("risk" not in s for s in manifest["sessions"])
-        manifest["version"] = 1
+        manifest["version"] = version
+        if strip_risk:
+            for entry in manifest["sessions"]:
+                entry.pop("risk", None)
         (path / "manifest.json").write_text(json.dumps(manifest))
+        return path
 
+    def test_pre_risk_checkpoint_arms_fresh(self, tmp_path):
+        # A version-1 checkpoint (saved before the guardrails existed)
+        # has no guardrail entries; loading it under an engine arms
+        # each session lazily on its next decision.
+        path = self._legacy_copy(tmp_path, 1, strip_risk=True)
         engine = RiskEngine([PositionCap(0.15)])
         restored = PortfolioService.load_checkpoint(path, risk=engine)
-        session = restored._sessions["s0"]
+        session = restored._sessions["sr"]
         assert session.risk_w_drifted is None  # not yet armed
-        resp = restored.rebalance("s0")
+        resp = restored.rebalance("sr")
         assert resp.risk is not None
         assert resp.weights[1:].max() <= 0.15 + 1e-9
-        assert restored._sessions["s0"].risk_w_drifted is not None
+        assert restored._sessions["sr"].risk_w_drifted is not None
 
     def test_unknown_checkpoint_version_rejected(self, panel, tmp_path):
+        with pytest.raises(ValueError, match="version 3"):
+            PortfolioService.load_checkpoint(self._legacy_copy(tmp_path, 3))
         service = self._service(panel, sessions=("s0",))
         path = service.save_checkpoint(tmp_path / "vX")
-        manifest = json.loads((path / "manifest.json").read_text())
-        manifest["version"] = 3
-        (path / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(ValueError):
+        index = json.loads((path / "checkpoint.json").read_text())
+        index["version"] = 4
+        (path / "checkpoint.json").write_text(json.dumps(index))
+        with pytest.raises(ValueError, match="version 4"):
             PortfolioService.load_checkpoint(path)
 
 

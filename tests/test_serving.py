@@ -5,6 +5,7 @@ import threading
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,11 +15,17 @@ from repro.agents import Agent, run_backtest
 from repro.baselines import ONS
 from repro.experiments import build_experiment_data, make_config
 from repro.registry import StrategyRegistry
+from repro.risk import DrawdownLockout, PositionCap, RiskEngine
 from repro.serving import (
     MicroBatcher,
     PortfolioService,
     RebalanceRequest,
+    SessionStateStore,
 )
+
+# A version-2 (manifest.json) checkpoint written before checkpoints
+# became session-store directories; see its README.
+LEGACY_V2 = Path(__file__).parent / "fixtures" / "checkpoint_v2"
 
 
 @pytest.fixture(scope="module")
@@ -502,6 +509,57 @@ class TestCheckpoint:
         restored = PortfolioService.load_checkpoint(tmp_path / "ckpt")
         assert restored.market_names() == ("m",)
         restored.create_session("a", "ucrp", market="m")
+
+    def test_saving_again_replaces_what_the_directory_held(
+        self, config, market, sdp_params, tmp_path
+    ):
+        """Two saves into one directory: a session id re-used with new
+        params and a new inline panel reloads as the new session, and a
+        session closed in between is gone."""
+        service = PortfolioService(commission=config.commission)
+        service.create_session(
+            "a", "sdp", params=dict(sdp_params, seed=1), data=market
+        )
+        service.create_session("b", "ons", data=market)
+        service.save_checkpoint(tmp_path / "ckpt")
+        service.close_session("a")
+        service.close_session("b")
+        flipped = market.permute_assets(list(range(market.n_assets))[::-1])
+        service.create_session(
+            "a", "sdp", params=dict(sdp_params, seed=2), data=flipped
+        )
+        service.save_checkpoint(tmp_path / "ckpt")
+
+        assert SessionStateStore(tmp_path / "ckpt").session_ids() == ("a",)
+        restored = PortfolioService.load_checkpoint(tmp_path / "ckpt")
+        assert restored.session_ids() == ("a",)
+        assert restored.market_names() == ("session:a",)
+        for _ in range(3):
+            assert (
+                restored.rebalance("a").to_json_dict()
+                == service.rebalance("a").to_json_dict()
+            )
+
+    def test_legacy_v2_checkpoint_serves_recorded_responses(self, tmp_path):
+        """The legacy reader: a version-2 checkpoint (two shared-SDP
+        sessions, a private ONS session, and a session mid caps +
+        drawdown-lockout) serves exactly the responses recorded when it
+        was written — loaded directly, and after migrating it to the
+        current layout with ``save_checkpoint``."""
+        risk = RiskEngine([PositionCap(0.22), DrawdownLockout(0.002, 2)])
+        expected = json.loads((LEGACY_V2 / "expected_responses.json").read_text())
+        requests = [RebalanceRequest(s) for s in ("sa", "sb", "so", "sr")]
+        legacy = PortfolioService.load_checkpoint(LEGACY_V2, risk=risk)
+        legacy.save_checkpoint(tmp_path / "v3")
+        migrated = PortfolioService.load_checkpoint(tmp_path / "v3", risk=risk)
+        for restored in (legacy, migrated):
+            assert restored._sessions["sa"].agent is restored._sessions["sb"].agent
+            assert not restored._sessions["so"].shared
+            served = [
+                [r.to_json_dict() for r in restored.rebalance_many(requests)]
+                for _ in expected
+            ]
+            assert json.loads(json.dumps(served)) == expected
 
 
 class TestMicroBatcher:

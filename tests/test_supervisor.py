@@ -246,12 +246,39 @@ class TestDrainAndResume:
         reference = json_rounds(service, requests, rounds=n + 3)
         assert committed == reference[:n]
 
+        # The drained state dir is itself a checkpoint.
+        assert report["checkpoint"] == str(tmp_path / "state" / "checkpoint.json")
+        restored = PortfolioService.load_checkpoint(tmp_path / "state")
+        assert restored.session_ids() == ("a", "b")
+        assert json_rounds(restored, requests, rounds=3) == reference[n:]
+
         # Store continuity: a fresh supervisor resumes every session
         # and serves the next rounds bit-identically.
         resumed = ServingSupervisor(tmp_path / "state", workers=2)
         with resumed:
             assert resumed.session_ids() == ("a", "b")
             assert json_rounds(resumed, requests, rounds=3) == reference[n:]
+
+        # And the converse: a supervisor opened over a directory
+        # written by save_checkpoint resumes every session, at the
+        # checkpoint's (non-default) commission.
+        saved = PortfolioService(commission=0.01)
+        saved.register_market(name0, market)
+        saved.register_market(name1, market2)
+        saved.create_session("a", "ons", market=name0)
+        saved.create_session("b", "ons", market=name1)
+        json_rounds(saved, requests, rounds=n)
+        saved.save_checkpoint(tmp_path / "ckpt")
+        with pytest.raises(ValueError, match="commission"):
+            ServingSupervisor(tmp_path / "ckpt", workers=1, commission=0.002)
+        with ServingSupervisor(tmp_path / "ckpt", workers=2) as from_checkpoint:
+            assert from_checkpoint.commission == 0.01
+            assert from_checkpoint.session_ids() == ("a", "b")
+            assert json_rounds(
+                from_checkpoint, requests, rounds=3
+            ) == json_rounds(saved, requests, rounds=3)
+            from_checkpoint.drain(timeout=30.0)
+        assert PortfolioService.load_checkpoint(tmp_path / "ckpt").commission == 0.01
 
 
 class TestResidency:
