@@ -207,14 +207,18 @@ def bench_backtest(panels, n_assets: int) -> Dict:
 class _SeedSGD(SGD):
     """SGD with the seed's out-of-place updates (fresh arrays per step)."""
 
-    def _update(self, index, param):
-        grad = param.grad
-        if self.weight_decay:
-            grad = grad + self.weight_decay * param.data
-        if self.momentum:
-            self._velocity[index] = self.momentum * self._velocity[index] + grad
-            grad = self._velocity[index]
-        param.data = param.data - self.lr * grad
+    def step(self):
+        self._step_count += 1
+        for index, param in enumerate(self.params):
+            if param.grad is None:
+                continue
+            grad = param.grad
+            if self.weight_decay:
+                grad = grad + self.weight_decay * param.data
+            if self.momentum:
+                self._velocity[index] = self.momentum * self._velocity[index] + grad
+                grad = self._velocity[index]
+            param.data = param.data - self.lr * grad
 
 
 class _SeedSampler(GeometricBatchSampler):

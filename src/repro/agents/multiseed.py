@@ -28,9 +28,10 @@ The RNG-stream contract is the serial trainer's, per seed:
 
 On the ``reference`` backend every seed's weight trajectory and PVM
 are **bit-identical** to a serial :class:`~repro.agents.trainer.
-PolicyTrainer` run with that seed — every stacked op either is the
-serial op on a contiguous per-seed slice (same BLAS call, same
-reduction order) or an elementwise op over identical values; the
+PolicyTrainer` run with that seed — for SDP the serial trainer runs
+the same bank with S = 1, and every stacked op either is the graph op
+on a contiguous per-seed slice (same BLAS call, same reduction order)
+or an elementwise op over identical values; the
 parity suite and the bench ``--check`` gate enforce the end-to-end
 guarantee.  The ``fast`` backend (float32 tapes + float32-cast weight
 banks) is a documented-tolerance approximation and is rejected by
@@ -52,6 +53,7 @@ from ..envs.observations import (
     ObservationConfig,
     sdp_asset_features_batch,
     sdp_state_batch,
+    sdp_state_perm_columns,
 )
 from ..envs.pvm import PortfolioVectorMemory
 from ..envs.sampling import GeometricBatchSampler
@@ -72,33 +74,28 @@ __all__ = ["MultiSeedTrainer"]
 class _BankedOptimizer:
     """Run S same-hyperparameter optimizers as bank-wide updates.
 
-    The per-seed :class:`~repro.autograd.optim.Optimizer` updates are
-    pure elementwise chains with scalar hyperparameters, so applying
-    the *identical op sequence* to the ``(S,) + shape`` parameter /
-    gradient / moment banks updates every seed's slice exactly as its
-    own optimizer would — bit-identical, S× fewer Python dispatches.
+    An optimizer's update (:meth:`~repro.autograd.optim.Optimizer.
+    _update`) is one elementwise chain with scalar hyperparameters, so
+    calling the first optimizer's chain on the ``(S,) + shape``
+    parameter / gradient / state banks updates every seed's slice
+    exactly as its own optimizer would — bit-identical, S× fewer Python
+    dispatches.
 
     The per-seed optimizers stay truthful: their state-buffer entries
-    are rebound to views into the moment banks and their step counters
+    are rebound to views into the state banks and their step counters
     are kept in sync, so ``state_dict()`` on any of them reflects the
     live state.
     """
-
-    #: subclasses fill in the optimizer class they mirror and the
-    #: hyperparameters that must match across seeds
-    _optimizer_cls: type = Optimizer
-    _hyper_names: tuple = ()
 
     def __init__(self, optimizers: Sequence[Optimizer], banks: Sequence[ParamBank]):
         self.optimizers = list(optimizers)
         self.banks = list(banks)
         first = self.optimizers[0]
-        self._step_count = first._step_count
         # Per-bank, per-seed parameter indices into each optimizer.
         idx_maps = [
             {id(p): i for i, p in enumerate(opt.params)} for opt in self.optimizers
         ]
-        self._indices: List[List[int]] = []
+        indices: List[List[int]] = []
         covered = [set() for _ in self.optimizers]
         for pb in self.banks:
             idxs = []
@@ -108,151 +105,59 @@ class _BankedOptimizer:
                     raise LookupError("parameter not owned by its optimizer")
                 idxs.append(i)
                 covered[s].add(i)
-            self._indices.append(idxs)
+            indices.append(idxs)
         for s, opt in enumerate(self.optimizers):
             if len(covered[s]) != len(opt.params):
                 raise LookupError("optimizer holds parameters outside the banks")
-        # Moment banks: stack the per-seed buffers (zeros on a fresh
-        # optimizer; live values on a resumed one) and rebind the
-        # per-seed entries to the bank slices.
-        self._state: Dict[str, List[np.ndarray]] = {}
-        for name in self._optimizer_cls._state_buffer_names:
-            state_banks = []
-            for j, pb in enumerate(self.banks):
+        # State banks, per parameter bank in _state_buffer_names order:
+        # stack the per-seed buffers (zeros on a fresh optimizer; live
+        # values on a resumed one) and rebind the per-seed entries to
+        # the bank slices.
+        self._state: List[List[np.ndarray]] = [[] for _ in self.banks]
+        for name in first._state_buffer_names:
+            for j, idxs in enumerate(indices):
                 bank = np.stack(
-                    [
-                        getattr(opt, name)[self._indices[j][s]]
-                        for s, opt in enumerate(self.optimizers)
-                    ]
+                    [getattr(opt, name)[idxs[s]] for s, opt in enumerate(self.optimizers)]
                 )
                 for s, opt in enumerate(self.optimizers):
-                    getattr(opt, name)[self._indices[j][s]] = bank[s]
-                state_banks.append(bank)
-            self._state[name] = state_banks
-        self._scratch = [np.empty_like(pb.bank) for pb in self.banks]
-        self._scratch2 = [np.empty_like(pb.bank) for pb in self.banks]
+                    getattr(opt, name)[idxs[s]] = bank[s]
+                self._state[j].append(bank)
+        n_scratch = len(first._scratch[0])
+        self._scratch = [
+            [np.empty_like(pb.bank) for _ in range(n_scratch)] for pb in self.banks
+        ]
 
     @classmethod
     def build(
         cls, optimizers: Sequence[Optimizer], banks: Sequence[ParamBank]
     ) -> Optional["_BankedOptimizer"]:
         """A banked executor for ``optimizers``, or ``None`` when they
-        cannot be banked (mixed classes, differing hyperparameters,
-        parameters outside the banks) — the caller then falls back to
-        the per-seed ``zero_grad``/``step`` loop."""
+        cannot be banked (a class other than SGD/Adam/RMSProp, mixed
+        classes, differing hyperparameters or step counts, parameters
+        outside the banks) — the caller then falls back to the per-seed
+        ``zero_grad``/``step`` loop."""
         optimizers = list(optimizers)
         first = optimizers[0]
-        for sub in (_BankedSGD, _BankedAdam, _BankedRMSProp):
-            if type(first) is sub._optimizer_cls:
-                impl = sub
-                break
-        else:
+        if type(first) not in (SGD, Adam, RMSProp):
             return None
         for opt in optimizers:
-            if type(opt) is not impl._optimizer_cls:
+            if type(opt) is not type(first) or opt._step_count != first._step_count:
                 return None
-            if opt._step_count != first._step_count:
-                return None
-            for name in ("lr",) + impl._hyper_names:
+            for name in first._hyper_names:
                 if getattr(opt, name) != getattr(first, name):
                     return None
         try:
-            return impl(optimizers, banks)
+            return cls(optimizers, banks)
         except LookupError:
             return None
 
     def step(self) -> None:
-        self._step_count += 1
+        first = self.optimizers[0]
+        step_count = first._step_count + 1
         for opt in self.optimizers:
-            opt._step_count = self._step_count
-        for j, pb in enumerate(self.banks):
-            self._update(j, pb)
-
-    def _update(self, index: int, pb: ParamBank) -> None:
-        raise NotImplementedError
-
-
-class _BankedSGD(_BankedOptimizer):
-    """Bank-wide :class:`~repro.autograd.optim.SGD` (same op chain)."""
-
-    _optimizer_cls = SGD
-    _hyper_names = ("momentum", "weight_decay")
-
-    def _update(self, index: int, pb: ParamBank) -> None:
-        opt = self.optimizers[0]
-        grad = pb.grad
-        buf = self._scratch[index]
-        if opt.weight_decay:
-            np.multiply(pb.bank, opt.weight_decay, out=buf)
-            np.add(grad, buf, out=buf)
-            grad = buf
-        if opt.momentum:
-            velocity = self._state["_velocity"][index]
-            np.multiply(velocity, opt.momentum, out=velocity)
-            np.add(velocity, grad, out=velocity)
-            grad = velocity
-        np.multiply(grad, opt.lr, out=buf)
-        np.subtract(pb.bank, buf, out=pb.bank)
-
-
-class _BankedAdam(_BankedOptimizer):
-    """Bank-wide :class:`~repro.autograd.optim.Adam` (same op chain)."""
-
-    _optimizer_cls = Adam
-    _hyper_names = ("beta1", "beta2", "eps", "weight_decay")
-
-    def _update(self, index: int, pb: ParamBank) -> None:
-        opt = self.optimizers[0]
-        grad = pb.grad
-        buf, buf2 = self._scratch[index], self._scratch2[index]
-        if opt.weight_decay:
-            np.multiply(pb.bank, opt.weight_decay, out=buf2)
-            np.add(grad, buf2, out=buf2)
-            grad = buf2
-            buf2 = np.empty_like(buf)  # decayed grad occupies scratch2
-        m = self._state["_m"][index]
-        v = self._state["_v"][index]
-        np.multiply(m, opt.beta1, out=m)
-        np.multiply(grad, 1.0 - opt.beta1, out=buf)
-        np.add(m, buf, out=m)
-        np.multiply(v, opt.beta2, out=v)
-        np.multiply(grad, 1.0 - opt.beta2, out=buf)
-        np.multiply(buf, grad, out=buf)
-        np.add(v, buf, out=v)
-        np.divide(m, 1.0 - opt.beta1 ** self._step_count, out=buf)
-        np.divide(v, 1.0 - opt.beta2 ** self._step_count, out=buf2)
-        np.sqrt(buf2, out=buf2)
-        np.add(buf2, opt.eps, out=buf2)
-        np.multiply(buf, opt.lr, out=buf)
-        np.divide(buf, buf2, out=buf)
-        np.subtract(pb.bank, buf, out=pb.bank)
-
-
-class _BankedRMSProp(_BankedOptimizer):
-    """Bank-wide :class:`~repro.autograd.optim.RMSProp` (same op chain)."""
-
-    _optimizer_cls = RMSProp
-    _hyper_names = ("alpha", "eps", "weight_decay")
-
-    def _update(self, index: int, pb: ParamBank) -> None:
-        opt = self.optimizers[0]
-        grad = pb.grad
-        buf, buf2 = self._scratch[index], self._scratch2[index]
-        if opt.weight_decay:
-            np.multiply(pb.bank, opt.weight_decay, out=buf2)
-            np.add(grad, buf2, out=buf2)
-            grad = buf2
-            buf2 = np.empty_like(buf)
-        avg = self._state["_square_avg"][index]
-        np.multiply(avg, opt.alpha, out=avg)
-        np.multiply(grad, 1.0 - opt.alpha, out=buf)
-        np.multiply(buf, grad, out=buf)
-        np.add(avg, buf, out=avg)
-        np.sqrt(avg, out=buf)
-        np.add(buf, opt.eps, out=buf)
-        np.multiply(grad, opt.lr, out=buf2)
-        np.divide(buf2, buf, out=buf2)
-        np.subtract(pb.bank, buf2, out=pb.bank)
+            opt._step_count = step_count
+        for pb, state, scratch in zip(self.banks, self._state, self._scratch):
+            first._update(pb.bank, pb.grad, state, scratch)
 
 
 # ----------------------------------------------------------------------
@@ -516,28 +421,6 @@ class MultiSeedTrainer:
         y_next = self._relatives[idx[:, :, None], action_perms[:, None, :]]
         return w_prev_native, w_drifted, y_next
 
-    def _monolithic_perm_columns(self) -> np.ndarray:
-        """Vectorised :meth:`SDPAgent._state_perm_columns` over seeds —
-        the same affine index map, built for all S permutations at once."""
-        m = self.data.n_assets
-        n_h = len(self.observation.momentum_horizons)
-        perms = self._perms
-        S = self.n_seeds
-        momentum = (
-            np.arange(n_h)[None, :, None] * m + perms[:, None, :]
-        ).reshape(S, -1)
-        candle = n_h * m + (
-            perms[:, :, None] * 3 + np.arange(3)[None, None, :]
-        ).reshape(S, -1)
-        weights = (
-            n_h * m
-            + 3 * m
-            + np.concatenate(
-                [np.zeros((S, 1), dtype=np.int64), 1 + perms], axis=1
-            )
-        )
-        return np.concatenate([momentum, candle, weights], axis=1)
-
     def _stacked_forward(self, w_prev_native: np.ndarray) -> np.ndarray:
         """State prep over the concatenated index batch, then one
         stacked bank forward.
@@ -581,7 +464,7 @@ class MultiSeedTrainer:
             self.data, idx_flat, w_prev_flat, self.policies[0].observation
         )
         if permute:
-            cols = self._monolithic_perm_columns()
+            cols = sdp_state_perm_columns(self._perms, self.observation)
             states = np.take_along_axis(
                 states.reshape(S, B, states.shape[1]), cols[:, None, :], axis=2
             ).reshape(states.shape)
@@ -616,8 +499,8 @@ class MultiSeedTrainer:
         )
         if self._opt_exec is not None:
             # Grad banks are freshly written by backward (equal to
-            # zero_grad + accumulate); the banked step applies the
-            # serial update chain bank-wide.
+            # zero_grad + accumulate); the banked step applies each
+            # optimizer's update chain bank-wide.
             self._bank.backward(grad_actions)
             self._opt_exec.step()
         else:

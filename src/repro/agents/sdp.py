@@ -25,6 +25,7 @@ from ..envs.observations import (
     ObservationConfig,
     sdp_asset_features_batch,
     sdp_state_batch,
+    sdp_state_perm_columns,
 )
 from ..snn import (
     ActivityRecord,
@@ -158,23 +159,6 @@ class SDPAgent(Agent):
         """Differentiable batched action computation for the trainer."""
         return self.network.forward(self.prepare_states(data, indices, w_prev))
 
-    def _state_perm_columns(self, perm: np.ndarray) -> np.ndarray:
-        """Flat-state column map applying an asset permutation.
-
-        The monolithic state concatenates a ``(H, A)`` momentum block, a
-        ``(A, 3)`` candle block, and the ``A + 1`` previous weights
-        (cash first); permuting the assets of the *panel* permutes those
-        columns — gathering them is bit-identical to rebuilding the
-        state on a permuted panel, since every feature is per-asset
-        elementwise.
-        """
-        m = self.n_assets
-        n_h = len(self.observation.momentum_horizons)
-        momentum = (np.arange(n_h)[:, None] * m + perm[None, :]).ravel()
-        candle = n_h * m + (perm[:, None] * 3 + np.arange(3)[None, :]).ravel()
-        weights = n_h * m + 3 * m + np.concatenate([[0], 1 + perm])
-        return np.concatenate([momentum, candle, weights])
-
     def policy_forward_fused(
         self,
         data: MarketData,
@@ -191,18 +175,19 @@ class SDPAgent(Agent):
         bit-identical because every state feature is per-asset
         elementwise.  The returned array is a tape buffer, valid until
         the next fused forward; call :meth:`policy_backward_fused`
-        before any parameter update to accumulate gradients.
+        before any parameter update to set the gradients.
         """
         states = self.prepare_states(data, indices, w_prev)
         if asset_perm is not None:
             if self.architecture == "shared":
                 states = states[:, asset_perm, :]
             else:
-                states = states[:, self._state_perm_columns(asset_perm)]
+                cols = sdp_state_perm_columns(asset_perm[None], self.observation)
+                states = states[:, cols[0]]
         return self.network.policy_forward_fused(states)
 
     def policy_backward_fused(self, grad_actions: np.ndarray) -> None:
-        """Accumulate parameter grads for the last fused forward."""
+        """Set the parameter grads of the last fused forward."""
         self.network.policy_backward_fused(grad_actions)
 
     def act(self, data: MarketData, t: int, w_prev: np.ndarray) -> np.ndarray:

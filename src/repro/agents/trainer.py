@@ -27,7 +27,7 @@ from ..autograd.optim import Optimizer
 from ..data.market import MarketData
 from ..envs.costs import (
     DEFAULT_COMMISSION,
-    fused_training_loss,
+    fused_training_loss_banked,
     transaction_remainder_approx,
 )
 from ..envs.observations import ObservationConfig
@@ -57,10 +57,17 @@ class FusedTrainablePolicy(TrainablePolicy, Protocol):
     the pair below; the trainer then skips the closure-graph ``Tensor``
     machinery entirely.  The contract is strict: the fused forward must
     be *bit-identical* to ``policy_forward(...).data`` and the fused
-    backward must accumulate parameter gradients bit-identical to
+    backward must produce parameter gradients bit-identical to
     ``loss.backward()`` on the graph path, so both trainer paths yield
     the same weight trajectory (``autograd.gradcheck.
     check_fused_training_parity`` gates this).
+
+    The fused backward *sets* each parameter's ``.grad`` to the
+    gradient of the last fused forward instead of accumulating into
+    what ``.grad`` held before: the SDP networks point ``.grad`` at
+    their training bank's gradient buffers.  (The EIIE kernel still
+    accumulates; callers must not rely on either.)  Trainers zero the
+    grads before every backward, so the two agree there.
     """
 
     supports_fused_training: bool
@@ -85,7 +92,7 @@ class FusedTrainablePolicy(TrainablePolicy, Protocol):
         ...
 
     def policy_backward_fused(self, grad_actions: np.ndarray) -> None:
-        """Accumulate parameter grads for the last fused forward."""
+        """Set the parameter grads of the last fused forward."""
         ...
 
 
@@ -325,9 +332,14 @@ class PolicyTrainer:
     def _train_step_fused(self) -> Dict[str, float]:
         """Fused fast path: analytic kernels on the policy's static tape.
 
-        Bit-identical to :meth:`_train_step_graph` — same RNG streams,
-        same actions, same gradients, same PVM write-back — without
-        building (or walking) a closure graph.  The permute-assets
+        The SDP policies run on the one-seed bank of
+        :mod:`repro.snn.banked` and the objective is
+        :func:`~repro.envs.costs.fused_training_loss_banked` with one
+        seed — the kernels :class:`~repro.agents.multiseed.
+        MultiSeedTrainer` runs S seeds on.  Bit-identical to
+        :meth:`_train_step_graph` — same RNG streams, same actions, same
+        gradients, same PVM write-back — without building (or walking) a
+        closure graph.  The permute-assets
         augmentation is applied to the prepared ``(B, ...)`` state batch
         (``asset_perm``) instead of materialising a permuted panel, and
         the simplex re-validation is skipped on the PVM's hot write-back
@@ -340,8 +352,8 @@ class PolicyTrainer:
         actions = self.policy.policy_forward_fused(
             self.data, indices, w_prev_native, asset_perm=asset_perm
         )
-        loss, reward, grad_actions = fused_training_loss(
-            actions, w_drifted, y_next, self.config.commission
+        losses, rewards, grad_actions = fused_training_loss_banked(
+            actions, w_drifted, y_next, n_seeds=1, commission=self.config.commission
         )
         self.optimizer.zero_grad()
         self.policy.policy_backward_fused(grad_actions)
@@ -350,7 +362,7 @@ class PolicyTrainer:
         unpermuted = np.empty_like(actions)
         unpermuted[:, action_perm] = actions
         self.pvm.write(indices, unpermuted, validate=False)
-        return {"loss": loss, "reward": reward}
+        return {"loss": float(losses[0]), "reward": float(rewards[0])}
 
     def train(
         self,

@@ -95,7 +95,10 @@ def check_fused_training_parity(
     cleared on exit; parameter values are never touched.
     """
     # Lazy import: envs.costs sits above autograd in the layer stack.
-    from ..envs.costs import fused_training_loss, transaction_remainder_approx
+    from ..envs.costs import (
+        fused_training_loss_banked,
+        transaction_remainder_approx,
+    )
 
     params = list(policy.parameters())
     for p in params:
@@ -118,9 +121,10 @@ def check_fused_training_parity(
             f"fused forward diverged from the graph path "
             f"(max abs diff {worst:.3e})"
         )
-    fused_loss, _, grad_actions = fused_training_loss(
-        actions_fused, w_drifted, y_next, commission
+    losses, _, grad_actions = fused_training_loss_banked(
+        actions_fused, w_drifted, y_next, n_seeds=1, commission=commission
     )
+    fused_loss = float(losses[0])
     if fused_loss != ref_loss:
         raise AssertionError(
             f"fused loss {fused_loss!r} != graph loss {ref_loss!r}"

@@ -16,13 +16,25 @@ from .tensor import Tensor
 
 
 class Optimizer:
-    """Base optimiser: holds parameters, applies per-step updates."""
+    """Base optimiser: holds parameters, applies per-step updates.
+
+    A subclass writes its update once, as :meth:`_update` — an in-place
+    chain of elementwise ops over plain arrays (parameter, gradient,
+    state buffers, scratch) with scalar hyperparameters.  :meth:`step`
+    calls it per parameter; :class:`~repro.agents.multiseed.
+    MultiSeedTrainer` calls the same method once per seed-stacked
+    parameter bank, which updates every seed's slice exactly as its own
+    optimizer would.
+    """
 
     #: Names of per-parameter state-buffer lists a subclass carries
     #: (moments, running averages) — what :meth:`state_dict` persists.
     #: Scratch buffers are deliberately excluded: their contents never
     #: survive a step.
     _state_buffer_names: Tuple[str, ...] = ()
+    #: Scalar attributes :meth:`_update` reads; optimizers that agree on
+    #: all of them (and on the step count) can update as one bank.
+    _hyper_names: Tuple[str, ...] = ("lr",)
 
     def __init__(self, params: Iterable[Tensor], lr: float):
         self.params: List[Tensor] = list(params)
@@ -33,18 +45,41 @@ class Optimizer:
         self.lr = lr
         self._step_count = 0
 
+    def _init_buffers(self, n_scratch: int) -> None:
+        """Zeroed state buffers and ``n_scratch`` scratch arrays per
+        parameter."""
+        for name in self._state_buffer_names:
+            setattr(self, name, [np.zeros_like(p.data) for p in self.params])
+        self._scratch = [
+            [np.empty_like(p.data) for _ in range(n_scratch)] for p in self.params
+        ]
+
     def zero_grad(self) -> None:
         for p in self.params:
             p.zero_grad()
 
     def step(self) -> None:
         self._step_count += 1
+        names = self._state_buffer_names
         for i, p in enumerate(self.params):
             if p.grad is None:
                 continue
-            self._update(i, p)
+            self._update(
+                p.data, p.grad, [getattr(self, n)[i] for n in names], self._scratch[i]
+            )
 
-    def _update(self, index: int, param: Tensor) -> None:
+    def _update(
+        self,
+        param: np.ndarray,
+        grad: np.ndarray,
+        state: List[np.ndarray],
+        scratch: List[np.ndarray],
+    ) -> None:
+        """Update ``param`` and ``state`` (ordered as
+        ``_state_buffer_names``) in place from ``grad``, never writing
+        into ``grad``.  ``scratch`` arrays have ``param``'s shape and
+        their contents do not survive the call.  Every array may carry
+        a leading seed axis."""
         raise NotImplementedError
 
     # -- resumable state ------------------------------------------------
@@ -87,6 +122,7 @@ class SGD(Optimizer):
     """
 
     _state_buffer_names = ("_velocity",)
+    _hyper_names = ("lr", "momentum", "weight_decay")
 
     def __init__(
         self,
@@ -100,23 +136,21 @@ class SGD(Optimizer):
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-        self._scratch = [np.empty_like(p.data) for p in self.params]
+        self._init_buffers(1)
 
-    def _update(self, index: int, param: Tensor) -> None:
-        grad = param.grad
-        buf = self._scratch[index]
+    def _update(self, param, grad, state, scratch) -> None:
+        (buf,) = scratch
         if self.weight_decay:
-            np.multiply(param.data, self.weight_decay, out=buf)
+            np.multiply(param, self.weight_decay, out=buf)
             np.add(grad, buf, out=buf)
             grad = buf
         if self.momentum:
-            velocity = self._velocity[index]
+            (velocity,) = state
             np.multiply(velocity, self.momentum, out=velocity)
             np.add(velocity, grad, out=velocity)
             grad = velocity
         np.multiply(grad, self.lr, out=buf)
-        np.subtract(param.data, buf, out=param.data)
+        np.subtract(param, buf, out=param)
 
 
 class RMSProp(Optimizer):
@@ -127,6 +161,7 @@ class RMSProp(Optimizer):
     """
 
     _state_buffer_names = ("_square_avg",)
+    _hyper_names = ("lr", "alpha", "eps", "weight_decay")
 
     def __init__(
         self,
@@ -140,18 +175,15 @@ class RMSProp(Optimizer):
         self.alpha = alpha
         self.eps = eps
         self.weight_decay = weight_decay
-        self._square_avg = [np.zeros_like(p.data) for p in self.params]
-        self._scratch = [np.empty_like(p.data) for p in self.params]
-        self._scratch2 = [np.empty_like(p.data) for p in self.params]
+        self._init_buffers(2)
 
-    def _update(self, index: int, param: Tensor) -> None:
-        grad = param.grad
-        buf, buf2 = self._scratch[index], self._scratch2[index]
+    def _update(self, param, grad, state, scratch) -> None:
+        buf, buf2 = scratch
         if self.weight_decay:
-            np.multiply(param.data, self.weight_decay, out=buf2)
+            np.multiply(param, self.weight_decay, out=buf2)
             np.add(grad, buf2, out=buf2)
             grad = buf2
-        avg = self._square_avg[index]
+        (avg,) = state
         np.multiply(avg, self.alpha, out=avg)
         # ((1 − α) · g) · g, matching the reference's evaluation order.
         np.multiply(grad, 1.0 - self.alpha, out=buf)
@@ -161,13 +193,14 @@ class RMSProp(Optimizer):
         np.add(buf, self.eps, out=buf)
         np.multiply(grad, self.lr, out=buf2)
         np.divide(buf2, buf, out=buf2)
-        np.subtract(param.data, buf2, out=param.data)
+        np.subtract(param, buf2, out=param)
 
 
 class Adam(Optimizer):
     """Adam (Kingma & Ba) with bias correction."""
 
     _state_buffer_names = ("_m", "_v")
+    _hyper_names = ("lr", "beta1", "beta2", "eps", "weight_decay")
 
     def __init__(
         self,
@@ -185,25 +218,18 @@ class Adam(Optimizer):
         self.beta2 = beta2
         self.eps = eps
         self.weight_decay = weight_decay
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
-        self._scratch = [np.empty_like(p.data) for p in self.params]
-        self._scratch2 = [np.empty_like(p.data) for p in self.params]
-        self._scratch3 = (
-            [np.empty_like(p.data) for p in self.params] if weight_decay else None
-        )
+        # A third scratch array holds the decayed gradient.
+        self._init_buffers(3 if weight_decay else 2)
 
-    def _update(self, index: int, param: Tensor) -> None:
+    def _update(self, param, grad, state, scratch) -> None:
         """In-place Adam step, bit-identical to the out-of-place formulas."""
-        grad = param.grad
-        buf, buf2 = self._scratch[index], self._scratch2[index]
+        buf, buf2 = scratch[0], scratch[1]
         if self.weight_decay:
-            decayed = self._scratch3[index]
-            np.multiply(param.data, self.weight_decay, out=decayed)
+            decayed = scratch[2]
+            np.multiply(param, self.weight_decay, out=decayed)
             np.add(grad, decayed, out=decayed)
             grad = decayed
-        m = self._m[index]
-        v = self._v[index]
+        m, v = state
         np.multiply(m, self.beta1, out=m)
         np.multiply(grad, 1.0 - self.beta1, out=buf)
         np.add(m, buf, out=m)
@@ -218,7 +244,7 @@ class Adam(Optimizer):
         np.add(buf2, self.eps, out=buf2)
         np.multiply(buf, self.lr, out=buf)
         np.divide(buf, buf2, out=buf)
-        np.subtract(param.data, buf, out=param.data)
+        np.subtract(param, buf, out=param)
 
 
 class GradientClipper:

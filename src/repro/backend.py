@@ -5,7 +5,7 @@ plain numpy, which gives two natural execution tiers:
 
 ``reference``
     float64 throughout, per-seed GEMMs batched over contiguous weight
-    banks (numpy's batched matmul issues the serial kernel's exact
+    banks (numpy's batched matmul issues the graph path's exact
     BLAS call per contiguous slice; see :mod:`repro.snn.banked`).
     This is the gold standard: stacked (multi-seed) execution through
     this tier is **bit-identical** to serial :class:`PolicyTrainer`
@@ -59,8 +59,8 @@ class Backend:
         per-step tape (drives, voltages, spikes, gradients in flight)
         takes this dtype.  Per-seed weight GEMMs always run as one 3-D
         ``np.matmul`` over an ``(S, rows, features)`` stack of
-        contiguous per-seed banks — in float64 this issues the serial
-        kernel's exact BLAS call per slice and stays bit-identical (the
+        contiguous per-seed banks — in float64 this issues the graph
+        path's exact BLAS call per slice and stays bit-identical (the
         parity suite asserts it).
     threads:
         Thread count for the optional panel fan-out in multi-panel

@@ -142,63 +142,6 @@ _MU_CLIP_LOW = 1e-8
 _MU_CLIP_HIGH = 1.0
 
 
-def fused_training_loss(
-    actions: np.ndarray,
-    w_drifted: np.ndarray,
-    y_next: np.ndarray,
-    commission: float = DEFAULT_COMMISSION,
-) -> Tuple[float, float, np.ndarray]:
-    """Forward + analytic backward of the trainer's objective (eq. (1)).
-
-    Computes ``loss = −mean(log(μ_t · (w_t · y_{t+1})))`` with the
-    differentiable μ_t of :func:`transaction_remainder_approx`, plus the
-    gradient ``∂loss/∂actions`` — all in plain numpy, mirroring the
-    closure-graph ops one for one so both the scalar diagnostics and the
-    gradient are bit-identical to building the graph and calling
-    ``backward()``.
-
-    Returns ``(loss, reward, grad_actions)`` where ``reward`` is the
-    mean per-period log return (the trainer's diagnostic).
-    """
-    a = np.asarray(actions, dtype=np.float64)
-    w_prime = np.asarray(w_drifted, dtype=np.float64)
-    y = np.asarray(y_next, dtype=np.float64)
-    if a.ndim != 2 or a.shape != w_prime.shape or a.shape != y.shape:
-        raise ValueError(
-            f"expected matching (batch, n_assets+1) arrays, got "
-            f"{a.shape}, {w_prime.shape}, {y.shape}"
-        )
-    batch = a.shape[0]
-
-    # -- forward (same op order as the graph path) ---------------------
-    diff_raw = w_prime - a
-    diff = np.abs(diff_raw)
-    turnover = diff[:, 1:].sum(axis=1)
-    mu_raw = 1.0 - turnover * commission
-    mu = np.clip(mu_raw, _MU_CLIP_LOW, _MU_CLIP_HIGH)
-    growth = (a * y).sum(axis=1)
-    portfolio = mu * growth
-    log_return = np.log(portfolio)
-    loss = float(-(log_return.sum() * (1.0 / batch)))
-    reward = float(log_return.mean())
-
-    # -- backward ------------------------------------------------------
-    # d(−mean)/d(log_return) then the log: (−1/B) / (μ·growth).
-    g_log = (-1.0 * (1.0 / batch)) / portfolio
-    g_mu = g_log * growth
-    g_growth = g_log * mu
-    # Growth branch: growth = Σ_i a_i y_i.
-    g_a_growth = np.broadcast_to(g_growth[:, None], a.shape) * y
-    # μ branch: clip mask, the 1 − c·turnover chain, |w' − a|.
-    clip_mask = (mu_raw >= _MU_CLIP_LOW) & (mu_raw <= _MU_CLIP_HIGH)
-    g_turnover = -(g_mu * clip_mask) * commission
-    g_diff = np.zeros_like(diff)
-    g_diff[:, 1:] = np.broadcast_to(g_turnover[:, None], (batch, a.shape[1] - 1))
-    g_a_mu = -(g_diff * np.sign(diff_raw))
-    grad_actions = g_a_growth + g_a_mu
-    return loss, reward, grad_actions
-
-
 def fused_training_loss_banked(
     actions: np.ndarray,
     w_drifted: np.ndarray,
@@ -206,16 +149,23 @@ def fused_training_loss_banked(
     n_seeds: int,
     commission: float = DEFAULT_COMMISSION,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`fused_training_loss` over a seed-stacked ``(S·B, …)`` batch.
+    """Forward + analytic backward of the trainer's objective (eq. (1))
+    over a seed-stacked ``(S·B, …)`` batch.
+
+    Per seed, computes ``loss = −mean(log(μ_t · (w_t · y_{t+1})))``
+    with the differentiable μ_t of :func:`transaction_remainder_approx`,
+    plus the gradient ``∂loss/∂actions`` — all in plain numpy, mirroring
+    the closure-graph ops one for one so both the scalar diagnostics and
+    the gradient are bit-identical to building the graph and calling
+    ``backward()``.  The serial trainer calls it with ``n_seeds=1``.
 
     Every row of the objective and its gradient depends only on that
     row plus the scalar ``1/B`` (the *per-seed* batch size, identical
     across seeds), so the gradient is computed once over the whole
-    stack with the same arithmetic as the serial kernel — bit-identical
-    per row.  The scalar loss/reward reductions run per seed over
-    contiguous row slices (numpy's pairwise summation over the same
-    values in the same order as a serial call), so they too match the
-    serial trainer exactly.
+    stack — bit-identical per row.  The scalar loss/reward reductions
+    run per seed over contiguous row slices (numpy's pairwise summation
+    over the same values in the same order as a 1-D sum), so they too
+    match the graph exactly.
 
     Returns ``(losses, rewards, grad_actions)`` where ``losses`` and
     ``rewards`` are ``(S,)`` float64 arrays (seed-blocked row order) and

@@ -266,3 +266,35 @@ def sdp_state_batch(
     )
     blocks.append(2.0 * w_prev - 1.0)
     return np.concatenate(blocks, axis=1)
+
+
+def sdp_state_perm_columns(
+    perms: np.ndarray, config: ObservationConfig
+) -> np.ndarray:
+    """Column maps that apply asset permutations to flat SDP states.
+
+    :func:`sdp_state_batch` concatenates a ``(H, A)`` momentum block, an
+    ``(A, 3)`` candle block, and the ``A + 1`` previous weights (cash
+    first).  Permuting the assets of the *panel* permutes those columns,
+    so gathering ``states[:, cols[s]]`` is bit-identical to rebuilding
+    the state on the permuted panel — every feature is per-asset
+    elementwise.
+
+    ``perms`` is an ``(S, A)`` array of permutations (S = 1 for one
+    batch); returns the ``(S, sdp_state_dim(A))`` column indices.
+    """
+    perms = np.asarray(perms, dtype=np.int64)
+    S, m = perms.shape
+    n_h = len(config.momentum_horizons)
+    momentum = (
+        np.arange(n_h)[None, :, None] * m + perms[:, None, :]
+    ).reshape(S, -1)
+    candle = n_h * m + (
+        perms[:, :, None] * 3 + np.arange(3)[None, None, :]
+    ).reshape(S, -1)
+    weights = (
+        n_h * m
+        + 3 * m
+        + np.concatenate([np.zeros((S, 1), dtype=np.int64), 1 + perms], axis=1)
+    )
+    return np.concatenate([momentum, candle, weights], axis=1)

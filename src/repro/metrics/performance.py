@@ -14,12 +14,16 @@ Calmar, annualised volatility, turnover, hit rate).
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from ..data.regimes import SECONDS_PER_YEAR
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def _values_array(values: Sequence[float]) -> np.ndarray:
@@ -97,12 +101,21 @@ def annualized_volatility(
 
 
 def calmar_ratio(values: Sequence[float], period_seconds: int) -> float:
-    """Annualised return over maximum drawdown."""
+    """Annualised return over maximum drawdown.
+
+    The annual return ``(p_f / p_0)^(1/years) − 1`` is computed in log
+    space; a short, high-growth window whose annualised growth exceeds
+    the float range yields ``inf`` instead of an overflow.
+    """
     v = _values_array(values)
     years = (v.size - 1) * period_seconds / SECONDS_PER_YEAR
     if years <= 0:
         return 0.0
-    annual_return = (v[-1] / v[0]) ** (1.0 / years) - 1.0
+    log_annual = float(np.log(v[-1]) - np.log(v[0])) / years
+    if log_annual > _LOG_FLOAT_MAX:
+        annual_return = float("inf")
+    else:
+        annual_return = math.expm1(log_annual)
     mdd = max_drawdown(values)
     if mdd == 0.0:
         return float("inf") if annual_return > 0 else 0.0

@@ -6,17 +6,15 @@ firing-rate population decoder (eqs. (8)–(10)), the rectangular
 surrogate gradient (eq. (11)), and the full SDP network (Algorithm 1).
 """
 
-from .decoding import DecoderTape, PopulationDecoder
+from .decoding import PopulationDecoder
 from .encoding import EncoderConfig, PopulationEncoder
-from .layers import SpikingLinear, SpikingLinearTape, SpikingStack
+from .layers import SpikingLinear, SpikingStack
 from .network import (
     ActivityRecord,
     SDPConfig,
     SDPNetwork,
-    SDPTrainTape,
     SharedSDPConfig,
     SharedSDPNetwork,
-    SharedTrainTape,
 )
 from .neurons import (
     LIFInferenceState,
@@ -40,7 +38,6 @@ from .surrogate import (
 
 __all__ = [
     "ActivityRecord",
-    "DecoderTape",
     "EncoderConfig",
     "LIFInferenceState",
     "LIFParameters",
@@ -50,12 +47,9 @@ __all__ = [
     "PopulationEncoder",
     "SDPConfig",
     "SDPNetwork",
-    "SDPTrainTape",
     "SharedSDPConfig",
     "SharedSDPNetwork",
-    "SharedTrainTape",
     "SpikingLinear",
-    "SpikingLinearTape",
     "SpikingStack",
     "SurrogateGradient",
     "arctan",

@@ -1,39 +1,49 @@
-"""Seed-banked SNN kernels: S independent networks on one stacked tape.
+"""The fused STBP training kernel: S networks on one stacked tape.
 
-The fused STBP kernels (:mod:`~repro.snn.neurons`,
-:mod:`~repro.snn.layers`, :mod:`~repro.snn.network`) are almost entirely
-row-independent — encoder chain, LIF dynamics, surrogate, softmax rows —
-so S seeds' batches can ride one static ``(S·B, …)`` tape and every
-elementwise kernel steps all seeds per call.  The weighted ops (layer
-GEMMs, readout, decoder) see per-seed parameters; this module runs them
-as *banks*: one BLAS-batched 3-D ``np.matmul`` over the
-``(S, rows, ·)`` stack, with the per-seed weight matrices stored as
-contiguous slices of one C-contiguous bank array.
+This module *is* the SDP training kernel.  Serial training runs on it
+with S = 1 (``SharedSDPNetwork.policy_forward_fused`` and
+``SDPNetwork.policy_forward_fused`` hold a one-network bank), and
+:class:`~repro.agents.multiseed.MultiSeedTrainer` runs S seeds on it at
+once.  The closure-graph path (``network.forward`` + ``backward()``)
+stays the parity oracle the kernel is checked against.
 
-Bit-parity of the batched path
-------------------------------
+The kernel records a ``T``-step unroll onto preallocated buffers and
+replays it backward analytically (eq. (13)).  Almost every op is
+row-independent — encoder chain, LIF dynamics
+(:func:`~repro.snn.neurons.lif_step_train` /
+:func:`~repro.snn.neurons.lif_backward_step`), surrogate, softmax rows
+— so S seeds' batches ride one static ``(S·B, …)`` tape and every
+elementwise op steps all seeds per call.  The weighted ops (layer
+GEMMs, readout, decoder) see per-seed parameters; they run as *banks*:
+one BLAS-batched 3-D ``np.matmul`` over the ``(S, rows, ·)`` stack,
+with the per-seed weight matrices stored as contiguous slices of one
+C-contiguous bank array.
 
-numpy's batched matmul loops the same BLAS GEMM over axis-0 slices, so
-when every per-seed operand slice has *the serial operand's memory
-layout* — the same values with the same strides — each slice issues
-the identical BLAS call the serial kernel would, and the results are
-bit-identical.  The banks are arranged to preserve those layouts
-exactly: one ``(S, out, in)`` C-contiguous bank per layer whose slices
-are the serial ``W`` (used directly for the input gradient ``g @ W``),
-with the forward drive ``x @ W.T`` taking the bank's axis-swapped
-*view* — the same transposed-view operand the serial ``x @
-layer.weight.data.T`` hands BLAS.  Mixing orientations (e.g. a
-contiguous copy where the serial op passes a transposed view) changes
-the BLAS kernel's memory-access order and flips last-ulp roundings at
-some shapes, so operand layout mirroring is load-bearing, not a
-convenience.
+Bit-parity
+----------
+
+Every op mirrors the closure-graph op it replaces (same inputs, same
+order), so each seed's actions and gradients are bit-identical to
+``forward`` + ``backward()`` on that seed's network.  numpy's batched
+matmul loops the same BLAS GEMM over axis-0 slices, so when every
+per-seed operand slice has the graph operand's memory layout — the
+same values with the same strides — each slice issues the identical
+BLAS call.  The banks preserve those layouts exactly: one
+``(S, out, in)`` C-contiguous bank per layer whose slices are ``W``
+(used directly for the input gradient ``g @ W``), with the forward
+drive ``x @ W.T`` taking the bank's axis-swapped *view* — the same
+transposed-view operand ``F.linear`` hands BLAS.  Mixing orientations
+(e.g. a contiguous copy where the graph passes a transposed view)
+changes the BLAS kernel's memory-access order and flips last-ulp
+roundings at some shapes, so operand layout mirroring is load-bearing,
+not a convenience.
 
 Elementwise bank ops (bias broadcast, reductions over the per-seed row
-axis) reduce the same values in the same order as their serial
-counterparts.  The parity suite and the bench ``--check`` gate assert
-the end-to-end guarantee: on the ``reference`` (float64) backend every
-seed's weight trajectory and PVM are bit-identical to S serial runs.
-On the ``fast`` backend the same code runs on float32 tapes and
+axis) reduce the same values in the same order for every seed.  The
+parity suite and the bench ``--check`` gate assert the end-to-end
+guarantee: on the ``reference`` (float64) backend every seed's weight
+trajectory and PVM are bit-identical to the graph path and to S serial
+runs.  On the ``fast`` backend the same code runs on float32 tapes and
 float32-cast weights — close, not bit-identical; see
 :mod:`repro.backend`.
 
@@ -47,27 +57,36 @@ Parameter banking
 Banks *own* the parameter storage: at construction each per-seed
 :class:`~repro.autograd.nn.Parameter`'s ``.data`` is rebound to its
 contiguous slice of the float64 bank (same values, same shape — the
-live networks keep working for inference, ``state_dict``, and serial
-retraining).  Gradients land in matching float64 grad banks, freshly
-written every step, and each parameter's ``.grad`` is pointed at its
-slice — so a per-seed ``optimizer.step()`` loop still works, while the
+live networks keep working for inference and ``state_dict``).
+Gradients land in matching float64 grad banks, freshly written every
+step, and each parameter's ``.grad`` is pointed at its slice — so a
+per-seed ``optimizer.step()`` loop still works, while the
 :class:`~repro.agents.multiseed.MultiSeedTrainer` can instead update
 whole banks with one elementwise op per optimizer state buffer.
+
+Anything that rebinds a ``Parameter.data`` afterwards —
+``Module.load_state_dict``, ``copy.deepcopy``, another bank over the
+same network — ends that ownership.  A bank checks
+:meth:`ParamBank.owned` before every forward and refuses to train on
+storage it no longer owns; the networks' S = 1 banks are rebuilt
+instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
 
 from ..autograd.tensor import Tensor
 from .decoding import softmax_head_backward, softmax_head_forward
-from .encoding import EncoderBuffers, PopulationEncoder
+from .encoding import EncoderBuffers
 from .layers import SpikingLinear, SpikingStack
-from .network import SDPNetwork, SharedSDPNetwork
 from .neurons import LIFTrainTape, lif_backward_step, lif_step_train
+
+if TYPE_CHECKING:  # network.py imports this module
+    from .network import SDPNetwork, SharedSDPNetwork
 
 __all__ = [
     "ParamBank",
@@ -97,6 +116,16 @@ class ParamBank:
     grad: np.ndarray          # (S,) + param shape, float64
     params: List[Tensor]      # per-seed Parameters; params[s].data is bank[s]
 
+    def owned(self) -> bool:
+        """Whether every seed's ``.data`` still lives in this bank.
+
+        ``load_state_dict`` and ``copy.deepcopy`` give a parameter a
+        fresh array and another bank gives it a view of *its* bank; all
+        three leave a ``.data`` whose ``base`` is not this bank.
+        """
+        bank = self.bank
+        return all(p.data.base is bank for p in self.params)
+
 
 def _bank_params(params: Sequence[Tensor]) -> ParamBank:
     """Stack per-seed parameters into a bank and rebind their storage."""
@@ -114,53 +143,19 @@ def _publish_grads(pb: ParamBank) -> None:
 
 
 # ----------------------------------------------------------------------
-# dtype-parametrised buffer construction
-# ----------------------------------------------------------------------
-
-def _lif_tape(timesteps: int, shape, dtype) -> LIFTrainTape:
-    """A :class:`LIFTrainTape` with buffers of ``dtype`` (float64 gives
-    exactly :meth:`LIFTrainTape.zeros`)."""
-    return LIFTrainTape(
-        voltage=np.zeros((timesteps + 1,) + tuple(shape), dtype=dtype),
-        spikes=np.zeros((timesteps + 1,) + tuple(shape), dtype=dtype),
-        current=np.zeros(shape, dtype=dtype),
-        drive=np.empty(shape, dtype=dtype),
-        scratch=np.empty(shape, dtype=dtype),
-        g_voltage=np.empty(shape, dtype=dtype),
-        g_current=np.empty(shape, dtype=dtype),
-        g_gate=np.empty(shape, dtype=dtype),
-        g_spikes=np.empty(shape, dtype=dtype),
-        timesteps=timesteps,
-    )
-
-
-def _encoder_buffers(
-    encoder: PopulationEncoder, rows: int, timesteps: int, dtype
-) -> EncoderBuffers:
-    """:meth:`PopulationEncoder.make_buffers` with a selectable dtype."""
-    cfg = encoder.config
-    neurons = cfg.state_dim * cfg.pop_size
-    return EncoderBuffers(
-        stim=np.empty((rows, cfg.state_dim, cfg.pop_size), dtype=dtype),
-        scaled=np.empty((rows, cfg.state_dim, cfg.pop_size), dtype=dtype),
-        voltage=np.empty((rows, neurons), dtype=dtype),
-        fired=np.empty((rows, neurons), dtype=bool),
-        spikes=np.empty((timesteps, rows, neurons), dtype=dtype),
-    )
-
-
-# ----------------------------------------------------------------------
 # layer-level banks
 # ----------------------------------------------------------------------
 
 @dataclass
 class BankedLinearTape:
-    """Stacked-tape analogue of :class:`~repro.snn.layers.SpikingLinearTape`.
+    """Static tape of one :class:`SpikingLinearBank` unroll.
 
-    The LIF tape covers all seeds' rows at once; the gradient
-    accumulators keep the per-seed ``(in, out)`` GEMM orientation (one
-    3-D slot per seed) so the t = T first-write / t < T accumulate
-    arithmetic stays the serial kernel's.
+    The LIF tape covers all seeds' rows at once.  The weight-gradient
+    accumulators keep the ``(in, out)`` orientation of the per-step
+    ``xᵀ @ g`` (one 3-D slot per seed) and are transposed once when
+    flushed; the per-step scratch pair carries the t < T accumulate;
+    ``g_input`` is the gradient handed to the layer below.  Allocated
+    once per (batch, T) and reused across train steps.
     """
 
     lif: LIFTrainTape            # stacked (T+1, S·R, out)
@@ -206,7 +201,7 @@ class SpikingLinearBank:
         # layers' Parameters become views into them.  Both GEMM
         # orientations come from this one bank — the input gradient
         # uses it directly, the forward drive its axis-swapped view
-        # (mirroring the serial operands' layouts exactly; see the
+        # (mirroring the graph operands' layouts exactly; see the
         # module docstring's bit-parity note).
         self.w = _bank_params([layer.weight for layer in layers])
         self.b = _bank_params([layer.bias for layer in layers])
@@ -222,7 +217,7 @@ class SpikingLinearBank:
         S, R = self.n_seeds, rows_per_seed
         dt = self.dtype
         return BankedLinearTape(
-            lif=_lif_tape(timesteps, (S * R, self.out_features), dt),
+            lif=LIFTrainTape.zeros(timesteps, (S * R, self.out_features), dt),
             g_weight=np.empty((S, self.in_features, self.out_features), dtype=dt),
             g_weight_step=np.empty(
                 (S, self.in_features, self.out_features), dtype=dt
@@ -257,7 +252,10 @@ class SpikingLinearBank:
     def step_train(
         self, input_spikes: np.ndarray, tape: BankedLinearTape, t: int
     ) -> np.ndarray:
-        """All seeds' ``x @ W.T + b`` then one stacked LIF update."""
+        """Fused training forward for timestep ``t`` (1-based): all
+        seeds' ``x @ W.T + b`` (the graph's ``F.linear``), then one
+        stacked LIF update recorded onto ``tape``.  Returns the tape's
+        spike slice ``o(t)``."""
         drive = tape.lif.drive
         S = self.n_seeds
         R = drive.shape[0] // S
@@ -276,8 +274,16 @@ class SpikingLinearBank:
         t: int,
         need_input_grad: bool = True,
     ) -> Optional[np.ndarray]:
-        """Stacked LIF backward, then batched GEMM grads — the serial
-        t == T first-write / t < T accumulate pattern."""
+        """Analytic backward through timestep ``t`` (call t = T..1).
+
+        Replays the LIF recurrences via
+        :func:`~repro.snn.neurons.lif_backward_step`, then mirrors the
+        closure-graph linear backward: ``dW += (xᵀ @ dI)ᵀ`` and
+        ``db += dI.sum(axis=0)`` per seed, accumulated in the graph's
+        t = T..1 order (first write at t = T) and, when requested,
+        returns ``dI @ W`` — the gradient into this layer's input spikes
+        (``tape.g_input``, valid until the next call).
+        """
         g_drive = lif_backward_step(
             grad_spikes, tape.lif, self.lif, self.surrogate, t
         )
@@ -303,7 +309,7 @@ class SpikingLinearBank:
         """Flush the tape's accumulated gradients into the grad banks.
 
         The transpose back to the parameter's ``(out, in)`` orientation
-        is an elementwise copy (value-identical to the serial ``.T``
+        is an elementwise copy (value-identical to the graph's ``.T``
         accumulate), widening float32 tapes to float64 exactly.
         """
         self.w.grad[:] = tape.g_weight.transpose(0, 2, 1)
@@ -357,8 +363,14 @@ class SpikingStackBank:
         grad_sum_spikes: np.ndarray,
         timesteps: int,
     ) -> None:
-        """Stacked replay of :func:`~repro.snn.network._stbp_backward` —
-        same t = T..1, top-down layer schedule."""
+        """Replay a recorded unroll backward through time (eq. (13)).
+
+        Walks t = T..1 with layers in top-down order — the schedule the
+        closure graph's reverse-topological traversal produces — handing
+        each layer the gradient into its output spikes (the rate-readout
+        term for the top layer, the synaptic back-projection for hidden
+        ones), then flushes every layer's weight/bias gradients.
+        """
         banks = self.banks
         for t in range(timesteps, 0, -1):
             g = grad_sum_spikes
@@ -378,29 +390,93 @@ class SpikingStackBank:
 
 
 # ----------------------------------------------------------------------
-# network-level bank executors
+# network-level banks
 # ----------------------------------------------------------------------
 
-def _check_bank_networks(networks) -> None:
-    if len(networks) < 1:
-        raise ValueError("bank needs at least one network")
-    first = networks[0]
-    for net in networks[1:]:
-        if net.config != first.config:
+class _SDPBank:
+    """What both network banks share: the encoder and the banked spiking
+    stack, the recorded unroll, and the parameter-ownership check.
+
+    Subclasses bank their head parameters, list them in
+    ``self._param_banks`` after the stack's, and implement ``forward``
+    and ``backward``.
+    """
+
+    def __init__(self, networks: Sequence, dtype):
+        networks = list(networks)
+        if not networks:
+            raise ValueError("bank needs at least one network")
+        first = networks[0]
+        for net in networks[1:]:
+            if net.config != first.config:
+                raise ValueError(
+                    "banked networks must share a config (only the seed may differ)"
+                )
+        if len(networks) > 1 and first.config.encoder_mode != "deterministic":
             raise ValueError(
-                "banked networks must share a config (only the seed may differ)"
+                "seed-banked training requires the deterministic encoder: the "
+                "probabilistic mode consumes a per-network RNG stream that a "
+                "shared stacked encode cannot reproduce"
             )
-    if first.config.encoder_mode != "deterministic":
-        raise ValueError(
-            "seed-banked training requires the deterministic encoder: the "
-            "probabilistic mode consumes a per-network RNG stream that a "
-            "shared stacked encode cannot reproduce"
+        # No reference to the networks is kept: a network holds its own
+        # S = 1 bank, and a back-reference would form a cycle that keeps
+        # every discarded network's tapes alive until the cyclic GC runs.
+        self.n_seeds = len(networks)
+        self.timesteps = first.config.timesteps
+        self.dtype = np.dtype(dtype)
+        self.stack_bank = SpikingStackBank(
+            [net.stack for net in networks], dtype=self.dtype
         )
+        self.encoder = first.encoder
+        self._param_banks: List[ParamBank] = self.stack_bank.param_banks()
+        self._train_tape = None
+
+    def param_banks(self) -> List[ParamBank]:
+        return list(self._param_banks)
+
+    def owns_parameters(self) -> bool:
+        """Whether every banked parameter still stores its data here
+        (see :meth:`ParamBank.owned`)."""
+        return all(pb.owned() for pb in self._param_banks)
+
+    def _refresh(self) -> None:
+        self.stack_bank.refresh()
+
+    def _unroll(self, rows: np.ndarray, timesteps: int) -> None:
+        """Encode ``rows`` and run the recorded ``T``-step unroll into the
+        current tape, summing the top layer's spikes into
+        ``tape.sum_spikes``."""
+        if not self.owns_parameters():
+            raise RuntimeError(
+                "bank no longer owns its parameters' storage (rebound by "
+                "load_state_dict, a copy, or another bank); build a new bank"
+            )
+        tape = self._train_tape
+        tape.spike_trains = self.encoder.encode_buffered(
+            rows, timesteps, tape.encoder
+        )
+        for lt in tape.layer_tapes:
+            lt.lif.begin()
+        self._refresh()
+        for t in range(1, timesteps + 1):
+            spikes = self.stack_bank.step_train(
+                tape.spike_trains[t - 1], tape.layer_tapes, t
+            )
+            if t == 1:
+                np.copyto(tape.sum_spikes, spikes)
+            else:
+                np.add(tape.sum_spikes, spikes, out=tape.sum_spikes)
+
+    def _recorded_tape(self):
+        tape = self._train_tape
+        if tape is None or tape.spike_trains is None:
+            raise RuntimeError("forward must be called first")
+        return tape
 
 
 @dataclass
 class _SharedBankTape:
-    """Stacked analogue of :class:`~repro.snn.network.SharedTrainTape`."""
+    """Preallocated buffers of one :class:`SharedSDPBank` train pass."""
 
     layer_tapes: List[BankedLinearTape]
     encoder: EncoderBuffers
@@ -419,36 +495,30 @@ class _SharedBankTape:
     spike_trains: Optional[np.ndarray] = None
 
 
-class SharedSDPBank:
+class SharedSDPBank(_SDPBank):
     """S :class:`SharedSDPNetwork` instances trained on one stacked tape.
 
-    Mirrors :meth:`SharedSDPNetwork.policy_forward_fused` /
-    :meth:`policy_backward_fused` op for op; the readout head runs as a
-    batched matvec over contiguous per-seed weight banks and batched
-    per-seed-axis reductions — each seed's slice sees exactly the serial
-    arithmetic (same values, same reduction order), so the reference
-    tier stays bit-identical.
+    Mirrors :meth:`SharedSDPNetwork.forward` and its closure-graph
+    backward op for op; the readout head runs as a batched matvec over
+    contiguous per-seed weight banks and batched per-seed-axis
+    reductions — each seed's slice sees exactly the graph's arithmetic
+    (same values, same reduction order), so the reference tier stays
+    bit-identical.
     """
 
     def __init__(
         self,
-        networks: Sequence[SharedSDPNetwork],
+        networks: Sequence["SharedSDPNetwork"],
         dtype=np.float64,
     ):
         networks = list(networks)
-        _check_bank_networks(networks)
-        self.networks = networks
-        self.n_seeds = len(networks)
-        self.dtype = np.dtype(dtype)
-        self.stack_bank = SpikingStackBank(
-            [net.stack for net in networks], dtype=self.dtype
-        )
-        self.encoder = networks[0].encoder
+        super().__init__(networks, dtype)
         # Head banks: readout weight (S, P), readout bias (S, 1),
         # cash bias (S, 1).
         self.r_w = _bank_params([net.readout_weight for net in networks])
         self.r_b = _bank_params([net.readout_bias for net in networks])
         self.c_b = _bank_params([net.cash_bias for net in networks])
+        self._param_banks += [self.r_w, self.r_b, self.c_b]
         self._r_w_cast = (
             np.empty_like(self.r_w.bank, dtype=self.dtype)
             if self.dtype != np.float64
@@ -459,7 +529,6 @@ class SharedSDPBank:
             if self.dtype != np.float64
             else None
         )
-        self._train_tape: Optional[_SharedBankTape] = None
 
     # -- buffers -------------------------------------------------------
     def _ensure_tape(
@@ -478,7 +547,7 @@ class SharedSDPBank:
             dt = self.dtype
             tape = _SharedBankTape(
                 layer_tapes=self.stack_bank.make_tapes(batch * n_assets, timesteps),
-                encoder=_encoder_buffers(self.encoder, rows, timesteps, dt),
+                encoder=self.encoder.make_buffers(rows, timesteps, dt),
                 sum_spikes=np.empty((rows, P), dtype=dt),
                 rates=np.empty((rows, P), dtype=dt),
                 scores=np.empty(rows, dtype=dt),
@@ -508,12 +577,14 @@ class SharedSDPBank:
         return self.r_b.bank if self._r_b_cast is None else self._r_b_cast
 
     # -- forward -------------------------------------------------------
-    def forward(self, stacked_features: np.ndarray) -> np.ndarray:
+    def forward(
+        self, stacked_features: np.ndarray, timesteps: Optional[int] = None
+    ) -> np.ndarray:
         """Fused forward over a seed-stacked ``(S·B, A, D)`` feature batch.
 
         Returns the stacked ``(S·B, A + 1)`` action buffer (rows
         ``[s·B, (s+1)·B)`` belong to seed ``s``), valid until the next
-        forward.
+        forward.  ``timesteps`` overrides the configured ``T``.
         """
         feats = np.asarray(stacked_features, dtype=np.float64)
         S = self.n_seeds
@@ -523,23 +594,12 @@ class SharedSDPBank:
             )
         batch = feats.shape[0] // S
         n_assets = feats.shape[1]
-        timesteps = self.networks[0].config.timesteps
+        if timesteps is None:
+            timesteps = self.timesteps
         tape = self._ensure_tape(batch, n_assets, timesteps)
-        flat = feats.reshape(feats.shape[0] * n_assets, feats.shape[2])
-        tape.spike_trains = self.encoder.encode_buffered(
-            flat, timesteps, tape.encoder
+        self._unroll(
+            feats.reshape(feats.shape[0] * n_assets, feats.shape[2]), timesteps
         )
-        for lt in tape.layer_tapes:
-            lt.lif.begin()
-        self._refresh()
-        for t in range(1, timesteps + 1):
-            spikes = self.stack_bank.step_train(
-                tape.spike_trains[t - 1], tape.layer_tapes, t
-            )
-            if t == 1:
-                np.copyto(tape.sum_spikes, spikes)
-            else:
-                np.add(tape.sum_spikes, spikes, out=tape.sum_spikes)
         np.multiply(tape.sum_spikes, 1.0 / timesteps, out=tape.rates)
         R = batch * n_assets
         P = self.stack_bank.out_features
@@ -548,6 +608,8 @@ class SharedSDPBank:
         scores3 = tape.scores.reshape(S, R, 1)
         np.matmul(rates3, self._readout_w().reshape(S, P, 1), out=scores3)
         np.add(scores3, self._readout_b().reshape(S, 1, 1), out=scores3)
+        # Concatenate [cash | per-asset scores]; the cash column is the
+        # learned bias broadcast over the batch (bias · 1 ≡ bias).
         logits3 = tape.logits.reshape(S, batch, n_assets + 1)
         logits3[:, :, 0] = self.c_b.bank
         tape.logits[:, 1:] = tape.scores.reshape(S * batch, n_assets)
@@ -557,9 +619,10 @@ class SharedSDPBank:
 
     # -- backward ------------------------------------------------------
     def backward(self, grad_action: np.ndarray) -> None:
-        tape = self._train_tape
-        if tape is None or tape.spike_trains is None:
-            raise RuntimeError("forward must be called first")
+        """Analytic backward of the last :meth:`forward`: softmax head,
+        readout, then BPTT through the spiking stack.  Writes every
+        seed's parameter gradients (see the module docstring)."""
+        tape = self._recorded_tape()
         grad_action = np.asarray(grad_action, dtype=self.dtype)
         S = self.n_seeds
         batch, n_assets = tape.batch, tape.n_assets
@@ -568,9 +631,9 @@ class SharedSDPBank:
         g_logits = softmax_head_backward(grad_action, tape.temp, tape.temp_sum)
         g_scores = g_logits[:, 1:].reshape(S * R)
         # Head gradients, batched over the per-seed row axis.  Each
-        # reduction runs over the same values in the same order as the
-        # serial per-seed sums; results land in the float64 grad banks
-        # (widening float32 exactly, as the serial cast does).
+        # reduction runs over one seed's values in the graph's order;
+        # results land in the float64 grad banks (widening float32
+        # exactly).
         g_logits3 = g_logits.reshape(S, batch, n_assets + 1)
         self.c_b.grad[:] = g_logits3[:, :, :1].sum(axis=1)
         self.r_b.grad[:, 0] = g_scores.reshape(S, R).sum(axis=1)
@@ -590,16 +653,13 @@ class SharedSDPBank:
         _publish_grads(self.r_b)
         _publish_grads(self.c_b)
 
-    def param_banks(self) -> List[ParamBank]:
-        return self.stack_bank.param_banks() + [self.r_w, self.r_b, self.c_b]
-
 
 @dataclass
 class _MonolithicBankTape:
-    """Stacked analogue of :class:`~repro.snn.network.SDPTrainTape`.
+    """Preallocated buffers of one :class:`MonolithicSDPBank` train pass.
 
-    The decoder head runs in float64 on every tier (as the serial
-    decoder does); its buffers are stacked across seeds.
+    The decoder head runs in float64 on every tier; its buffers are
+    stacked across seeds.
     """
 
     layer_tapes: List[BankedLinearTape]
@@ -615,40 +675,33 @@ class _MonolithicBankTape:
     spike_trains: Optional[np.ndarray] = None
 
 
-class MonolithicSDPBank:
+class MonolithicSDPBank(_SDPBank):
     """S :class:`SDPNetwork` instances trained on one stacked tape."""
 
     def __init__(
         self,
-        networks: Sequence[SDPNetwork],
+        networks: Sequence["SDPNetwork"],
         dtype=np.float64,
     ):
         networks = list(networks)
-        _check_bank_networks(networks)
-        self.networks = networks
-        self.n_seeds = len(networks)
-        self.dtype = np.dtype(dtype)
-        self.stack_bank = SpikingStackBank(
-            [net.stack for net in networks], dtype=self.dtype
-        )
-        self.encoder = networks[0].encoder
+        super().__init__(networks, dtype)
         # Decoder head banks: weight (S, N, P), bias (S, N).
         self.d_w = _bank_params([net.decoder.weight for net in networks])
         self.d_b = _bank_params([net.decoder.bias for net in networks])
-        self._train_tape: Optional[_MonolithicBankTape] = None
+        self._param_banks += [self.d_w, self.d_b]
+        decoder = networks[0].decoder
+        self._n_actions, self._pop_size = decoder.num_actions, decoder.pop_size
 
     def _ensure_tape(self, batch: int, timesteps: int) -> _MonolithicBankTape:
         tape = self._train_tape
         if tape is None or tape.batch != batch or tape.timesteps != timesteps:
-            S = self.n_seeds
-            rows = S * batch
+            rows = self.n_seeds * batch
             out = self.stack_bank.out_features
             dt = self.dtype
-            decoder = self.networks[0].decoder
-            N, P = decoder.num_actions, decoder.pop_size
+            N, P = self._n_actions, self._pop_size
             tape = _MonolithicBankTape(
                 layer_tapes=self.stack_bank.make_tapes(batch, timesteps),
-                encoder=_encoder_buffers(self.encoder, rows, timesteps, dt),
+                encoder=self.encoder.make_buffers(rows, timesteps, dt),
                 sum_spikes=np.empty((rows, out), dtype=dt),
                 rates=np.empty((rows, N, P)),
                 temp=np.empty((rows, N)),
@@ -661,8 +714,11 @@ class MonolithicSDPBank:
             self._train_tape = tape
         return tape
 
-    def forward(self, stacked_states: np.ndarray) -> np.ndarray:
-        """Fused forward over a seed-stacked ``(S·B, D)`` state batch."""
+    def forward(
+        self, stacked_states: np.ndarray, timesteps: Optional[int] = None
+    ) -> np.ndarray:
+        """Fused forward over a seed-stacked ``(S·B, D)`` state batch;
+        ``timesteps`` overrides the configured ``T``."""
         states = np.asarray(stacked_states, dtype=np.float64)
         S = self.n_seeds
         if states.ndim != 2 or states.shape[0] % S:
@@ -670,26 +726,14 @@ class MonolithicSDPBank:
                 f"expected (S·B, state_dim) with S={S}, got {states.shape}"
             )
         batch = states.shape[0] // S
-        timesteps = self.networks[0].config.timesteps
+        if timesteps is None:
+            timesteps = self.timesteps
         tape = self._ensure_tape(batch, timesteps)
-        tape.spike_trains = self.encoder.encode_buffered(
-            states, timesteps, tape.encoder
-        )
-        for lt in tape.layer_tapes:
-            lt.lif.begin()
-        self.stack_bank.refresh()
-        for t in range(1, timesteps + 1):
-            spikes = self.stack_bank.step_train(
-                tape.spike_trains[t - 1], tape.layer_tapes, t
-            )
-            if t == 1:
-                np.copyto(tape.sum_spikes, spikes)
-            else:
-                np.add(tape.sum_spikes, spikes, out=tape.sum_spikes)
-        # Stacked decoder forward — the serial decode_train op sequence
-        # on seed-stacked rows (per-seed weights broadcast from banks).
-        decoder = self.networks[0].decoder
-        N, P = decoder.num_actions, decoder.pop_size
+        self._unroll(states, timesteps)
+        # Decoder forward (eqs. (8)-(10)) — the graph's
+        # PopulationDecoder.forward op sequence on seed-stacked rows,
+        # per-seed weights broadcast from the banks.
+        N, P = self._n_actions, self._pop_size
         rows = S * batch
         np.multiply(
             tape.sum_spikes.reshape(rows, N, P),
@@ -705,16 +749,17 @@ class MonolithicSDPBank:
         )
 
     def backward(self, grad_action: np.ndarray) -> None:
-        tape = self._train_tape
-        if tape is None or tape.spike_trains is None:
-            raise RuntimeError("forward must be called first")
+        """Analytic backward of the last :meth:`forward`: decoder head,
+        then BPTT through the spiking stack.  Writes every seed's
+        parameter gradients (see the module docstring)."""
+        tape = self._recorded_tape()
         grad_action = np.asarray(grad_action, dtype=np.float64)
         S, batch = self.n_seeds, tape.batch
-        decoder = self.networks[0].decoder
-        N, P = decoder.num_actions, decoder.pop_size
+        N, P = self._n_actions, self._pop_size
         rows = S * batch
-        # Stacked decoder backward — the serial decode_backward op
-        # sequence; per-seed reductions run over the seed's own rows.
+        # Decoder backward — the graph's softmax (div / exp), logit
+        # contraction and rate scaling; per-seed reductions run over the
+        # seed's own rows.
         g_logits = softmax_head_backward(grad_action, tape.temp, tape.temp_sum)
         g_logits3 = g_logits.reshape(S, batch, N)
         self.d_b.grad[:] = g_logits3.sum(axis=1)
@@ -729,6 +774,3 @@ class MonolithicSDPBank:
         )
         _publish_grads(self.d_w)
         _publish_grads(self.d_b)
-
-    def param_banks(self) -> List[ParamBank]:
-        return self.stack_bank.param_banks() + [self.d_w, self.d_b]

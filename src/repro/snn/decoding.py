@@ -19,7 +19,6 @@ eq. (12) arise from ordinary backpropagation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -65,30 +64,6 @@ def softmax_head_backward(
     g_temp = grad_action / temp_sum
     g_ts = (-grad_action * temp / (temp_sum ** 2)).sum(axis=(1,), keepdims=True)
     return (g_temp + np.broadcast_to(g_ts, temp.shape)) * temp
-
-
-@dataclass
-class DecoderTape:
-    """Recorded activations of one fused decoder forward (for training).
-
-    ``rates`` keeps the population-grouped firing rates the weight
-    gradient needs; ``temp``/``temp_sum`` carry the softmax
-    numerator/denominator for the analytic softmax backward.
-    """
-
-    rates: np.ndarray     # (batch, num_actions, pop_size)
-    temp: np.ndarray      # (batch, num_actions) exp(shifted logits)
-    temp_sum: np.ndarray  # (batch, 1)
-    action: np.ndarray    # (batch, num_actions)
-
-    @classmethod
-    def zeros(cls, batch: int, num_actions: int, pop_size: int) -> "DecoderTape":
-        return cls(
-            rates=np.empty((batch, num_actions, pop_size)),
-            temp=np.empty((batch, num_actions)),
-            temp_sum=np.empty((batch, 1)),
-            action=np.empty((batch, num_actions)),
-        )
 
 
 class PopulationDecoder(Module):
@@ -164,55 +139,6 @@ class PopulationDecoder(Module):
         shifted = logits - logits.max(axis=1, keepdims=True)
         temp_action = np.exp(shifted)
         return temp_action / temp_action.sum(axis=1, keepdims=True)
-
-    # -- training fast path --------------------------------------------
-    def make_train_tape(self, batch: int) -> DecoderTape:
-        return DecoderTape.zeros(batch, self.num_actions, self.pop_size)
-
-    def decode_train(
-        self, sum_spikes: np.ndarray, timesteps: int, tape: DecoderTape
-    ) -> np.ndarray:
-        """Fused :meth:`forward` recording onto ``tape`` (bit-identical).
-
-        Same operations in the same order as the graph path; the
-        activations the analytic backward needs land in the
-        preallocated tape buffers.  Returns ``tape.action``.
-        """
-        batch = sum_spikes.shape[0]
-        rates = tape.rates
-        np.multiply(
-            sum_spikes.reshape(batch, self.num_actions, self.pop_size),
-            1.0 / timesteps,
-            out=rates,
-        )
-        logits = (rates * self.weight.data[None]).sum(axis=2) + self.bias.data
-        return softmax_head_forward(logits, tape.temp, tape.temp_sum, tape.action)
-
-    def decode_backward(
-        self, grad_action: np.ndarray, timesteps: int, tape: DecoderTape
-    ) -> np.ndarray:
-        """Analytic backward of :meth:`decode_train`.
-
-        Mirrors the closure-graph backward op for op: softmax (div /
-        exp), the per-population logit contraction, and the rate
-        scaling.  Accumulates ``weight.grad``/``bias.grad`` and returns
-        the gradient into ``sum_spikes``.
-        """
-        temp, ts, rates = tape.temp, tape.temp_sum, tape.rates
-        batch = temp.shape[0]
-        g_logits = softmax_head_backward(grad_action, temp, ts)
-        g_bias = g_logits.sum(axis=(0,)).reshape(self.num_actions)
-        g_exp = np.broadcast_to(
-            np.expand_dims(g_logits, 2), rates.shape
-        )
-        g_rates = g_exp * self.weight.data[None]
-        g_weight = np.squeeze(
-            (g_exp * rates).sum(axis=(0,), keepdims=True), axis=0
-        )
-        self.weight._accumulate(g_weight)
-        self.bias._accumulate(g_bias)
-        g_flat = g_rates.reshape(batch, self.num_actions * self.pop_size)
-        return g_flat * (1.0 / timesteps)
 
     def firing_rates(self, sum_spikes: np.ndarray, timesteps: int) -> np.ndarray:
         """Plain-numpy firing rates grouped by population (diagnostics)."""

@@ -31,7 +31,8 @@ class EncoderBuffers:
     """Preallocated scratch for :meth:`PopulationEncoder.encode_buffered`.
 
     One set per (batch, timesteps); the fused training path reuses it
-    across train steps so encoding allocates nothing per step.
+    across train steps so encoding allocates nothing per step.  Built by
+    :meth:`PopulationEncoder.make_buffers`.
     """
 
     stim: np.ndarray      # (batch, state_dim, pop_size) receptive-field scratch
@@ -39,19 +40,6 @@ class EncoderBuffers:
     voltage: np.ndarray   # (batch, num_neurons) accumulator
     fired: np.ndarray     # (batch, num_neurons) bool threshold mask
     spikes: np.ndarray    # (timesteps, batch, num_neurons) output train
-
-    @classmethod
-    def zeros(
-        cls, batch: int, state_dim: int, pop_size: int, timesteps: int
-    ) -> "EncoderBuffers":
-        neurons = state_dim * pop_size
-        return cls(
-            stim=np.empty((batch, state_dim, pop_size)),
-            scaled=np.empty((batch, state_dim, pop_size)),
-            voltage=np.empty((batch, neurons)),
-            fired=np.empty((batch, neurons), dtype=bool),
-            spikes=np.empty((timesteps, batch, neurons)),
-        )
 
 
 @dataclass(frozen=True)
@@ -183,10 +171,18 @@ class PopulationEncoder:
             np.subtract(voltage, threshold, out=voltage, where=fired)
         return spikes
 
-    def make_buffers(self, batch: int, timesteps: int) -> EncoderBuffers:
+    def make_buffers(
+        self, batch: int, timesteps: int, dtype=np.float64
+    ) -> EncoderBuffers:
         """Preallocated scratch for :meth:`encode_buffered`."""
-        return EncoderBuffers.zeros(
-            batch, self.config.state_dim, self.config.pop_size, timesteps
+        cfg = self.config
+        field_shape = (batch, cfg.state_dim, cfg.pop_size)
+        return EncoderBuffers(
+            stim=np.empty(field_shape, dtype=dtype),
+            scaled=np.empty(field_shape, dtype=dtype),
+            voltage=np.empty((batch, cfg.num_neurons), dtype=dtype),
+            fired=np.empty((batch, cfg.num_neurons), dtype=bool),
+            spikes=np.empty((timesteps, batch, cfg.num_neurons), dtype=dtype),
         )
 
     def encode_buffered(

@@ -9,7 +9,6 @@ backpropagation over the unrolled graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -21,33 +20,10 @@ from .neurons import (
     LIFInferenceState,
     LIFParameters,
     LIFState,
-    LIFTrainTape,
-    lif_backward_step,
     lif_step,
     lif_step_inference,
-    lif_step_train,
 )
 from .surrogate import SurrogateGradient, rectangular
-
-
-@dataclass
-class SpikingLinearTape:
-    """Static tape of one :class:`SpikingLinear` unroll for training.
-
-    Wraps the layer's :class:`~repro.snn.neurons.LIFTrainTape` with the
-    buffers the synaptic backward needs: the weight-gradient accumulator
-    (kept ``(in, out)`` so the per-step ``xᵀ @ g`` lands in it directly;
-    it is transposed once when flushed into ``weight.grad``), a per-step
-    scratch pair, and the input-gradient buffer handed to the layer
-    below.  Allocated once per (batch, T) and reused across train steps.
-    """
-
-    lif: LIFTrainTape
-    g_weight: np.ndarray       # (in, out) accumulated over t = T..1
-    g_weight_step: np.ndarray  # (in, out) single-step scratch
-    g_bias: np.ndarray         # (out,) accumulated over t = T..1
-    g_bias_step: np.ndarray    # (out,) single-step scratch
-    g_input: np.ndarray        # (batch, in) gradient into the layer input
 
 
 class SpikingLinear(Module):
@@ -123,71 +99,6 @@ class SpikingLinear(Module):
         drive = input_spikes @ self.weight.data.T + self.bias.data
         return lif_step_inference(drive, state, self.lif)
 
-    # -- training fast path --------------------------------------------
-    def make_train_tape(self, batch_size: int, timesteps: int) -> SpikingLinearTape:
-        """Preallocated forward/backward buffers for fused STBP training."""
-        return SpikingLinearTape(
-            lif=LIFTrainTape.zeros(timesteps, (batch_size, self.out_features)),
-            g_weight=np.empty((self.in_features, self.out_features)),
-            g_weight_step=np.empty((self.in_features, self.out_features)),
-            g_bias=np.empty(self.out_features),
-            g_bias_step=np.empty(self.out_features),
-            g_input=np.empty((batch_size, self.in_features)),
-        )
-
-    def step_train(
-        self, input_spikes: np.ndarray, tape: SpikingLinearTape, t: int
-    ) -> np.ndarray:
-        """Fused training forward for timestep ``t`` (1-based).
-
-        Same arithmetic as :meth:`step` (``x @ W.T + b`` then the LIF
-        update) but recorded onto the preallocated tape instead of the
-        closure graph; bit-identical spikes, zero allocations.
-        """
-        drive = tape.lif.drive
-        np.matmul(input_spikes, self.weight.data.T, out=drive)
-        np.add(drive, self.bias.data, out=drive)
-        return lif_step_train(drive, tape.lif, self.lif, t)
-
-    def backward_step_train(
-        self,
-        grad_spikes: np.ndarray,
-        input_spikes: np.ndarray,
-        tape: SpikingLinearTape,
-        t: int,
-        need_input_grad: bool = True,
-    ) -> Optional[np.ndarray]:
-        """Analytic backward through timestep ``t`` (call t = T..1).
-
-        Replays the LIF recurrences via
-        :func:`~repro.snn.neurons.lif_backward_step`, then mirrors the
-        closure-graph linear backward: ``dW += (xᵀ @ dI)ᵀ``,
-        ``db += dI.sum(axis=0)`` (accumulated in the graph's t = T..1
-        order) and, when requested, returns ``dI @ W`` — the gradient
-        into this layer's input spikes (``tape.g_input``, valid until
-        the next call).
-        """
-        g_drive = lif_backward_step(grad_spikes, tape.lif, self.lif, self.surrogate, t)
-        # np.add.reduce is what ndarray.sum(axis=0) dispatches to —
-        # identical result without the fromnumeric wrapper overhead.
-        if t == tape.lif.timesteps:
-            np.matmul(input_spikes.T, g_drive, out=tape.g_weight)
-            np.add.reduce(g_drive, axis=0, out=tape.g_bias)
-        else:
-            np.matmul(input_spikes.T, g_drive, out=tape.g_weight_step)
-            np.add(tape.g_weight, tape.g_weight_step, out=tape.g_weight)
-            np.add.reduce(g_drive, axis=0, out=tape.g_bias_step)
-            np.add(tape.g_bias, tape.g_bias_step, out=tape.g_bias)
-        if need_input_grad:
-            np.matmul(g_drive, self.weight.data, out=tape.g_input)
-            return tape.g_input
-        return None
-
-    def finalize_train_grads(self, tape: SpikingLinearTape) -> None:
-        """Flush the tape's accumulated gradients into ``.grad``."""
-        self.weight._accumulate(tape.g_weight.T)
-        self.bias._accumulate(tape.g_bias)
-
     def __repr__(self) -> str:
         return (
             f"SpikingLinear({self.in_features}, {self.out_features}, "
@@ -237,20 +148,6 @@ class SpikingStack(Module):
         Used by the Loihi energy model to count events.
         """
         return [float(layer.state.spikes.data.sum()) for layer in self.layers]
-
-    # -- training fast path --------------------------------------------
-    def make_train_tapes(self, batch_size: int, timesteps: int) -> List[SpikingLinearTape]:
-        """One preallocated train tape per layer for fused STBP."""
-        return [layer.make_train_tape(batch_size, timesteps) for layer in self.layers]
-
-    def step_train(
-        self, input_spikes: np.ndarray, tapes: List[SpikingLinearTape], t: int
-    ) -> np.ndarray:
-        """Fused recorded step through every layer (Algorithm 1 inner loop)."""
-        spikes = input_spikes
-        for layer, tape in zip(self.layers, tapes):
-            spikes = layer.step_train(spikes, tape, t)
-        return spikes
 
     # -- inference fast path -------------------------------------------
     def make_inference_states(self, batch_size: int) -> List[LIFInferenceState]:

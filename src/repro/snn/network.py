@@ -14,22 +14,18 @@ the spike and synaptic-operation counts the Loihi energy model
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..autograd import Tensor
 from ..autograd.nn import Module
-from .decoding import (
-    DecoderTape,
-    PopulationDecoder,
-    softmax_head_backward,
-    softmax_head_forward,
-)
-from .encoding import EncoderBuffers, EncoderConfig, PopulationEncoder
-from .layers import SpikingLinear, SpikingLinearTape, SpikingStack
+from .banked import MonolithicSDPBank, SharedSDPBank
+from .decoding import PopulationDecoder
+from .encoding import EncoderConfig, PopulationEncoder
+from .layers import SpikingLinear, SpikingStack
 from .neurons import LIFParameters
-from .surrogate import SurrogateGradient, rectangular
+from .surrogate import rectangular
 
 # Table 2: two hidden layers of 128 neurons; T = 5.
 DEFAULT_HIDDEN_SIZES = (128, 128)
@@ -120,65 +116,6 @@ class ActivityRecord:
         )
 
 
-def _stbp_backward(
-    stack: SpikingStack,
-    layer_tapes: List[SpikingLinearTape],
-    spike_trains: np.ndarray,
-    grad_sum_spikes: np.ndarray,
-    timesteps: int,
-) -> None:
-    """Replay a recorded unroll backward through time (eq. (13)).
-
-    Walks t = T..1 with layers in top-down order — the same schedule the
-    closure graph's reverse-topological traversal produces — handing
-    each layer the gradient into its output spikes (the rate-readout
-    term for the top layer, the synaptic back-projection for hidden
-    ones) and accumulating weight/bias gradients along the way.
-    """
-    layers = stack.layers
-    for t in range(timesteps, 0, -1):
-        g = grad_sum_spikes
-        for k in range(len(layers) - 1, -1, -1):
-            inp = layer_tapes[k - 1].lif.spikes[t] if k > 0 else spike_trains[t - 1]
-            g = layers[k].backward_step_train(
-                g, inp, layer_tapes[k], t, need_input_grad=k > 0
-            )
-    for layer, tape in zip(layers, layer_tapes):
-        layer.finalize_train_grads(tape)
-
-
-@dataclass
-class SharedTrainTape:
-    """Preallocated buffers of one :class:`SharedSDPNetwork` train pass."""
-
-    layer_tapes: List[SpikingLinearTape]
-    encoder: EncoderBuffers
-    sum_spikes: np.ndarray   # (batch·assets, P)
-    rates: np.ndarray        # (batch·assets, P)
-    scores: np.ndarray       # (batch·assets,)
-    logits: np.ndarray       # (batch, assets + 1)
-    temp: np.ndarray         # (batch, assets + 1)
-    temp_sum: np.ndarray     # (batch, 1)
-    action: np.ndarray       # (batch, assets + 1)
-    batch: int
-    n_assets: int
-    timesteps: int
-    spike_trains: Optional[np.ndarray] = None  # (T, batch·assets, N_in)
-
-
-@dataclass
-class SDPTrainTape:
-    """Preallocated buffers of one :class:`SDPNetwork` train pass."""
-
-    layer_tapes: List[SpikingLinearTape]
-    encoder: EncoderBuffers
-    decoder: DecoderTape
-    sum_spikes: np.ndarray   # (batch, N·P)
-    batch: int
-    timesteps: int
-    spike_trains: Optional[np.ndarray] = None  # (T, batch, N_in)
-
-
 @dataclass(frozen=True)
 class SharedSDPConfig:
     """Hyper-parameters of the weight-shared SDP variant.
@@ -220,8 +157,6 @@ class SharedSDPNetwork(Module):
         self, config: SharedSDPConfig, rng: Optional[np.random.Generator] = None
     ):
         super().__init__()
-        from ..autograd import Tensor as _T  # local alias for clarity
-        from ..autograd import concatenate
         from ..autograd.nn import Parameter
 
         rng = rng if rng is not None else np.random.default_rng()
@@ -302,34 +237,15 @@ class SharedSDPNetwork(Module):
         """Fused forward that also returns the Loihi activity counts."""
         return self._run_inference(asset_features, timesteps, record=True)
 
-    # -- training fast path --------------------------------------------
-    def _ensure_train_tape(
-        self, batch: int, n_assets: int, timesteps: int
-    ) -> SharedTrainTape:
-        tape = getattr(self, "_train_tape", None)
-        if (
-            tape is None
-            or tape.batch != batch
-            or tape.n_assets != n_assets
-            or tape.timesteps != timesteps
-        ):
-            rows = batch * n_assets
-            tape = SharedTrainTape(
-                layer_tapes=self.stack.make_train_tapes(rows, timesteps),
-                encoder=self.encoder.make_buffers(rows, timesteps),
-                sum_spikes=np.empty((rows, self.stack.out_features)),
-                rates=np.empty((rows, self.stack.out_features)),
-                scores=np.empty(rows),
-                logits=np.empty((batch, n_assets + 1)),
-                temp=np.empty((batch, n_assets + 1)),
-                temp_sum=np.empty((batch, 1)),
-                action=np.empty((batch, n_assets + 1)),
-                batch=batch,
-                n_assets=n_assets,
-                timesteps=timesteps,
-            )
-            self._train_tape = tape
-        return tape
+    # -- training: the S=1 seed bank ------------------------------------
+    def _train_bank(self) -> SharedSDPBank:
+        """This network's one-seed training bank, rebuilt whenever it no
+        longer owns the parameters' storage (after ``load_state_dict``,
+        a copy, or another bank over this network)."""
+        bank = getattr(self, "_bank", None)
+        if bank is None or not bank.owns_parameters():
+            bank = self._bank = SharedSDPBank([self])
+        return bank
 
     def policy_forward_fused(
         self, asset_features: np.ndarray, timesteps: Optional[int] = None
@@ -337,75 +253,38 @@ class SharedSDPNetwork(Module):
         """Recorded fused forward for training; bit-identical to
         :meth:`forward`.
 
-        Runs the ``T``-step unroll on a compact static tape (per-layer
-        ``v``/``o`` slices plus the softmax head activations) held in
-        preallocated buffers that are reused across train steps, so the
-        hot training loop allocates almost nothing.  Call
+        Runs on this network's one-seed :class:`~repro.snn.banked.
+        SharedSDPBank` — the same kernel the multi-seed trainer runs S
+        seeds on — whose tape buffers are reused across train steps, so
+        the hot training loop allocates almost nothing.  Call
         :meth:`policy_backward_fused` afterwards — before any parameter
-        update — to accumulate gradients.  The returned action array is
-        a tape buffer, valid until the next fused forward.  Not
+        update — to set the parameters' gradients.  The returned action
+        array is a tape buffer, valid until the next fused forward.  Not
         thread-safe: one trainer per network instance.
         """
-        timesteps = timesteps if timesteps is not None else self.config.timesteps
         feats = np.asarray(asset_features, dtype=np.float64)
         if feats.ndim == 2:
             feats = feats[None]
-        batch, n_assets, d = feats.shape
-        if d != self.config.feature_dim:
+        if feats.shape[2] != self.config.feature_dim:
             raise ValueError(
-                f"expected feature_dim={self.config.feature_dim}, got {d}"
+                f"expected feature_dim={self.config.feature_dim}, "
+                f"got {feats.shape[2]}"
             )
-        tape = self._ensure_train_tape(batch, n_assets, timesteps)
-        flat = feats.reshape(batch * n_assets, d)
-        tape.spike_trains = self.encoder.encode_buffered(
-            flat, timesteps, tape.encoder
-        )
-        for lt in tape.layer_tapes:
-            lt.lif.begin()
-        for t in range(1, timesteps + 1):
-            spikes = self.stack.step_train(tape.spike_trains[t - 1], tape.layer_tapes, t)
-            if t == 1:
-                np.copyto(tape.sum_spikes, spikes)
-            else:
-                np.add(tape.sum_spikes, spikes, out=tape.sum_spikes)
-        np.multiply(tape.sum_spikes, 1.0 / timesteps, out=tape.rates)
-        np.matmul(tape.rates, self.readout_weight.data, out=tape.scores)
-        np.add(tape.scores, self.readout_bias.data, out=tape.scores)
-        # Concatenate [cash | per-asset scores]; the cash column is the
-        # learned bias broadcast over the batch (bias · 1 ≡ bias).
-        tape.logits[:, 0] = self.cash_bias.data[0]
-        tape.logits[:, 1:] = tape.scores.reshape(batch, n_assets)
-        return softmax_head_forward(
-            tape.logits, tape.temp, tape.temp_sum, tape.action
-        )
+        return self._train_bank().forward(feats, timesteps)
 
     def policy_backward_fused(self, grad_action: np.ndarray) -> None:
         """Analytic backward of :meth:`policy_forward_fused`.
 
         Replays the recorded tape backward — softmax head, readout, then
         BPTT through the spiking stack — mirroring every closure-graph
-        op, and accumulates bit-identical gradients into the network's
-        parameters.  Must run against the parameters the forward saw.
+        op, and *sets* each parameter's ``.grad`` to the bit-identical
+        gradient of the last fused forward (it does not accumulate).
+        Must run against the parameters the forward saw.
         """
-        tape: Optional[SharedTrainTape] = getattr(self, "_train_tape", None)
-        if tape is None or tape.spike_trains is None:
+        bank = getattr(self, "_bank", None)
+        if bank is None:
             raise RuntimeError("policy_forward_fused must be called first")
-        grad_action = np.asarray(grad_action, dtype=np.float64)
-        rows = tape.batch * tape.n_assets
-        g_logits = softmax_head_backward(grad_action, tape.temp, tape.temp_sum)
-        g_cash_bias = g_logits[:, :1].sum(axis=(0,), keepdims=True).reshape(1)
-        g_scores = g_logits[:, 1:].reshape(rows)
-        g_readout_bias = g_scores.sum(axis=(0,), keepdims=True).reshape(1)
-        g_readout_weight = (tape.rates * g_scores[:, None]).sum(axis=(0,))
-        g_rates = g_scores[:, None] * self.readout_weight.data
-        g_sum_spikes = g_rates * (1.0 / tape.timesteps)
-        _stbp_backward(
-            self.stack, tape.layer_tapes, tape.spike_trains,
-            g_sum_spikes, tape.timesteps,
-        )
-        self.readout_weight._accumulate(g_readout_weight)
-        self.readout_bias._accumulate(g_readout_bias)
-        self.cash_bias._accumulate(g_cash_bias)
+        bank.backward(grad_action)
 
     def _run(self, asset_features, timesteps, record):
         from ..autograd import Tensor as _T
@@ -615,20 +494,13 @@ class SDPNetwork(Module):
         """Fused forward that also returns the Loihi activity counts."""
         return self._run_inference(states, timesteps, record=True)
 
-    # -- training fast path --------------------------------------------
-    def _ensure_train_tape(self, batch: int, timesteps: int) -> SDPTrainTape:
-        tape = getattr(self, "_train_tape", None)
-        if tape is None or tape.batch != batch or tape.timesteps != timesteps:
-            tape = SDPTrainTape(
-                layer_tapes=self.stack.make_train_tapes(batch, timesteps),
-                encoder=self.encoder.make_buffers(batch, timesteps),
-                decoder=self.decoder.make_train_tape(batch),
-                sum_spikes=np.empty((batch, self.stack.out_features)),
-                batch=batch,
-                timesteps=timesteps,
-            )
-            self._train_tape = tape
-        return tape
+    # -- training: the S=1 seed bank ------------------------------------
+    def _train_bank(self) -> MonolithicSDPBank:
+        """See :meth:`SharedSDPNetwork._train_bank`."""
+        bank = getattr(self, "_bank", None)
+        if bank is None or not bank.owns_parameters():
+            bank = self._bank = MonolithicSDPBank([self])
+        return bank
 
     def policy_forward_fused(
         self, states: np.ndarray, timesteps: Optional[int] = None
@@ -637,37 +509,16 @@ class SDPNetwork(Module):
         :meth:`forward` (see :meth:`SharedSDPNetwork.policy_forward_fused`
         for the contract — tape reuse, buffer lifetime, thread-safety).
         """
-        timesteps = timesteps if timesteps is not None else self.config.timesteps
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-        batch = states.shape[0]
-        tape = self._ensure_train_tape(batch, timesteps)
-        tape.spike_trains = self.encoder.encode_buffered(
-            states, timesteps, tape.encoder
-        )
-        for lt in tape.layer_tapes:
-            lt.lif.begin()
-        for t in range(1, timesteps + 1):
-            spikes = self.stack.step_train(tape.spike_trains[t - 1], tape.layer_tapes, t)
-            if t == 1:
-                np.copyto(tape.sum_spikes, spikes)
-            else:
-                np.add(tape.sum_spikes, spikes, out=tape.sum_spikes)
-        return self.decoder.decode_train(tape.sum_spikes, timesteps, tape.decoder)
+        return self._train_bank().forward(states, timesteps)
 
     def policy_backward_fused(self, grad_action: np.ndarray) -> None:
-        """Analytic backward of :meth:`policy_forward_fused`; accumulates
+        """Analytic backward of :meth:`policy_forward_fused`; sets
         gradients bit-identical to the closure-graph path."""
-        tape: Optional[SDPTrainTape] = getattr(self, "_train_tape", None)
-        if tape is None or tape.spike_trains is None:
+        bank = getattr(self, "_bank", None)
+        if bank is None:
             raise RuntimeError("policy_forward_fused must be called first")
-        grad_action = np.asarray(grad_action, dtype=np.float64)
-        g_sum_spikes = self.decoder.decode_backward(
-            grad_action, tape.timesteps, tape.decoder
-        )
-        _stbp_backward(
-            self.stack, tape.layer_tapes, tape.spike_trains,
-            g_sum_spikes, tape.timesteps,
-        )
+        bank.backward(grad_action)
 
     # ------------------------------------------------------------------
     def _run(

@@ -179,10 +179,11 @@ def lif_step_inference(
 class LIFTrainTape:
     """Compact static tape of one ``T``-step LIF unroll for training.
 
-    The fused STBP fast path records, per timestep, only what the
-    analytic backward needs — the membrane voltage (for the surrogate
-    window and the reset-gate gradient) and the emitted spikes (for the
-    ``1 − o`` gate and as the next layer's input).  Slice ``0`` of the
+    The fused STBP kernel (:mod:`repro.snn.banked`) records, per
+    timestep, only what the analytic backward needs — the membrane
+    voltage (for the surrogate window and the reset-gate gradient) and
+    the emitted spikes (for the ``1 − o`` gate and as the next layer's
+    input).  Slice ``0`` of the
     ``voltage``/``spikes`` arrays holds the zero initial state and is
     never written, so :func:`lif_backward_step` can treat ``t − 1``
     uniformly.
@@ -204,19 +205,22 @@ class LIFTrainTape:
     timesteps: int
 
     @classmethod
-    def zeros(cls, timesteps: int, shape: Tuple[int, ...]) -> "LIFTrainTape":
+    def zeros(
+        cls, timesteps: int, shape: Tuple[int, ...], dtype=np.float64
+    ) -> "LIFTrainTape":
         if timesteps <= 0:
             raise ValueError(f"timesteps must be positive, got {timesteps}")
+        shape = tuple(shape)
         return cls(
-            voltage=np.zeros((timesteps + 1,) + shape),
-            spikes=np.zeros((timesteps + 1,) + shape),
-            current=np.zeros(shape),
-            drive=np.empty(shape),
-            scratch=np.empty(shape),
-            g_voltage=np.empty(shape),
-            g_current=np.empty(shape),
-            g_gate=np.empty(shape),
-            g_spikes=np.empty(shape),
+            voltage=np.zeros((timesteps + 1,) + shape, dtype=dtype),
+            spikes=np.zeros((timesteps + 1,) + shape, dtype=dtype),
+            current=np.zeros(shape, dtype=dtype),
+            drive=np.empty(shape, dtype=dtype),
+            scratch=np.empty(shape, dtype=dtype),
+            g_voltage=np.empty(shape, dtype=dtype),
+            g_current=np.empty(shape, dtype=dtype),
+            g_gate=np.empty(shape, dtype=dtype),
+            g_spikes=np.empty(shape, dtype=dtype),
             timesteps=timesteps,
         )
 

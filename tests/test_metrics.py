@@ -1,8 +1,11 @@
 """Unit tests for performance metrics (eqs. (15)-(17))."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from repro.data.regimes import SECONDS_PER_YEAR
 from repro.metrics import (
     annualized_volatility,
     calmar_ratio,
@@ -88,6 +91,21 @@ class TestOtherMetrics:
 
     def test_calmar_no_drawdown(self):
         assert calmar_ratio([1.0, 1.1, 1.2], 86400) == float("inf")
+
+    def test_calmar_short_high_growth_window_does_not_overflow(self):
+        # Two hourly periods of 10% growth annualise past the float
+        # range; the ratio is +inf, with no overflow warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert calmar_ratio([1.0, 1.1, 1.2], 3600) == float("inf")
+            assert calmar_ratio([1.0, 1.3, 1.2], 3600) == float("inf")
+            assert evaluate_backtest([1.0, 1.1, 1.2], 3600).calmar == float("inf")
+
+    def test_calmar_matches_power_formula(self):
+        values = [1.0, 1.1, 0.99, 1.2]
+        years = 3 * 86400 * 30 / SECONDS_PER_YEAR
+        expected = (1.2 ** (1.0 / years) - 1.0) / max_drawdown(values)
+        assert calmar_ratio(values, 86400 * 30) == pytest.approx(expected)
 
     def test_turnover(self):
         w = np.array([[0.5, 0.5], [0.0, 1.0], [0.0, 1.0]])

@@ -22,7 +22,7 @@ from repro.agents import (
     SDPAgent,
     TrainConfig,
 )
-from repro.autograd.optim import SGD, Adam
+from repro.autograd.optim import SGD, Adam, RMSProp
 from repro.backend import FAST, REFERENCE, resolve_backend, thread_map
 from repro.data import MarketGenerator
 from repro.envs import ObservationConfig
@@ -188,6 +188,48 @@ def test_multiseed_matches_serial_monolithic_sdp(panel):
         )
         assert np.array_equal(multi.pvms[s].snapshot(), ref_trainer.pvm.snapshot())
         assert histories[s].loss == ref_history.loss
+
+
+@pytest.mark.parametrize(
+    "make_opt",
+    [
+        lambda p: RMSProp(p, 1e-4, weight_decay=1e-3),
+        lambda p: SGD(p, 1e-4, momentum=0.9, weight_decay=1e-2),
+        lambda p: Adam(p, 1e-3, weight_decay=1e-2),
+    ],
+    ids=["rmsprop", "sgd-momentum-wd", "adam-wd"],
+)
+def test_banked_optimizer_matches_serial(panel, make_opt):
+    """The bank-wide update (one ``_update`` call per parameter bank)
+    reproduces each seed's own per-parameter ``Optimizer.step``."""
+    steps = 40
+    serial = []
+    for seed in SEEDS:
+        agent = _sdp(seed)
+        trainer, _, _ = _serial_run(
+            agent, panel, make_opt(agent.parameters()), seed, steps=steps
+        )
+        serial.append((agent, trainer))
+
+    agents = [_sdp(seed) for seed in SEEDS]
+    optimizers = [make_opt(agent.parameters()) for agent in agents]
+    multi = MultiSeedTrainer(
+        agents, panel, optimizers, observation=CFG, config=TRAIN, seeds=SEEDS,
+    )
+    assert multi._opt_exec is not None  # the banked executor, not the loop
+    multi.train(steps)
+    for s, (ref_agent, ref_trainer) in enumerate(serial):
+        _assert_states_equal(
+            agents[s].network.state_dict(),
+            ref_agent.network.state_dict(),
+            f"seed {SEEDS[s]}",
+        )
+        banked, ref = optimizers[s].state_dict(), ref_trainer.optimizer.state_dict()
+        assert banked.keys() == ref.keys()
+        assert banked["step_count"] == ref["step_count"] == steps
+        for name in type(optimizers[s])._state_buffer_names:
+            assert all(map(np.array_equal, banked[name], ref[name])), name
+        assert np.array_equal(multi.pvms[s].snapshot(), ref_trainer.pvm.snapshot())
 
 
 def test_multiseed_matches_serial_jiang(panel):

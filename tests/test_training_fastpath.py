@@ -4,25 +4,37 @@ Gates the hand-derived analytic kernels against the closure-graph
 reference: per-policy gradient parity (``check_fused_training_parity``),
 layer-level LIF BPTT parity, finite-difference checks on the fused loss,
 bit-identical weight trajectories and PVM contents over full ``train()``
-runs (with and without permute-assets augmentation), the in-place
+runs (with and without permute-assets augmentation, and after
+``load_state_dict``, ``copy.deepcopy`` or a multi-seed trainer rebinds
+the parameters' storage under the network's training bank), the in-place
 optimizer rewrites, the CDF batch sampler, the PVM fast write, and the
 ``permute_assets`` panel view.
 """
 
+import copy
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from repro.agents import JiangDRLAgent, PolicyTrainer, SDPAgent, TrainConfig
+from repro.agents import (
+    JiangDRLAgent,
+    MultiSeedTrainer,
+    PolicyTrainer,
+    SDPAgent,
+    TrainConfig,
+)
 from repro.autograd import Tensor, check_fused_training_parity
 from repro.autograd.gradcheck import numerical_gradient
 from repro.autograd.optim import SGD, Adam, RMSProp
 from repro.data import MarketGenerator
 from repro.envs import ObservationConfig
-from repro.envs.costs import fused_training_loss, transaction_remainder_approx
+from repro.envs.costs import fused_training_loss_banked, transaction_remainder_approx
 from repro.envs.pvm import PortfolioVectorMemory
 from repro.envs.sampling import GeometricBatchSampler
 from repro.snn import LIFParameters, SpikingLinear
-from repro.snn.layers import SpikingLinearTape
+from repro.snn.banked import SpikingLinearBank
 from repro.snn.surrogate import rectangular
 from repro.utils.rng import make_rng
 
@@ -79,17 +91,18 @@ def test_spiking_linear_fused_backward_matches_graph():
     ref_w, ref_b = layer.weight.grad.copy(), layer.bias.grad.copy()
 
     layer.zero_grad()
-    tape = layer.make_train_tape(batch, timesteps)
+    bank = SpikingLinearBank([layer])
+    tape = bank.make_tape(batch, timesteps)
     tape.lif.begin()
     fused_out = np.zeros((batch, n_out))
     for t in range(1, timesteps + 1):
-        spikes = layer.step_train(trains[t - 1], tape, t)
+        spikes = bank.step_train(trains[t - 1], tape, t)
         np.add(fused_out, spikes, out=fused_out)
     assert np.array_equal(fused_out, total.data)
     for t in range(timesteps, 0, -1):
-        layer.backward_step_train(g_out, trains[t - 1], tape, t,
-                                  need_input_grad=False)
-    layer.finalize_train_grads(tape)
+        bank.backward_step_train(g_out, trains[t - 1], tape, t,
+                                 need_input_grad=False)
+    bank.finalize_train_grads(tape)
 
     assert np.array_equal(layer.weight.grad, ref_w)
     assert np.array_equal(layer.bias.grad, ref_b)
@@ -113,14 +126,15 @@ def test_spiking_linear_fused_input_grad_matches_graph():
     total.backward(g_out)
     ref_in = [inp.grad.copy() for inp in inputs]
 
-    tape = layer.make_train_tape(batch, timesteps)
+    bank = SpikingLinearBank([layer])
+    tape = bank.make_tape(batch, timesteps)
     tape.lif.begin()
     for t in range(1, timesteps + 1):
-        layer.step_train(trains[t - 1], tape, t)
+        bank.step_train(trains[t - 1], tape, t)
     fused_in = {}
     for t in range(timesteps, 0, -1):
-        g_in = layer.backward_step_train(g_out, trains[t - 1], tape, t,
-                                         need_input_grad=True)
+        g_in = bank.backward_step_train(g_out, trains[t - 1], tape, t,
+                                        need_input_grad=True)
         fused_in[t] = g_in.copy()
     for t in range(timesteps):
         assert np.array_equal(fused_in[t + 1], ref_in[t]), f"t={t}"
@@ -143,14 +157,15 @@ def test_lif_params_propagate_through_fused_backward():
     ref_w = layer.weight.grad.copy()
 
     layer.zero_grad()
-    tape = layer.make_train_tape(6, 3)
+    bank = SpikingLinearBank([layer])
+    tape = bank.make_tape(6, 3)
     tape.lif.begin()
     for t in range(1, 4):
-        layer.step_train(trains[t - 1], tape, t)
+        bank.step_train(trains[t - 1], tape, t)
     for t in range(3, 0, -1):
-        layer.backward_step_train(g_out, trains[t - 1], tape, t,
-                                  need_input_grad=False)
-    layer.finalize_train_grads(tape)
+        bank.backward_step_train(g_out, trains[t - 1], tape, t,
+                                 need_input_grad=False)
+    bank.finalize_train_grads(tape)
     assert np.array_equal(layer.weight.grad, ref_w)
     assert np.abs(ref_w).sum() > 0
 
@@ -214,9 +229,11 @@ def test_fused_loss_matches_graph_scalars_and_grad(batch):
     loss_t = -log_return.mean()
     loss_t.backward()
 
-    loss, reward, grad = fused_training_loss(actions, w_drifted, y_next, 0.0025)
-    assert loss == float(loss_t.data)
-    assert reward == float(log_return.data.mean())
+    losses, rewards, grad = fused_training_loss_banked(
+        actions, w_drifted, y_next, 1, 0.0025
+    )
+    assert float(losses[0]) == float(loss_t.data)
+    assert float(rewards[0]) == float(log_return.data.mean())
     assert np.array_equal(grad, a_t.grad)
 
 
@@ -231,7 +248,7 @@ def test_fused_loss_grad_matches_finite_differences(batch):
         growth = (a * Tensor(y_next)).sum(axis=1)
         return -(mu * growth).log().mean()
 
-    _, _, grad = fused_training_loss(actions, w_drifted, y_next, 0.0025)
+    _, _, grad = fused_training_loss_banked(actions, w_drifted, y_next, 1, 0.0025)
     numeric = numerical_gradient(loss_fn, [Tensor(actions)], 0, eps=1e-7)
     assert np.allclose(grad, numeric, atol=1e-6)
 
@@ -293,6 +310,119 @@ def test_train_run_bit_identical_jiang(panel):
     for key in w_g:
         assert np.array_equal(w_g[key], w_f[key]), key
     assert np.array_equal(pvm_g, pvm_f)
+
+
+# ----------------------------------------------------------------------
+# The network's one-seed training bank follows its parameters' storage
+# ----------------------------------------------------------------------
+# A bank rebinds each Parameter.data to a slice of its own storage;
+# load_state_dict, copy.deepcopy and a later MultiSeedTrainer rebind it
+# again.  Fused training must notice and rebuild its bank rather than
+# train on the stale storage — so in each scenario below it must stay
+# bit-identical to the graph path.
+OWNERSHIP_TRAIN = TrainConfig(steps=8, batch_size=16, permute_assets=True)
+
+
+def _sdp_agent(architecture):
+    return SDPAgent(N_ASSETS, observation=CFG, architecture=architecture,
+                    hidden_sizes=(16, 16), encoder_pop_size=4,
+                    decoder_pop_size=4, seed=1)
+
+
+def _phase_trainer(panel, agent, optimizer, use_fused, seed):
+    return PolicyTrainer(agent, panel, optimizer, observation=CFG,
+                         config=OWNERSHIP_TRAIN, seed=seed, use_fused=use_fused)
+
+
+def _assert_runs_equal(graph, fused):
+    (w_g, pvms_g), (w_f, pvms_f) = graph, fused
+    assert set(w_g) == set(w_f)
+    for key in w_g:
+        assert np.array_equal(w_g[key], w_f[key]), key
+    assert len(pvms_g) == len(pvms_f)
+    for pvm_g, pvm_f in zip(pvms_g, pvms_f):
+        assert np.array_equal(pvm_g, pvm_f)
+
+
+@pytest.mark.parametrize("architecture", ["shared", "monolithic"])
+def test_fused_training_after_load_state_dict(panel, architecture):
+    def run(use_fused):
+        agent = _sdp_agent(architecture)
+        init = agent.network.state_dict()
+        trainer = _phase_trainer(
+            panel, agent, Adam(agent.parameters(), 1e-3), use_fused, seed=2
+        )
+        trainer.train()
+        agent.network.load_state_dict(init)
+        trainer.train()
+        return agent.network.state_dict(), [trainer.pvm.snapshot()]
+
+    _assert_runs_equal(run(False), run(True))
+
+
+@pytest.mark.parametrize("architecture", ["shared", "monolithic"])
+def test_fused_training_on_deepcopied_agent(panel, architecture):
+    def run(use_fused):
+        agent = _sdp_agent(architecture)
+        _phase_trainer(
+            panel, agent, Adam(agent.parameters(), 1e-3), use_fused, seed=2
+        ).train()
+        trained = agent.network.state_dict()
+        clone = copy.deepcopy(agent)
+        trainer = _phase_trainer(
+            panel, clone, Adam(clone.parameters(), 1e-3), use_fused, seed=5
+        )
+        trainer.train()
+        # Training the copy leaves the original untouched.
+        _assert_runs_equal((trained, []), (agent.network.state_dict(), []))
+        return clone.network.state_dict(), [trainer.pvm.snapshot()]
+
+    _assert_runs_equal(run(False), run(True))
+
+
+@pytest.mark.parametrize("architecture", ["shared", "monolithic"])
+def test_fused_training_around_multiseed_trainer(panel, architecture):
+    """Serial steps, then a MultiSeedTrainer over the same network, then
+    more serial steps; the reference runs every phase on the graph."""
+
+    def run(use_fused):
+        agent = _sdp_agent(architecture)
+        optimizer = Adam(agent.parameters(), 1e-3)
+        serial = _phase_trainer(panel, agent, optimizer, use_fused, seed=2)
+        serial.train()
+        if use_fused:
+            middle = MultiSeedTrainer(
+                [agent], panel, [optimizer], observation=CFG,
+                config=OWNERSHIP_TRAIN, seeds=[5],
+            )
+            middle.train()
+            middle_pvm = middle.pvms[0].snapshot()
+        else:
+            middle = _phase_trainer(panel, agent, optimizer, False, seed=5)
+            middle.train()
+            middle_pvm = middle.pvm.snapshot()
+        serial.train()
+        return agent.network.state_dict(), [middle_pvm, serial.pvm.snapshot()]
+
+    _assert_runs_equal(run(False), run(True))
+
+
+@pytest.mark.parametrize("architecture", ["shared", "monolithic"])
+def test_training_bank_does_not_keep_its_network_alive(panel, architecture):
+    """The network holds its bank; a bank → network reference would be a
+    cycle that keeps a discarded network's tapes alive until the cyclic
+    GC runs."""
+    agent = _sdp_agent(architecture)
+    _phase_trainer(
+        panel, agent, SGD(agent.parameters(), 1e-4), True, seed=2
+    ).train(2)
+    network = weakref.ref(agent.network)
+    gc.disable()
+    try:
+        del agent
+        assert network() is None
+    finally:
+        gc.enable()
 
 
 def test_trainer_routing_and_validation(panel):
