@@ -54,6 +54,7 @@ from ..registry import (
     strategy_params_from_config,
 )
 from ..resilience import FaultPlan, InjectedFault, RetryPolicy, injector_from
+from ..utils.blas import set_blas_threads, worker_budget
 from ..utils.serialization import PathLike, save_state_dict
 from .artifacts import (
     ArtifactStore,
@@ -789,7 +790,13 @@ class SweepRunner:
 
         if parallel and len(to_run) > 1:
             workers = self.max_workers or min(len(to_run), 4)
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            # Each shard process gets its share of the cores' BLAS
+            # threads, not a full per-core set of its own.
+            with ProcessPoolExecutor(
+                max_workers=workers,
+                initializer=set_blas_threads,
+                initargs=(worker_budget(workers),),
+            ) as pool:
                 # Retry in waves: attempt k runs every still-failing
                 # shard concurrently, then the runner sleeps the
                 # longest of their backoff delays before attempt k+1.

@@ -128,6 +128,9 @@ class ServingHandler(BaseHTTPRequestHandler):
     server: ServiceHTTPServer
 
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY: on a keep-alive connection Nagle would hold a reply
+    # until the client's delayed ACK of the previous one (~40 ms).
+    disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------
     def log_message(self, format: str, *args) -> None:  # noqa: A002
@@ -184,8 +187,14 @@ class ServingHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        # end_headers() would flush the headers as a segment of their
+        # own; headers and body go out in one write instead.  (An
+        # HTTP/0.9 request buffers no headers: its reply is the body.)
+        headers = getattr(self, "_headers_buffer", [])
+        if headers:
+            headers.append(b"\r\n")
+        self.wfile.write(b"".join(headers) + body)
+        self._headers_buffer = []
 
     def _write_json(self, status: int, payload: Dict[str, Any]) -> None:
         self._send(status, "application/json", json.dumps(payload).encode("utf-8"))

@@ -37,7 +37,17 @@ import threading
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -376,6 +386,9 @@ class PortfolioService:
         self._markets: Dict[str, MarketData] = {}
         self._shared_agents: Dict[str, Agent] = {}
         self._private_seq = 0  # stable unique keys for unshared agents
+        # strategy → (factory, takes n_assets?): inspect.signature is
+        # ~10% of a create, so each factory is inspected once.
+        self._factory_n_assets: Dict[str, Tuple[Callable, bool]] = {}
         self._lock = threading.RLock()
         self._started = time.monotonic()
         self._obs = obs if obs is not None else get_obs()
@@ -646,10 +659,15 @@ class PortfolioService:
         factory = self.registry.get_factory(strategy)
         if factory is None:
             return False
+        cached = self._factory_n_assets.get(strategy)
+        if cached is not None and cached[0] is factory:
+            return cached[1]
         try:
-            return "n_assets" in inspect.signature(factory).parameters
+            takes = "n_assets" in inspect.signature(factory).parameters
         except (TypeError, ValueError):  # builtins without signatures
-            return False
+            takes = False
+        self._factory_n_assets[strategy] = (factory, takes)
+        return takes
 
     @staticmethod
     def _initial_weights(panel: MarketData) -> np.ndarray:

@@ -50,6 +50,10 @@ the whole batch goes to worker 0 in arrival order through the same
 ``rebalance_many`` — which the throughput bench gates under
 ``--check``.
 
+Each worker caps its OpenBLAS threads at its share of the cores
+(:func:`~repro.utils.blas.worker_budget`) before building its shard;
+:class:`WorkerHealth` reports the budget.
+
 Workers are forked (POSIX), so registries holding user-registered
 strategies and in-memory panels cross the boundary for free; on
 platforms without ``fork`` the default start method is used and
@@ -71,6 +75,7 @@ from ..envs.costs import DEFAULT_COMMISSION
 from ..obs import get_obs
 from ..registry import DEFAULT_REGISTRY
 from ..resilience import injector_from
+from ..utils.blas import blas_threads, set_blas_threads, worker_budget
 from ..utils.rng import stable_hash
 from ..utils.serialization import PathLike
 from .service import (
@@ -141,6 +146,9 @@ class WorkerHealth:
     pid: Optional[int]
     restarts: int
     routed_sessions: int
+    # The BLAS thread budget the worker applied at spawn (None: no
+    # controllable BLAS was found, so it runs the inherited default).
+    blas_threads: Optional[int]
 
     def to_json_dict(self) -> Dict[str, Any]:
         return asdict(self)
@@ -159,6 +167,7 @@ class _WorkerConfig:
     resilience: Optional[ServingResilience]
     fault_plan: Any
     max_resident: Optional[int]
+    blas_threads: Optional[int]
 
 
 # Parent-side pipe ends, closed in freshly forked children: a child
@@ -188,6 +197,10 @@ def _worker_main(conn, config: _WorkerConfig) -> None:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except ValueError:  # non-main thread (never on a fresh fork)
         pass
+    # Before any GEMM: N workers each keeping the parent's per-core
+    # BLAS threads would oversubscribe the cores N-fold.  Applied on
+    # every spawn, so respawned workers get it too.
+    set_blas_threads(config.blas_threads)
 
     store = SessionStateStore(config.state_dir, max_resident=config.max_resident)
     injector = injector_from(config.fault_plan)
@@ -285,6 +298,7 @@ def _worker_main(conn, config: _WorkerConfig) -> None:
                     "resident_sessions": len(service.session_ids()),
                     "rehydrated": rehydrated,
                     "evicted": evicted_count,
+                    "blas_threads": blas_threads(),
                 }
             elif command == "drain":
                 session_ids = service.session_ids()
@@ -319,6 +333,7 @@ class _Worker:
 
     def __init__(self, ctx, config: _WorkerConfig):
         self.index = config.index
+        self.blas_threads = config.blas_threads
         self._ctx = ctx
         self._config = config
         self.lock = threading.Lock()
@@ -499,6 +514,7 @@ class ServingSupervisor:
             resilience=resilience,
             fault_plan=self._fault_plan,
             max_resident=max_resident,
+            blas_threads=worker_budget(workers),
         )
         self._workers = [
             _Worker(ctx, replace(base, index=i)) for i in range(workers)
@@ -955,6 +971,7 @@ class ServingSupervisor:
                 ),
                 restarts=worker.restarts,
                 routed_sessions=routed.get(worker.index, 0),
+                blas_threads=worker.blas_threads,
             )
             for worker in self._workers
         ]

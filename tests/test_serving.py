@@ -708,6 +708,88 @@ class TestHTTP:
             server.shutdown()
 
 
+    def test_each_reply_is_one_write_on_a_nodelay_socket(self, config, market):
+        """Headers and body leave in one write on a TCP_NODELAY socket,
+        so Nagle never holds a keep-alive reply for a delayed ACK."""
+        import http.client
+        import socket
+
+        from repro.serving.http import ServingHandler, serve
+
+        writes = []
+        nodelay = []
+
+        class Recorder:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def write(self, data):
+                writes.append(bytes(data))
+                return self.inner.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self.inner, name)
+
+        class RecordingHandler(ServingHandler):
+            def setup(self):
+                super().setup()
+                nodelay.append(
+                    self.connection.getsockopt(
+                        socket.IPPROTO_TCP, socket.TCP_NODELAY
+                    )
+                )
+                self.wfile = Recorder(self.wfile)
+
+        service = make_service(config, market)
+        service.create_session("a", "ucrp", market="m")
+        try:
+            server = serve(service, port=0, micro_batch=False)
+        except (OSError, PermissionError) as exc:
+            pytest.skip(f"cannot bind a local socket here: {exc}")
+        server.RequestHandlerClass = RecordingHandler
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        conn = http.client.HTTPConnection(*server.server_address[:2])
+        try:
+            statuses = []
+            for method, path, body in (
+                ("GET", "/healthz", None),
+                ("POST", "/rebalance", {"session_id": "a"}),
+                ("POST", "/rebalance", {"session_id": "ghost"}),
+                ("GET", "/metrics", None),
+            ):
+                conn.request(
+                    method, path,
+                    None if body is None else json.dumps(body).encode(),
+                )
+                reply = conn.getresponse()
+                reply.read()
+                statuses.append(reply.status)
+            conn.close()
+            # An HTTP/0.9 request gets the bare body, then the close.
+            with socket.create_connection(
+                server.server_address[:2], timeout=30
+            ) as raw:
+                raw.sendall(b"GET /healthz\r\n\r\n")
+                legacy = b"".join(iter(lambda: raw.recv(65536), b""))
+        finally:
+            conn.close()
+            server.shutdown()
+            server.server_close()
+        assert statuses == [200, 200, 400, 200]
+        assert json.loads(legacy)["status"] == "ok"
+        assert len(nodelay) == 2 and all(nodelay)
+        assert len(writes) == 5 and writes[4] == legacy
+        for data in writes[:4]:
+            head, sep, body = data.partition(b"\r\n\r\n")
+            assert sep and head.startswith(b"HTTP/1.1 ")
+            length = [
+                int(line.split(b":", 1)[1])
+                for line in head.split(b"\r\n")
+                if line.lower().startswith(b"content-length:")
+            ]
+            assert length == [len(body)] and body
+
+
 class TestPanelGroupedPrepare:
     """A round's sessions sharing a panel get one stacked prepare_states."""
 

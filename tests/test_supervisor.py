@@ -2,6 +2,7 @@
 
 Covers the :class:`~repro.serving.ServingSupervisor` contracts: market-
 hash routing, single-worker bit-parity with the in-process service,
+two-worker SDP parity under the per-worker BLAS thread budget,
 crash-mid-batch failover with replay, heartbeat healing of idle deaths,
 graceful drain (zero committed responses lost, store continuity across
 a restart), LRU eviction + lazy rehydration, priority load shedding,
@@ -9,6 +10,7 @@ and the HTTP front's supervisor-aware routes.
 """
 
 import json
+import os
 import threading
 import time
 import urllib.error
@@ -29,6 +31,7 @@ from repro.serving import (
     ServingSupervisor,
     SessionStateStore,
 )
+from repro.utils import blas
 from repro.utils.rng import stable_hash
 
 
@@ -123,6 +126,94 @@ class TestRoutingAndParity:
         service.create_session("a", "ons", market=name0)
         service.create_session("b", "ucrp", market=name0)
         assert supervised == json_rounds(service, requests, rounds=4)
+
+
+    def test_two_workers_sdp_bit_identical_to_in_process(
+        self, tmp_path, config, market, market2
+    ):
+        """SDP decisions run GEMMs; the workers run them on their BLAS
+        thread budget, the in-process service on the parent's threads.
+        The responses must still match byte for byte."""
+        params = dict(
+            observation=config.observation,
+            hidden_sizes=(128, 128),
+            timesteps=5,
+            encoder_pop_size=10,
+            decoder_pop_size=10,
+            seed=0,
+        )
+        risk = risk_regime_preset("caps")
+        sessions = [f"s{i}" for i in range(12)]
+        requests = [RebalanceRequest(s) for s in sessions]
+
+        def open_sessions(front, name0, name1):
+            for i, session_id in enumerate(sessions):
+                front.create_session(
+                    session_id, "sdp", params=params,
+                    market=(name0, name1)[i % 2],
+                )
+
+        sup, name0, name1 = make_supervisor(
+            tmp_path, market, market2, workers=2, risk=risk.build_engine()
+        )
+        with sup:
+            open_sessions(sup, name0, name1)
+            supervised = json_rounds(sup, requests, rounds=4)
+            assert sup.stats.worker_restarts == 0
+
+        service = PortfolioService(risk=risk.build_engine())
+        service.register_market(name0, market)
+        service.register_market(name1, market2)
+        open_sessions(service, name0, name1)
+        assert json.dumps(supervised) == json.dumps(
+            json_rounds(service, requests, rounds=4)
+        )
+
+
+class TestBlasBudget:
+    def test_each_worker_reads_back_its_budget(
+        self, tmp_path, config, market, market2
+    ):
+        inherited = blas.blas_threads()
+        if inherited is None:
+            pytest.skip("no controllable OpenBLAS in this process")
+        expected = min(inherited, max(1, blas.usable_cpus() // 2))
+        sup, name0, name1 = make_supervisor(
+            tmp_path, market, market2, workers=2
+        )
+        params = {"observation": config.observation}
+        with sup:
+            sup.create_session("a", "sdp", params=params, market=name0)
+            sup.create_session("b", "sdp", params=params, market=name1)
+            sup.rebalance_many([RebalanceRequest("a"), RebalanceRequest("b")])
+            health = sup.worker_health()
+            assert [h.blas_threads for h in health] == [expected, expected]
+            details = [w["detail"] for w in sup.stats_dict()["workers"]]
+            assert [d["blas_threads"] for d in details] == [
+                expected, expected,
+            ]
+            if expected == 1 and os.path.isdir("/proc/self/task"):
+                # One BLAS thread needs no OpenBLAS pool: after their
+                # GEMMs the workers still run their main thread only.
+                assert [
+                    len(os.listdir(f"/proc/{h.pid}/task")) for h in health
+                ] == [1, 1]
+        # The parent's own setting is untouched.
+        assert blas.blas_threads() == inherited
+
+    def test_no_controllable_blas_serves_and_reports_none(
+        self, tmp_path, market, monkeypatch
+    ):
+        monkeypatch.setattr(blas, "_CONTROLS", None)
+        assert blas.worker_budget(2) is None
+        sup, name0, _ = make_supervisor(tmp_path, market, workers=2)
+        with sup:
+            sup.create_session("a", "ucrp", market=name0)
+            decision = sup.rebalance("a")
+            assert np.isclose(decision.weights.sum(), 1.0)
+            assert [h.blas_threads for h in sup.worker_health()] == [None, None]
+            details = [w["detail"] for w in sup.stats_dict()["workers"]]
+            assert [d["blas_threads"] for d in details] == [None, None]
 
 
 class TestFailover:
@@ -438,10 +529,17 @@ class TestHTTPFront:
             health = get("/health")
             assert health["status"] == "ok"
             assert [w["alive"] for w in health["workers"]] == [True, True]
+            budget = blas.worker_budget(2)
+            assert [w["blas_threads"] for w in health["workers"]] == [
+                budget, budget,
+            ]
             assert health["failovers"] == 0
             stats = get("/stats")
             assert stats["supervisor"]["requests_served"] == 1
             assert len(stats["workers"]) == 2
+            assert [w["blas_threads"] for w in stats["workers"]] == [
+                budget, budget,
+            ]
 
             sup.drain(timeout=30.0)
             assert get("/health")["status"] == "draining"

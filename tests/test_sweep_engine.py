@@ -194,6 +194,23 @@ class TestSweepEngine:
                     ), (shard_id, key)
             assert a.metrics == b.metrics
 
+    def test_pool_workers_get_the_blas_budget(self, tmp_path, monkeypatch):
+        from repro.experiments import engine
+        from repro.utils import blas
+
+        read_back = []
+
+        class RecordingPool(engine.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                read_back.append(self.submit(blas.blas_threads).result())
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
+        spec = make_spec(strategies=("ucrp", "bah"), seeds=(1,))
+        result = SweepRunner(spec, tmp_path, max_workers=2).run(parallel=True)
+        assert result.complete
+        assert read_back == [blas.worker_budget(2)]
+
     def test_shard_determinism_standalone(self, serial_sweep, tmp_path):
         # Same shard re-run in a fresh store, outside any sweep context,
         # lands bit-identical artifacts: nothing depends on run order.
