@@ -63,10 +63,12 @@ from typing import Callable, Dict, List
 import numpy as np
 
 from repro.agents import MultiSeedTrainer, PolicyTrainer, SDPAgent, TrainConfig
-from repro.autograd import enable_grad
+from repro.autograd import Tensor, enable_grad
 from repro.autograd.optim import SGD
 from repro.data import MarketGenerator
 from repro.envs import Backtester, ObservationConfig
+from repro.envs.costs import transaction_remainder_approx
+from repro.envs.pvm import PortfolioVectorMemory
 from repro.envs.sampling import GeometricBatchSampler
 from repro.serving import PortfolioService, RebalanceRequest
 from repro.utils.rng import make_rng
@@ -231,40 +233,60 @@ class _SeedSampler(GeometricBatchSampler):
         return np.arange(start, start + self.batch_size, dtype=np.int64)
 
 
-class _SeedTrainer(PolicyTrainer):
-    """PolicyTrainer with the seed's prologue: ``select_assets`` views
-    (full-panel re-validation every permuted step), chained fancy
-    indexing, and the closure-graph step."""
+class _SeedTrainer:
+    """The seed's training loop, self-contained: ``rng.choice`` start
+    sampling, a chained-fancy-indexing prologue, a ``select_assets``
+    panel (full-panel re-validation) on every permuted step, and the
+    closure-graph step.  It consumes the trainers' RNG streams (sampler
+    ``make_rng(seed)``, permutations ``make_rng(seed + 1)``), so it must
+    end bit-identical to them."""
 
-    def __init__(self, *args, seed: int = 0, **kwargs):
-        super().__init__(*args, seed=seed, use_fused=False, **kwargs)
+    def __init__(self, policy, data, optimizer, observation, config, seed=0):
+        self.policy = policy
+        self.data = data
+        self.optimizer = optimizer
+        self.config = config
+        n = data.n_periods
         self.sampler = _SeedSampler(
-            self.first_index,
-            self.last_index,
-            self.config.batch_size,
-            bias=self.config.geometric_bias,
+            max(observation.first_decision_index(), 1),
+            n - 2,
+            config.batch_size,
+            bias=config.geometric_bias,
             rng=make_rng(seed),
         )
+        self.perm_rng = make_rng(seed + 1)
+        self.pvm = PortfolioVectorMemory(n, data.n_assets)
+        rel = data.close[1:] / data.close[:-1]
+        self.relatives = np.concatenate([np.ones((n - 1, 1)), rel], axis=1)
 
-    def _prepare_batch(self):
+    def train_step(self) -> None:
         indices = self.sampler.sample()
         m = self.data.n_assets
         if self.config.permute_assets:
-            perm = self._perm_rng.permutation(m)
+            perm = self.perm_rng.permutation(m)
+            view = self.data.select_assets(list(perm))
         else:
             perm = np.arange(m)
+            view = self.data
         action_perm = np.concatenate([[0], 1 + perm])
-        w_prev_native = self.pvm.read(indices - 1)
-        w_prev = w_prev_native[:, action_perm]
-        y_t = self._relatives[indices - 1][:, action_perm]
-        w_drifted = self._drift(w_prev, y_t)
-        y_next = self._relatives[indices][:, action_perm]
-        return indices, perm, action_perm, w_prev_native, w_prev, w_drifted, y_next
+        w_prev = self.pvm.read(indices - 1)[:, action_perm]
+        growth = w_prev * self.relatives[indices - 1][:, action_perm]
+        w_drifted = growth / growth.sum(axis=1, keepdims=True)
+        y_next = self.relatives[indices][:, action_perm]
 
-    def _permuted_view(self, perm):
-        # The seed rebuilt (and re-validated, and re-logged) the whole
-        # permuted panel on every augmented minibatch.
-        return self.data.select_assets(list(perm))
+        actions = self.policy.policy_forward(view, indices, w_prev)
+        mu = transaction_remainder_approx(
+            Tensor(w_drifted), actions, self.config.commission
+        )
+        log_return = (mu * (actions * Tensor(y_next)).sum(axis=1)).log()
+        loss = -log_return.mean()
+        self.optimizer.zero_grad()
+        loss.backward()
+        self.optimizer.step()
+
+        unpermuted = np.empty_like(actions.data)
+        unpermuted[:, action_perm] = actions.data
+        self.pvm.write(indices, unpermuted)
 
 
 def make_training_panel(n_assets: int):

@@ -201,7 +201,7 @@ class JiangDRLAgent(Agent):
     name = "DRL[Jiang]"
     stateless = True
     #: EIIE implements the fused training path (analytic conv backward),
-    #: so PolicyTrainer routes it off the closure graph by default.
+    #: so the trainers route it off the closure graph by default.
     supports_fused_training = True
 
     def __init__(

@@ -62,8 +62,9 @@ class SDPAgent(Agent):
     name = "SDP"
     stateless = True
     #: Both SDP architectures implement the fused STBP training path
-    #: (policy_forward_fused / policy_backward_fused), so PolicyTrainer
-    #: routes them through the analytic kernels by default.
+    #: (policy_forward_fused / policy_backward_fused), so the trainers
+    #: route them through the analytic kernels (the seed banks) by
+    #: default.
     supports_fused_training = True
 
     def __init__(
@@ -137,11 +138,23 @@ class SDPAgent(Agent):
             return sdp_asset_features_batch(data, indices, w_prev, self.observation)
         return sdp_state_batch(data, indices, w_prev, self.observation)
 
-    def _states(
-        self, data: MarketData, indices: np.ndarray, w_prev: np.ndarray
-    ) -> np.ndarray:
-        """Pre-registry private name, kept for backward compatibility."""
-        return self.prepare_states(data, indices, w_prev)
+    def permute_states(self, states: np.ndarray, perms: np.ndarray) -> np.ndarray:
+        """Apply per-seed asset permutations to a prepared state batch.
+
+        ``states`` is :meth:`prepare_states` output in native asset
+        order whose rows form S equal seed blocks; block ``s`` comes
+        back as if built on ``data.permute_assets(perms[s])`` with
+        correspondingly permuted previous weights.  Every state feature
+        is per-asset elementwise, so the gather is bit-identical to that
+        rebuild.  ``perms`` is ``(S, M)``.
+        """
+        if self.architecture == "shared":
+            cols = perms  # states are (rows, assets, features)
+        else:
+            cols = sdp_state_perm_columns(perms, self.observation)
+        rows = len(states)
+        per_row = np.repeat(cols, rows // len(perms), axis=0)
+        return states[np.arange(rows)[:, None], per_row]
 
     def decide_batch(self, states: np.ndarray) -> np.ndarray:
         """One batched SNN forward over a prepared state batch.
@@ -179,11 +192,7 @@ class SDPAgent(Agent):
         """
         states = self.prepare_states(data, indices, w_prev)
         if asset_perm is not None:
-            if self.architecture == "shared":
-                states = states[:, asset_perm, :]
-            else:
-                cols = sdp_state_perm_columns(asset_perm[None], self.observation)
-                states = states[:, cols[0]]
+            states = self.permute_states(states, np.asarray(asset_perm)[None])
         return self.network.policy_forward_fused(states)
 
     def policy_backward_fused(self, grad_actions: np.ndarray) -> None:

@@ -8,30 +8,29 @@ plain numpy, which gives two natural execution tiers:
     banks (numpy's batched matmul issues the graph path's exact
     BLAS call per contiguous slice; see :mod:`repro.snn.banked`).
     This is the gold standard: stacked (multi-seed) execution through
-    this tier is **bit-identical** to serial :class:`PolicyTrainer`
-    runs, and it is the only tier any parity gate (``--check``, CI,
-    tests) is allowed to use.
+    this tier is **bit-identical** to one-seed
+    :class:`~repro.agents.trainer.PolicyTrainer` runs, and it is the
+    only tier any parity gate (``--check``, CI, tests) is allowed to
+    use.
 
 ``fast``
     float32 tape buffers with BLAS-batched 3-D GEMMs over the seed
-    axis, plus an optional threadpool fan-out over independent panels
-    in multi-panel back-tests.  Results are close to, but not
-    bit-identical with, the reference tier: LIF thresholding in
-    float32 can flip individual spikes, so trajectories agree only
-    within a documented tolerance (see API.md).  The fast tier can
-    never silently substitute for the reference tier — callers select
-    it explicitly and parity gates refuse it.
+    axis.  Results are close to, but not bit-identical with, the
+    reference tier: LIF thresholding in float32 can flip individual
+    spikes, so trajectories agree only within a documented tolerance
+    (see API.md).  The fast tier can never silently substitute for the
+    reference tier — callers select it explicitly and parity gates
+    refuse it.
 
-Backends are selected per call (trainer construction, ``run_many``),
-never via global state, so a fast training run and a reference parity
-check can coexist in one process.
+Backends are selected per trainer construction, never via global
+state, so a fast training run and a reference parity check can coexist
+in one process.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable, List, Optional, Sequence, TypeVar, Union
+from dataclasses import dataclass
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -41,7 +40,6 @@ __all__ = [
     "FAST",
     "available_backends",
     "resolve_backend",
-    "thread_map",
 ]
 
 
@@ -62,14 +60,10 @@ class Backend:
         contiguous per-seed banks — in float64 this issues the graph
         path's exact BLAS call per slice and stays bit-identical (the
         parity suite asserts it).
-    threads:
-        Thread count for the optional panel fan-out in multi-panel
-        back-tests.  ``0``/``1`` means sequential.
     """
 
     name: str
     precision: str
-    threads: int = 0
 
     @property
     def dtype(self) -> np.dtype:
@@ -78,10 +72,6 @@ class Backend:
     @property
     def is_reference(self) -> bool:
         return self.name == "reference"
-
-    def with_threads(self, threads: int) -> "Backend":
-        """Same tier with a different panel-threadpool width."""
-        return replace(self, threads=int(threads))
 
 
 #: Bit-identical gold standard: float64, batched per-seed GEMM banks.
@@ -120,26 +110,3 @@ def resolve_backend(backend: Union[None, str, Backend] = None) -> Backend:
     raise TypeError(
         f"backend must be None, a name, or a Backend, got {type(backend).__name__}"
     )
-
-
-_T = TypeVar("_T")
-_R = TypeVar("_R")
-
-
-def thread_map(
-    fn: Callable[[_T], _R],
-    items: Iterable[_T],
-    threads: int = 0,
-) -> List[_R]:
-    """``[fn(x) for x in items]``, optionally through a threadpool.
-
-    Order of results always matches input order.  With ``threads`` at
-    0 or 1 this is a plain sequential map — callers pass
-    ``backend.threads`` straight through and the reference tier stays
-    on the exact sequential code path.
-    """
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
-        return list(pool.map(fn, items))

@@ -200,7 +200,6 @@ class Backtester:
         self,
         agent: "Agent",
         panels: Sequence[MarketData],
-        backend=None,
     ) -> List[BacktestResult]:
         """Back-test one agent over several panels, batching decisions.
 
@@ -209,30 +208,8 @@ class Backtester:
         over all still-running panels.  Stateful agents (whose
         ``begin_backtest``/``act`` carry per-run state) fall back to
         sequential :meth:`run` calls — same results, no batching.
-
-        ``backend`` selects a :class:`~repro.backend.Backend` tier.  A
-        backend with ``threads > 1`` fans the panels out over a
-        threadpool instead of the lockstep batch: each thread runs one
-        sequential back-test on its own deep copy of the agent (panels
-        are independent, and a copied agent's decisions must be a pure
-        function of its weights and the state — true for every built-in
-        agent, whose inference mutates nothing).  Results come back in
-        panel order and, for deterministic agents, equal the sequential
-        ones; ``None``/zero-thread backends keep the exact lockstep
-        path of every previous PR.
         """
-        import copy
-
-        from ..backend import resolve_backend, thread_map
-
         panels = list(panels)
-        resolved = resolve_backend(backend)
-        if resolved.threads > 1 and len(panels) > 1:
-            return thread_map(
-                lambda panel: self.run(copy.deepcopy(agent), panel),
-                panels,
-                threads=resolved.threads,
-            )
         if not getattr(agent, "stateless", False) or len(panels) <= 1:
             return [self.run(agent, panel) for panel in panels]
 

@@ -82,9 +82,10 @@ class GeometricBatchSampler:
     ) -> "GeometricBatchSampler":
         """A sampler whose index stream is a pure function of ``seed``.
 
-        This is the per-seed stream constructor the multi-seed trainer
-        and the serial :class:`~repro.agents.trainer.PolicyTrainer`
-        share: both build the stream as ``make_rng(seed)``, so a seed's
+        The training loop
+        (:class:`~repro.agents.multiseed.MultiSeedTrainer`, and the
+        serial :class:`~repro.agents.trainer.PolicyTrainer` as its
+        S = 1 front) builds each seed's stream with it, so a seed's
         draw sequence is identical whether it trains alone or stacked
         with other seeds — the shard spec's seed alone determines the
         stream, with no dependence on which seeds ride along.

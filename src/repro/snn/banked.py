@@ -1,10 +1,11 @@
 """The fused STBP training kernel: S networks on one stacked tape.
 
-This module *is* the SDP training kernel.  Serial training runs on it
-with S = 1 (``SharedSDPNetwork.policy_forward_fused`` and
-``SDPNetwork.policy_forward_fused`` hold a one-network bank), and
+This module *is* the SDP training kernel.
 :class:`~repro.agents.multiseed.MultiSeedTrainer` runs S seeds on it at
-once.  The closure-graph path (``network.forward`` + ``backward()``)
+once, and the serial :class:`~repro.agents.trainer.PolicyTrainer` is
+that trainer with S = 1; ``SharedSDPNetwork.policy_forward_fused`` and
+``SDPNetwork.policy_forward_fused`` hold a one-network bank for direct
+callers.  The closure-graph path (``network.forward`` + ``backward()``)
 stays the parity oracle the kernel is checked against.
 
 The kernel records a ``T``-step unroll onto preallocated buffers and
@@ -68,8 +69,8 @@ Anything that rebinds a ``Parameter.data`` afterwards —
 ``Module.load_state_dict``, ``copy.deepcopy``, another bank over the
 same network — ends that ownership.  A bank checks
 :meth:`ParamBank.owned` before every forward and refuses to train on
-storage it no longer owns; the networks' S = 1 banks are rebuilt
-instead.
+storage it no longer owns; the trainer and the networks' S = 1 banks
+build a new bank instead.
 """
 
 from __future__ import annotations

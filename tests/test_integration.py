@@ -63,7 +63,7 @@ class TestTrainDeployConsistency:
         first = cfg.observation.first_decision_index()
         idx = np.arange(first, min(first + 40, test.n_periods - 1))
         uniform = np.full((idx.size, test.n_assets + 1), 1.0 / (test.n_assets + 1))
-        states = agent._states(test, idx, uniform)
+        states = agent.prepare_states(test, idx, uniform)
 
         float_actions = agent.network.forward(states).data
         chip_actions, activity = deployment.run(states)

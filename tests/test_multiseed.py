@@ -1,12 +1,13 @@
 """Tests for cross-seed vectorized training and the backend seam.
 
-Gates the stacked multi-seed tape against serial training: per-seed
-RNG-stream purity (``GeometricBatchSampler.for_seed``), bit-identical
-weights/PVM/histories after full ``train()`` runs for both SDP
-architectures and the EIIE network, the float32 fast tier's documented
-tolerance (and its exclusion from every exactness check), seed-group
-coalescing in the sweep engine (artifact/manifest byte-stability, mid-group interrupt and
-resume), and the wall-clock attribution surfaced in sweep tables.
+Gates the stacked multi-seed tape against serial closure-graph
+training: per-seed RNG-stream purity (``GeometricBatchSampler.for_seed``),
+bit-identical weights/PVM/histories after full ``train()`` runs for both
+SDP architectures and the EIIE network, resume from ``state_dict``, the
+float32 fast tier's documented tolerance (and its exclusion from every
+exactness check), seed-group coalescing in the sweep engine
+(artifact/manifest byte-stability, mid-group interrupt and resume), and
+the wall-clock attribution surfaced in sweep tables.
 """
 
 import json
@@ -23,7 +24,7 @@ from repro.agents import (
     TrainConfig,
 )
 from repro.autograd.optim import SGD, Adam, RMSProp
-from repro.backend import FAST, REFERENCE, resolve_backend, thread_map
+from repro.backend import FAST, REFERENCE, resolve_backend
 from repro.data import MarketGenerator
 from repro.envs import ObservationConfig
 from repro.envs.sampling import GeometricBatchSampler
@@ -67,9 +68,11 @@ def _sdp(seed, architecture="shared"):
 
 
 def _serial_run(agent, panel, optimizer, seed, steps=None, snapshot_at=None):
+    # The closure-graph path: an oracle independent of the fused kernels
+    # (a fused PolicyTrainer is the multi-seed trainer at S = 1).
     trainer = PolicyTrainer(
         agent, panel, optimizer, observation=CFG, config=TRAIN, seed=seed,
-        use_fused=True,
+        use_fused=False,
     )
     snapshots = {}
 
@@ -301,16 +304,59 @@ def test_fast_backend_rejects_jiang(panel):
         )
 
 
-def test_backend_resolution_and_threads():
+def test_backend_resolution():
     assert resolve_backend(None) is REFERENCE
     assert resolve_backend("fast") is FAST
     assert resolve_backend(FAST) is FAST
     with pytest.raises(ValueError):
         resolve_backend("float16")
-    threaded = REFERENCE.with_threads(4)
-    assert threaded.threads == 4 and REFERENCE.threads == 0
-    assert thread_map(lambda x: x * x, [1, 2, 3], threads=2) == [1, 4, 9]
-    assert thread_map(lambda x: x * x, [1, 2, 3], threads=1) == [1, 4, 9]
+
+
+# ----------------------------------------------------------------------
+# Resume: state_dict + fresh trainer continues the exact sequence
+# ----------------------------------------------------------------------
+def test_multiseed_resume_matches_straight_run(panel):
+    seeds = SEEDS[:2]
+
+    def make():
+        agents = [_sdp(seed) for seed in seeds]
+        trainer = MultiSeedTrainer(
+            agents, panel,
+            [Adam(agent.parameters(), 1e-3) for agent in agents],
+            observation=CFG, config=TRAIN, seeds=seeds,
+        )
+        return agents, trainer
+
+    straight_agents, straight = make()
+    straight.train(8)
+
+    agents_b, trainer_b = make()
+    trainer_b.train(4)
+    snapshot = trainer_b.state_dict()
+    weights = [agent.network.state_dict() for agent in agents_b]
+
+    # Cold restart: fresh agents + trainer, both states loaded back.
+    agents_c, trainer_c = make()
+    for agent, state in zip(agents_c, weights):
+        agent.network.load_state_dict(state)
+    trainer_c.load_state_dict(snapshot)
+    assert trainer_c.completed_steps == 4
+    trainer_c.train(4)
+
+    for s, seed in enumerate(seeds):
+        _assert_states_equal(
+            agents_c[s].network.state_dict(),
+            straight_agents[s].network.state_dict(),
+            f"seed {seed} resumed",
+        )
+        assert np.array_equal(
+            trainer_c.pvms[s].snapshot(), straight.pvms[s].snapshot()
+        )
+        resumed = trainer_c.optimizers[s].state_dict()
+        ref = straight.optimizers[s].state_dict()
+        assert resumed["step_count"] == ref["step_count"] == 8
+        for name in Adam._state_buffer_names:
+            assert all(map(np.array_equal, resumed[name], ref[name])), name
 
 
 # ----------------------------------------------------------------------

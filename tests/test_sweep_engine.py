@@ -368,7 +368,7 @@ class TestServingFromArtifact:
 
 class TestTrainerResume:
     @staticmethod
-    def _make(seed=5):
+    def _make(use_fused, seed=5):
         config = make_config(1, profile="quick", train_steps=8, batch_size=16)
         data = build_experiment_data(config)
         agent = create_strategy(
@@ -389,20 +389,22 @@ class TestTrainerResume:
                 steps=8, batch_size=16, permute_assets=True, log_every=2
             ),
             seed=seed,
+            use_fused=use_fused,
         )
         return agent, trainer
 
-    def test_resume_matches_straight_run(self):
-        agent_a, trainer_a = self._make()
+    @pytest.mark.parametrize("use_fused", [False, True], ids=["graph", "fused"])
+    def test_resume_matches_straight_run(self, use_fused):
+        agent_a, trainer_a = self._make(use_fused)
         history_a = trainer_a.train(8)
 
-        agent_b, trainer_b = self._make()
+        agent_b, trainer_b = self._make(use_fused)
         trainer_b.train(4)
         snapshot = trainer_b.state_dict()
         weights = agent_b.network.state_dict()
 
         # Cold process restart: fresh agent + trainer, state loaded back.
-        agent_c, trainer_c = self._make()
+        agent_c, trainer_c = self._make(use_fused)
         agent_c.network.load_state_dict(weights)
         trainer_c.load_state_dict(snapshot)
         assert trainer_c.completed_steps == 4
@@ -416,7 +418,7 @@ class TestTrainerResume:
         assert history_c.loss == history_a.loss[len(history_a.loss) // 2:]
 
     def test_optimizer_state_validation(self):
-        _, trainer = self._make()
+        _, trainer = self._make(use_fused=True)
         state = trainer.optimizer.state_dict()
         state["_m"] = state["_m"][:-1]
         with pytest.raises(ValueError):
