@@ -11,8 +11,9 @@ commission, initial value) once and drives any object implementing the
   several panels in lockstep.  At each step the per-panel states are
   concatenated and decided with a single ``decide_batch`` call, so the
   policy network does one batched forward pass per period instead of
-  one per panel.  Stateful agents transparently fall back to
-  sequential per-panel runs.
+  one per panel, and every live panel's book steps in one vectorized
+  pass (:func:`~repro.envs.portfolio.step_envs`).  Stateful agents
+  transparently fall back to sequential per-panel runs.
 
 The lockstep mode is the same mechanism :class:`repro.serving`
 uses to micro-batch concurrent rebalance requests across sessions.
@@ -31,7 +32,7 @@ from ..data.splits import ExperimentWindow
 from ..metrics import BacktestMetrics, evaluate_backtest
 from .costs import DEFAULT_COMMISSION
 from .observations import ObservationConfig
-from .portfolio import PortfolioEnv
+from .portfolio import PortfolioEnv, step_envs
 
 if TYPE_CHECKING:  # avoid a circular import; agents.base imports this module
     from ..agents.base import Agent
@@ -203,9 +204,10 @@ class Backtester:
     ) -> List[BacktestResult]:
         """Back-test one agent over several panels, batching decisions.
 
-        For a stateless agent the panels advance in lockstep and each
+        For a stateless agent the panels advance in lockstep: each
         period's decisions come from a single ``decide_batch`` forward
-        over all still-running panels.  Stateful agents (whose
+        over all still-running panels, and their books step together.
+        An invalid action raises naming its panel.  Stateful agents (whose
         ``begin_backtest``/``act`` carry per-run state) fall back to
         sequential :meth:`run` calls — same results, no batching.
         """
@@ -214,6 +216,7 @@ class Backtester:
             return [self.run(agent, panel) for panel in panels]
 
         envs = [self.make_env(panel) for panel in panels]
+        labels = [f"panel {i}: action" for i in range(len(envs))]
         live = list(range(len(envs)))
         while live:
             parts = [
@@ -234,11 +237,8 @@ class Backtester:
                     f"{agent.name}: decide_batch returned shape "
                     f"{actions.shape} for a batch of {len(live)} states"
                 )
-            still_running = []
-            for row, i in enumerate(live):
-                if not envs[i].step(actions[row]).done:
-                    still_running.append(i)
-            live = still_running
+            step_envs([envs[i] for i in live], actions, [labels[i] for i in live])
+            live = [i for i in live if not envs[i].done]
         return [
             self._result(agent.name, env, panel)
             for env, panel in zip(envs, panels)

@@ -10,56 +10,27 @@ whose average is the objective of eq. (1).
 
 The environment is agnostic to the agent type: the SDP agent, the Jiang
 EIIE agent, and every classical baseline are all back-tested through
-this same loop.
+this same loop.  The step itself is the book recurrence of
+:mod:`repro.envs.book`; :func:`step_envs` runs it over several
+environments at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..data.market import MarketData
 from ..metrics.performance import implementation_shortfall
-from .costs import (
-    DEFAULT_COMMISSION,
-    drifted_weights,
-    transaction_remainder_exact,
-)
+from .book import BookStep, step_book
+from .costs import DEFAULT_COMMISSION
 from .observations import ObservationConfig
 
 if TYPE_CHECKING:  # execution imports envs.costs; keep the cycle type-only
     from ..execution import ExecutionEngine
     from ..risk import LockoutState, RiskEngine
-
-
-def normalize_action(action: np.ndarray, action_dim: int, context: str = "action") -> np.ndarray:
-    """Validate a portfolio weight vector and return it renormalised.
-
-    The single definition of what a legal action is — shared by
-    :meth:`PortfolioEnv.step` and the serving layer so served
-    trajectories stay bit-comparable with back-tested ones: shape
-    ``(action_dim,)``, finite, non-negative (within -1e-9), summing to
-    1 (within 1e-6); then clipped to ``[0, ∞)`` and renormalised.
-    """
-    action = np.asarray(action, dtype=np.float64)
-    if action.shape != (action_dim,):
-        raise ValueError(
-            f"{context} must have shape ({action_dim},), got {action.shape}"
-        )
-    # One reduction covers the finiteness check: any non-finite entry
-    # makes the sum non-finite (inf propagates; inf − inf and nan both
-    # yield nan), and the sum is needed anyway.
-    total = float(action.sum())
-    if not np.isfinite(total):
-        raise ValueError(f"{context} must be finite")
-    if float(action.min()) < -1e-9:
-        raise ValueError(f"{context} weights must be non-negative")
-    if abs(total - 1.0) > 1e-6:
-        raise ValueError(f"{context} must sum to 1, sums to {total:.8f}")
-    action = np.maximum(action, 0.0)
-    return action / action.sum()
 
 
 @dataclass
@@ -141,6 +112,14 @@ class PortfolioEnv:
                 f"{self.observation.window}"
             )
         self._first_decision = first
+        # Per-panel tables the book gathers its rows from: y_{t+1}
+        # (cash first) and the floored tradable volume.
+        self._y = data.price_relatives(include_cash=True)
+        self._volume = (
+            execution.tradable_volume(data, np.arange(data.n_periods))
+            if execution is not None
+            else None
+        )
         self.reset()
 
     # ------------------------------------------------------------------
@@ -157,6 +136,11 @@ class PortfolioEnv:
     def t(self) -> int:
         """Current decision index into the panel."""
         return self._t
+
+    @property
+    def done(self) -> bool:
+        """True once no further price relative exists."""
+        return self._t + 1 >= self.data.n_periods
 
     @property
     def num_decisions(self) -> int:
@@ -202,11 +186,7 @@ class PortfolioEnv:
         """y_{t+1} including the cash component (index 0, always 1)."""
         if t + 1 >= self.data.n_periods:
             raise IndexError(f"no price relative beyond period {t}")
-        rel = self.data.close[t + 1] / self.data.close[t]
-        out = np.empty(rel.shape[0] + 1)
-        out[0] = 1.0
-        out[1:] = rel
-        return out
+        return self._y[t].copy()
 
     @property
     def previous_weights(self) -> np.ndarray:
@@ -229,87 +209,54 @@ class PortfolioEnv:
         ``action`` must be a length-``action_dim`` vector on the
         probability simplex (cash first).
         """
-        action = normalize_action(action, self.action_dim)
-        if self._t + 1 >= self.data.n_periods:
-            raise RuntimeError("episode finished; call reset()")
-
-        report = None
-        if self.risk is not None:
-            # Project the decision onto the constraint set before any
-            # execution pricing — risk limits bound what the book *asks
-            # for*, not what the market fills.  A null engine returns
-            # the action array itself (bit-identical path).
-            report, self._risk_state = self.risk.step(
-                self._w_drifted,
-                action,
-                t=self._t - self._first_decision,
-                value=self._value,
-                state=self._risk_state,
-            )
-            action = report.weights
-
-        fill = None
-        if self.execution is None:
-            executed = action
-            mu = transaction_remainder_exact(
-                self._w_drifted, action, self.commission, self.commission
-            )
-        else:
-            fill = self.execution.execute(
-                self._w_drifted,
-                action,
-                self._value,
-                self.execution.tradable_volume(self.data, self._t),
-            )
-            executed = fill.weights
-            mu = fill.mu
-        y = self.price_relative(self._t)
-        growth = float(y @ executed)
-        reward = float(np.log(mu * growth))
+        t = self._t
+        pre_trade = self._w_drifted
+        book = step_envs([self], np.asarray(action, dtype=np.float64)[None, :])
+        executed = book.weights[0]
         # The executed trade: distance from the pre-trade drifted
         # weights (the same w'_t that mu was charged on).
-        turnover = float(np.abs(executed - self._w_drifted).sum())
-
-        info = {"growth": growth, "turnover": turnover}
-        if report is not None:
-            info["risk_violated"] = float(report.violated)
-            info["risk_locked"] = float(report.locked)
-            self.risk_binding_history.append(dict(report.binding))
-            self.lockout_history.append(report.locked)
-            self.pre_turnover_history.append(report.pre_turnover)
-            self.post_turnover_history.append(report.post_turnover)
-        if fill is not None:
-            # The commission-only benchmark compounds the *requested*
-            # trade frictionlessly beyond commission — Perold's paper
-            # portfolio, given the realized history to date.
-            self._ideal_value *= fill.ideal_mu * float(y @ action)
-            info["fill_ratio"] = fill.fill_ratio
-            info["slippage_cost"] = fill.slippage_cost
-            info["commission_mu"] = fill.commission_mu
-            self.fill_ratio_history.append(fill.fill_ratio)
-            self.slippage_history.append(fill.slippage_cost)
-
-        self._value *= mu * growth
-        self._w_drifted = drifted_weights(executed, y)
-        self._w_prev_target = executed.copy()
-        self._t += 1
-
-        self.value_history.append(self._value)
-        self.reward_history.append(reward)
-        self.weight_history.append(executed.copy())
-        self.mu_history.append(mu)
-        if fill is not None:
-            self.ideal_value_history.append(self._ideal_value)
-
-        done = self._t + 1 >= self.data.n_periods
+        info = {
+            "growth": float(book.growth[0]),
+            "turnover": float(np.abs(executed - pre_trade).sum()),
+        }
+        if book.risk is not None:
+            info["risk_violated"] = float(any(self.risk_binding_history[-1].values()))
+            info["risk_locked"] = float(self.lockout_history[-1])
+        if book.fill is not None:
+            info["fill_ratio"] = self.fill_ratio_history[-1]
+            info["slippage_cost"] = self.slippage_history[-1]
+            info["commission_mu"] = float(book.fill.commission_mu[0])
         return StepResult(
-            reward=reward,
+            reward=self.reward_history[-1],
             portfolio_value=self._value,
-            mu=mu,
-            price_relatives=y,
-            done=done,
+            mu=self.mu_history[-1],
+            price_relatives=self._y[t].copy(),
+            done=self.done,
             info=info,
         )
+
+    def _record(self, book: BookStep, row: int) -> None:
+        """Advance this environment by row ``row`` of a book step."""
+        if book.risk is not None:
+            self._risk_state = book.risk.states[row]
+            self.risk_binding_history.append(book.risk.binding_row(row))
+            self.lockout_history.append(bool(book.risk.locked[row]))
+            self.pre_turnover_history.append(float(book.risk.pre_turnover[row]))
+            self.post_turnover_history.append(float(book.risk.post_turnover[row]))
+        if book.fill is not None:
+            self._ideal_value *= float(book.ideal_growth[row])
+            self.fill_ratio_history.append(float(book.fill.fill_ratio[row]))
+            self.slippage_history.append(float(book.fill.slippage_cost[row]))
+            self.ideal_value_history.append(self._ideal_value)
+        executed = book.weights[row].copy()
+        self._value = float(book.value[row])
+        self._w_drifted = book.w_drifted[row]
+        self._w_prev_target = executed
+        self._t += 1
+        self.value_history.append(self._value)
+        self.reward_history.append(float(book.reward[row]))
+        self.weight_history.append(executed)
+        self.mu_history.append(float(book.mu[row]))
 
     # ------------------------------------------------------------------
     def execution_summary(self) -> Dict[str, float]:
@@ -374,3 +321,48 @@ class PortfolioEnv:
         """Simple per-period portfolio returns (for Sharpe, eq. (16))."""
         values = np.asarray(self.value_history)
         return values[1:] / values[:-1] - 1.0
+
+
+def _rows(rows: List[np.ndarray]) -> np.ndarray:
+    # np.stack's generality costs more than the whole gather at batch 1.
+    return rows[0][None, :] if len(rows) == 1 else np.stack(rows)
+
+
+def step_envs(
+    envs: Sequence[PortfolioEnv],
+    actions: np.ndarray,
+    labels: Optional[Sequence[str]] = None,
+) -> BookStep:
+    """Step several environments through one vectorized book pass.
+
+    Row ``i`` of ``actions`` is ``envs[i]``'s action, named by
+    ``labels[i]`` in validation errors.  The environments must share
+    their commission, risk and execution engines (every environment one
+    :class:`~repro.envs.backtester.Backtester` makes does).  Each one
+    advances and records exactly what its own :meth:`PortfolioEnv.step`
+    would.
+    """
+    first = envs[0]
+    for env in envs:
+        if env.done:
+            raise RuntimeError("episode finished; call reset()")
+    book = step_book(
+        _rows([env._w_drifted for env in envs]),
+        actions,
+        _rows([env._y[env._t] for env in envs]),
+        np.array([env._value for env in envs]),
+        first.commission,
+        labels=labels,
+        risk=first.risk,
+        t=np.array([env._t - env._first_decision for env in envs]),
+        lockout=[env._risk_state for env in envs],
+        execution=first.execution,
+        volume=(
+            None
+            if first.execution is None
+            else _rows([env._volume[env._t] for env in envs])
+        ),
+    )
+    for row, env in enumerate(envs):
+        env._record(book, row)
+    return book

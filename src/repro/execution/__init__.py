@@ -11,7 +11,7 @@ the default :class:`ZeroSlippage` model everything is bit-identical to
 the commission-only path.
 """
 
-from .engine import ExecutionEngine, ExecutionFill
+from .engine import ExecutionEngine, ExecutionFill, FillRound
 from .models import (
     DepthLimited,
     LinearImpact,
@@ -24,6 +24,7 @@ __all__ = [
     "DepthLimited",
     "ExecutionEngine",
     "ExecutionFill",
+    "FillRound",
     "LinearImpact",
     "SlippageModel",
     "SquareRootImpact",

@@ -10,7 +10,7 @@ the decision period's tradable volume, it:
    from starting cash plus realized sale proceeds, so a capped sell can
    never fund a leveraged buy);
 2. charges the exact commission remainder μ_t
-   (:func:`~repro.envs.costs.transaction_remainder_exact`) on the
+   (:func:`~repro.envs.costs.transaction_remainders_exact`) on the
    *executed* rebalance;
 3. charges the model's impact cost on each executed trade's
    participation, shrinking μ_t further.
@@ -38,10 +38,10 @@ from typing import Dict, Optional
 import numpy as np
 
 from ..data.market import MarketData
-from ..envs.costs import DEFAULT_COMMISSION, transaction_remainder_exact
+from ..envs.costs import DEFAULT_COMMISSION, transaction_remainders_exact
 from .models import SlippageModel, ZeroSlippage
 
-__all__ = ["ExecutionEngine", "ExecutionFill"]
+__all__ = ["ExecutionEngine", "ExecutionFill", "FillRound"]
 
 # Volume floor: a dead market (zero printed volume) reads as "one quote
 # unit per period" rather than a division by zero; any realistic trade
@@ -66,6 +66,20 @@ class ExecutionFill:
     ideal_mu: float
     slippage_cost: float
     fill_ratio: float
+
+
+@dataclass
+class FillRound:
+    """Outcome of executing a ``(batch, N)`` round of rebalances: row
+    ``i`` of every array is what :class:`ExecutionFill` says about
+    rebalance ``i``."""
+
+    weights: np.ndarray
+    mu: np.ndarray
+    commission_mu: np.ndarray
+    ideal_mu: np.ndarray
+    slippage_cost: np.ndarray
+    fill_ratio: np.ndarray
 
 
 class ExecutionEngine:
@@ -108,9 +122,10 @@ class ExecutionEngine:
         return self.model.is_free
 
     # ------------------------------------------------------------------
-    def tradable_volume(self, data: MarketData, t: int) -> np.ndarray:
+    def tradable_volume(self, data: MarketData, t) -> np.ndarray:
         """Per-asset tradable volume of decision period ``t`` (quote
-        units): the panel's trailing ADV, floored away from zero."""
+        units): the panel's trailing ADV, floored away from zero.  An
+        index array ``t`` returns one row per index."""
         window = max(
             int(self.adv_window_days * 86_400 / data.period_seconds), 1
         )
@@ -130,42 +145,74 @@ class ExecutionEngine:
         first); ``volume`` the per-asset tradable volume (quote units)
         of the decision period; ``value`` the current portfolio value in
         back-test units (scaled by ``portfolio_notional`` internally).
+        The batch-1 front of :meth:`execute_batch`: under full fills the
+        returned weights are the target array itself.
+        """
+        target = np.asarray(w_target, dtype=np.float64)
+        out = self.execute_batch(
+            np.asarray(w_drifted, dtype=np.float64)[None, :],
+            target[None, :],
+            np.array([float(value)]),
+            np.asarray(volume, dtype=np.float64)[None, :],
+        )
+        return ExecutionFill(
+            weights=target if self.model.participation_cap is None else out.weights[0],
+            mu=float(out.mu[0]),
+            commission_mu=float(out.commission_mu[0]),
+            ideal_mu=float(out.ideal_mu[0]),
+            slippage_cost=float(out.slippage_cost[0]),
+            fill_ratio=float(out.fill_ratio[0]),
+        )
+
+    def execute_batch(
+        self,
+        w_drifted: np.ndarray,
+        w_target: np.ndarray,
+        values: np.ndarray,
+        volume: np.ndarray,
+    ) -> FillRound:
+        """Fill a ``(batch, N)`` round of rebalances at once.
+
+        ``values`` are the rows' portfolio values and ``volume`` their
+        ``(batch, n_assets)`` tradable volumes.  Without a participation
+        cap the executed weights are the target array itself.
         """
         w_prime = np.asarray(w_drifted, dtype=np.float64)
         target = np.asarray(w_target, dtype=np.float64)
         volume = np.maximum(np.asarray(volume, dtype=np.float64), _MIN_VOLUME)
-        notional = float(value) * self.portfolio_notional
+        notional = np.asarray(values, dtype=np.float64) * self.portfolio_notional
 
         cap = self.model.participation_cap
         if cap is None:
             executed = target
-            fill_ratio = 1.0
+            fill_ratio = np.ones(target.shape[0])
         else:
             executed, fill_ratio = self._partial_fill(
                 w_prime, target, notional, volume, cap
             )
 
-        commission_mu = transaction_remainder_exact(
+        commission_mu = transaction_remainders_exact(
             w_prime, executed, self.commission, self.commission
         )
         if executed is target:
             ideal_mu = commission_mu
         else:
-            ideal_mu = transaction_remainder_exact(
+            ideal_mu = transaction_remainders_exact(
                 w_prime, target, self.commission, self.commission
             )
 
-        trade = np.abs(executed[1:] - w_prime[1:])
-        participation = trade * (notional / volume)
+        trade = np.abs(executed[:, 1:] - w_prime[:, 1:])
+        participation = trade * (notional[:, None] / volume)
         rates = np.asarray(self.model.cost_rates(participation), dtype=np.float64)
-        slippage = float((trade * rates).sum())
-        if slippage != 0.0:
-            # Impact can at most consume the whole portfolio; keep μ in
-            # (0, 1] so log-returns stay defined.
-            mu = min(max(commission_mu * (1.0 - slippage), 1e-12), 1.0)
-        else:
-            mu = commission_mu
-        return ExecutionFill(
+        slippage = (trade * rates).sum(axis=1)
+        # Impact can at most consume the whole portfolio; keep μ in
+        # (0, 1] so log-returns stay defined.
+        mu = np.where(
+            slippage != 0.0,
+            np.minimum(np.maximum(commission_mu * (1.0 - slippage), 1e-12), 1.0),
+            commission_mu,
+        )
+        return FillRound(
             weights=executed,
             mu=mu,
             commission_mu=commission_mu,
@@ -179,7 +226,7 @@ class ExecutionEngine:
     def _partial_fill(
         w_prime: np.ndarray,
         target: np.ndarray,
-        notional: float,
+        notional: np.ndarray,
         volume: np.ndarray,
         cap: float,
     ):
@@ -188,27 +235,28 @@ class ExecutionEngine:
         Sells fill first (up to the cap); buys fill up to the cap *and*
         the cash actually available (starting cash plus realized sale
         proceeds), scaled down pro rata if short.  Cash absorbs the
-        residual, so the executed vector stays on the simplex.
+        residual, so each executed row stays on the simplex.
         """
-        wp = w_prime[1:]
-        wt = target[1:]
+        wp = w_prime[:, 1:]
         # Largest |Δw| each asset's liquidity admits this period.
-        cap_frac = (cap * volume) / notional
-        delta = wt - wp
+        cap_frac = (cap * volume) / notional[:, None]
+        delta = target[:, 1:] - wp
         sells = np.minimum(np.maximum(-delta, 0.0), cap_frac)
         buys = np.minimum(np.maximum(delta, 0.0), cap_frac)
-        budget = float(w_prime[0]) + float(sells.sum())
-        total_buys = float(buys.sum())
-        if total_buys > budget:
-            buys = buys * (budget / total_buys)
+        budget = w_prime[:, 0] + sells.sum(axis=1)
+        total_buys = buys.sum(axis=1)
+        short = total_buys > budget
+        if short.any():
+            buys[short] = buys[short] * (budget[short] / total_buys[short])[:, None]
         assets = wp - sells + buys
-        cash = max(1.0 - float(assets.sum()), 0.0)
-        executed = np.empty(w_prime.shape[0])
-        executed[0] = cash
-        executed[1:] = assets
-        desired = float(np.abs(delta).sum())
-        done = float(sells.sum() + buys.sum())
-        fill_ratio = 1.0 if desired <= 0.0 else min(done / desired, 1.0)
+        executed = np.empty_like(w_prime)
+        executed[:, 0] = np.maximum(1.0 - assets.sum(axis=1), 0.0)
+        executed[:, 1:] = assets
+        desired = np.abs(delta).sum(axis=1)
+        done = sells.sum(axis=1) + buys.sum(axis=1)
+        moved = desired > 0.0
+        fill_ratio = np.ones(w_prime.shape[0])
+        fill_ratio[moved] = np.minimum(done[moved] / desired[moved], 1.0)
         return executed, fill_ratio
 
     # ------------------------------------------------------------------

@@ -6,7 +6,7 @@ between a strategy's decision and execution — identically in backtest,
 walk-forward, and serving.
 """
 
-from .engine import CONSTRAINT_NAMES, RiskEngine, RiskReport
+from .engine import CONSTRAINT_NAMES, RiskEngine, RiskReport, RiskRound
 from .limits import (
     CashFloor,
     DrawdownLockout,
@@ -27,5 +27,6 @@ __all__ = [
     "RiskEngine",
     "RiskLimit",
     "RiskReport",
+    "RiskRound",
     "TurnoverBudget",
 ]

@@ -52,7 +52,7 @@ from .limits import (
     TurnoverBudget,
 )
 
-__all__ = ["CONSTRAINT_NAMES", "RiskEngine", "RiskReport"]
+__all__ = ["CONSTRAINT_NAMES", "RiskEngine", "RiskReport", "RiskRound"]
 
 #: Binding-mask order, everywhere a mask or report names constraints.
 CONSTRAINT_NAMES: Tuple[str, ...] = (
@@ -92,6 +92,25 @@ class RiskReport:
 
     def binding_names(self) -> List[str]:
         return [name for name in CONSTRAINT_NAMES if self.binding.get(name)]
+
+
+@dataclass
+class RiskRound:
+    """Outcome of projecting a ``(batch, N)`` round of decisions.
+
+    Row ``i`` of every array is what :class:`RiskReport` says about
+    decision ``i``; ``states[i]`` is that portfolio's new guard state.
+    """
+
+    weights: np.ndarray
+    binding: Dict[str, np.ndarray]
+    pre_turnover: np.ndarray
+    post_turnover: np.ndarray
+    locked: np.ndarray
+    states: List[Optional[LockoutState]]
+
+    def binding_row(self, row: int) -> Dict[str, bool]:
+        return {name: bool(mask[row]) for name, mask in self.binding.items()}
 
 
 class RiskEngine:
@@ -299,45 +318,69 @@ class RiskEngine:
         carry forward — the input state is never mutated, so staged
         (transactional) callers can discard the result on abort.
 
-        A null engine returns the target array *itself* (no copy, no
-        arithmetic): the ``none`` path is bit-identical to not having
-        an engine at all.
+        The batch-1 front of :meth:`step_batch`.  A null engine returns
+        the target array *itself* (no copy, no arithmetic): the ``none``
+        path is bit-identical to not having an engine at all.
         """
         target = np.asarray(w_target, dtype=np.float64)
-        if self.is_null:
-            report = RiskReport(
-                weights=target,
-                binding={name: False for name in CONSTRAINT_NAMES},
-                pre_turnover=0.0,
-                post_turnover=0.0,
-                locked=False,
-            )
-            return report, state
-
-        new_state = state
-        locked = False
-        if self._lockout is not None:
-            if value is None:
-                raise ValueError("a lockout-carrying engine needs value= per step")
-            if new_state is None:
-                new_state = self._lockout.initial_state(value)
-            new_state = self._lockout.update(new_state, value)
-            locked = new_state.locked
-
-        weights, binding, pre, post = self.project_batch(
-            w_drifted[None, :],
+        out = self.step_batch(
+            np.asarray(w_drifted, dtype=np.float64)[None, :],
             target[None, :],
             t,
-            locked=np.array([locked]),
+            values=None if value is None else np.array([float(value)]),
+            states=[state],
         )
         report = RiskReport(
-            weights=weights[0],
-            binding={name: bool(mask[0]) for name, mask in binding.items()},
-            pre_turnover=float(pre[0]),
-            post_turnover=float(post[0]),
-            locked=locked,
+            weights=target if self.is_null else out.weights[0],
+            binding=out.binding_row(0),
+            pre_turnover=float(out.pre_turnover[0]),
+            post_turnover=float(out.post_turnover[0]),
+            locked=bool(out.locked[0]),
         )
-        return report, new_state
+        return report, out.states[0]
+
+    def step_batch(
+        self,
+        w_drifted: np.ndarray,
+        w_target: np.ndarray,
+        t: Union[int, np.ndarray] = 0,
+        values: Optional[np.ndarray] = None,
+        states: Optional[Sequence[Optional[LockoutState]]] = None,
+    ) -> RiskRound:
+        """Project a ``(batch, N)`` round, advancing each row's guard.
+
+        ``values`` are the rows' current portfolio values (required when
+        the engine carries a drawdown lockout) and ``states`` their
+        guard states (``None`` entries start fresh).  Input states are
+        never mutated.  A null engine returns the target array itself,
+        with every mask false and zero turnovers.
+        """
+        batch = np.shape(w_target)[0]
+        states = list(states) if states is not None else [None] * batch
+        if self.is_null:
+            none = np.zeros(batch, dtype=bool)
+            return RiskRound(
+                weights=w_target,
+                binding={name: none for name in CONSTRAINT_NAMES},
+                pre_turnover=np.zeros(batch),
+                post_turnover=np.zeros(batch),
+                locked=none,
+                states=states,
+            )
+        locked = np.zeros(batch, dtype=bool)
+        if self._lockout is not None:
+            if values is None:
+                raise ValueError("a lockout-carrying engine needs value= per step")
+            for row, value in enumerate(np.asarray(values).tolist()):
+                state = states[row]
+                if state is None:
+                    state = self._lockout.initial_state(value)
+                states[row] = state = self._lockout.update(state, value)
+                locked[row] = state.locked
+        weights, binding, pre, post = self.project_batch(
+            w_drifted, w_target, t, locked=locked
+        )
+        return RiskRound(weights, binding, pre, post, locked, states)
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:

@@ -55,16 +55,12 @@ from ..agents.base import Agent, concat_states
 from ..autograd import no_grad
 from ..obs import get_obs
 from ..data.market import MarketData
-from ..envs.costs import (
-    DEFAULT_COMMISSION,
-    drifted_weights,
-    transaction_remainder_exact,
-)
+from ..envs.book import InvalidAction, normalize_actions, step_book
+from ..envs.costs import DEFAULT_COMMISSION
 from ..envs.observations import ObservationConfig
-from ..envs.portfolio import normalize_action
 from ..registry import DEFAULT_REGISTRY, StrategyRegistry
 from ..resilience import InjectedFault, injector_from
-from ..risk import LockoutState
+from ..risk import CONSTRAINT_NAMES, LockoutState
 from ..snn.neurons import LIFParameters
 from ..utils.serialization import (
     PathLike,
@@ -293,7 +289,7 @@ class _Session:
     decisions: int = 0
     # Guardrail paper book (risk-engine services only): simulated
     # portfolio value, drifted pre-trade weights, and lockout state —
-    # the same recurrence PortfolioEnv steps, so drawdown lockouts
+    # stepped by the back-test's book kernel, so drawdown lockouts
     # trigger identically live and in back-test.  ``risk_w_drifted is
     # None`` means "not yet armed" (fresh sessions, and sessions
     # restored from pre-risk checkpoints — they arm lazily on the next
@@ -333,9 +329,11 @@ class PortfolioService:
         guardrails.  Every decision is projected onto the constraint
         set before it is served (*not* advisory: the served weights are
         the post-projection ones), driven by a per-session paper book
-        stepping the exact :class:`~repro.envs.portfolio.PortfolioEnv`
-        recurrence, so drawdown lockouts fire identically live and in
-        back-test.  ``None`` or a null engine (no limits) skips the
+        stepped by the back-test's book kernel
+        (:func:`~repro.envs.book.step_book`), so drawdown lockouts fire
+        identically live and in back-test.  The paper book prices
+        commission only: the execution engine stays advisory.  ``None``
+        or a null engine (no limits) skips the
         layer entirely.  The engine is a runtime setting; the
         per-session guardrail state (value, high-water mark, lockout)
         persists through checkpoints.
@@ -1065,8 +1063,7 @@ class PortfolioService:
                     [staged[s.session_id].w_prev for _, s, _ in ordered]
                 )
                 infos = self._estimate_execution(ordered, w_prev, weights)
-            for (pos, session, t), w, info in zip(ordered, weights, infos):
-                responses[pos] = self._stage_decision(staged, session, t, w, info)
+            self._stage_decisions(staged, ordered, weights, infos, responses)
 
         # Stateful strategies keep the ambient grad mode: act() is a
         # user extension point that may legitimately adapt online
@@ -1085,7 +1082,9 @@ class PortfolioService:
                     staged[session.session_id].w_prev[None, :],
                     w[None, :],
                 )[0]
-            responses[pos] = self._stage_decision(staged, session, t, w, info)
+            self._stage_decisions(
+                staged, [(pos, session, t)], w[None], [info], responses
+            )
 
     def _estimate_execution(
         self,
@@ -1110,94 +1109,109 @@ class PortfolioService:
             for i in range(len(items))
         ]
 
-    def _stage_decision(
+    def _stage_decisions(
         self,
         staged: Dict[str, "_StagedState"],
-        session: _Session,
-        t: int,
+        items: List[Tuple[int, _Session, int]],
         weights: np.ndarray,
-        execution_info: Optional[Dict[str, float]] = None,
-    ) -> RebalanceResponse:
-        # The same validation + normalisation PortfolioEnv.step applies,
-        # so served trajectories match back-tested ones exactly — and a
-        # misbehaving user strategy raises (aborting the whole untouched
-        # batch) instead of poisoning the session with NaN weights.
-        try:
-            weights = normalize_action(
-                weights,
-                session.data.n_assets + 1,
-                context=f"session {session.session_id!r}: strategy weights",
-            )
-        except ValueError as exc:
-            raise InvalidStrategyOutput(str(exc)) from None
-        state = staged[session.session_id]
-        risk_info = None
-        if self._risk is not None:
-            weights, risk_info = self._apply_risk(session, state, t, weights)
-        state.w_prev = weights.copy()
-        if state.decisions == 0:
-            state.first_t = t
-        state.decisions += 1
-        return RebalanceResponse(
-            session_id=session.session_id,
-            t=t,
-            weights=weights,
-            strategy=session.spec["strategy"],
-            execution=execution_info,
-            risk=risk_info,
-        )
+        execution_infos: Sequence[Optional[Dict[str, float]]],
+        responses: List[Optional[RebalanceResponse]],
+    ) -> None:
+        """Validate a round's decisions over pairwise-distinct sessions
+        and stage them, reading and writing only the staged state.
 
-    def _apply_risk(
-        self,
-        session: _Session,
-        state: "_StagedState",
-        t: int,
-        weights: np.ndarray,
-    ) -> Tuple[np.ndarray, Dict[str, Any]]:
-        """Project one staged decision onto the constraint set.
-
-        Mirrors ``PortfolioEnv.step`` exactly — project against the
-        drifted pre-trade weights and the paper book's value, then
-        advance the book one period (μ from the exact transaction
-        remainder, growth from the panel's realised price relative) so
-        the *next* decision's drawdown guard sees the value through
-        this decision's holding period.  All writes go to the staged
-        state; an aborted batch leaves the session's guardrails
-        untouched.
+        The same validation + normalisation the back-test applies, so
+        served trajectories match back-tested ones exactly — and a
+        misbehaving user strategy raises (aborting the whole untouched
+        batch) instead of poisoning the session with NaN weights.
         """
-        if state.risk_w_drifted is None:
-            # Arm lazily: fresh sessions, and sessions restored from
-            # pre-risk checkpoints, baseline the guard at the current
-            # book (value 1.0, drift = last served target).
-            state.risk_w_drifted = np.asarray(state.w_prev, dtype=np.float64).copy()
-            state.lockout = self._risk.initial_state(state.risk_value)
-        report, state.lockout = self._risk.step(
-            state.risk_w_drifted,
+        labels = [f"session {s.session_id!r}: strategy weights" for _, s, _ in items]
+        risk_infos: List[Optional[Dict[str, Any]]] = [None] * len(items)
+        try:
+            if self._risk is None:
+                weights = normalize_actions(
+                    weights, items[0][1].data.n_assets + 1, labels
+                )
+            else:
+                weights, risk_infos = self._step_paper_books(
+                    staged, items, weights, labels
+                )
+        except InvalidAction as exc:
+            raise InvalidStrategyOutput(str(exc)) from None
+        for (pos, session, t), w, execution_info, risk_info in zip(
+            items, weights, execution_infos, risk_infos
+        ):
+            state = staged[session.session_id]
+            state.w_prev = w.copy()
+            if state.decisions == 0:
+                state.first_t = t
+            state.decisions += 1
+            responses[pos] = RebalanceResponse(
+                session_id=session.session_id,
+                t=t,
+                weights=w,
+                strategy=session.spec["strategy"],
+                execution=execution_info,
+                risk=risk_info,
+            )
+
+    def _step_paper_books(
+        self,
+        staged: Dict[str, "_StagedState"],
+        items: List[Tuple[int, _Session, int]],
+        weights: np.ndarray,
+        labels: List[str],
+    ) -> Tuple[np.ndarray, List[Dict[str, Any]]]:
+        """Project a round's decisions and advance their paper books in
+        one :func:`~repro.envs.book.step_book` pass.
+
+        Each decision is projected against its book's drifted pre-trade
+        weights and value; the book then grows through the decision's
+        holding period (commission-only μ, the panel's realised price
+        relative) so the *next* decision's drawdown guard sees it.  All
+        writes go to the staged state; an aborted batch leaves the
+        sessions' guardrails untouched.
+        """
+        states = [staged[s.session_id] for _, s, _ in items]
+        for state in states:
+            if state.risk_w_drifted is None:
+                # Arm lazily: fresh sessions, and sessions restored from
+                # pre-risk checkpoints, baseline the guard at the current
+                # book (value 1.0, drift = last served target).
+                state.risk_w_drifted = np.asarray(state.w_prev, dtype=np.float64).copy()
+                state.lockout = self._risk.initial_state(state.risk_value)
+        y = np.ones((len(items), items[0][1].data.n_assets + 1))
+        y[:, 1:] = [s.data.close[t + 1] / s.data.close[t] for _, s, t in items]
+        book = step_book(
+            np.stack([state.risk_w_drifted for state in states]),
             weights,
-            t=t - session.start,
-            value=state.risk_value,
-            state=state.lockout,
+            y,
+            np.array([state.risk_value for state in states]),
+            self.commission,
+            labels=labels,
+            risk=self._risk,
+            t=np.array([t - s.start for _, s, t in items]),
+            lockout=[state.lockout for state in states],
         )
-        weights = report.weights
-        mu = transaction_remainder_exact(
-            state.risk_w_drifted, weights, self.commission, self.commission
-        )
-        rel = session.data.close[t + 1] / session.data.close[t]
-        y = np.empty(rel.shape[0] + 1)
-        y[0] = 1.0
-        y[1:] = rel
-        state.risk_value *= mu * float(y @ weights)
-        state.risk_w_drifted = drifted_weights(weights, y)
-        risk_info: Dict[str, Any] = {
-            "pre_turnover": report.pre_turnover,
-            "post_turnover": report.post_turnover,
-            "locked": report.locked,
-            "binding": report.binding_names(),
-            "value": state.risk_value,
-        }
-        if state.lockout is not None:
-            risk_info["lockout"] = state.lockout.to_json_dict()
-        return weights, risk_info
+        report = book.risk
+        infos = []
+        for row, state in enumerate(states):
+            state.risk_value = float(book.value[row])
+            state.risk_w_drifted = book.w_drifted[row]
+            state.lockout = report.states[row]
+            info: Dict[str, Any] = {
+                "pre_turnover": float(report.pre_turnover[row]),
+                "post_turnover": float(report.post_turnover[row]),
+                "locked": bool(report.locked[row]),
+                "binding": [
+                    name for name in CONSTRAINT_NAMES if report.binding[name][row]
+                ],
+                "value": state.risk_value,
+            }
+            if state.lockout is not None:
+                info["lockout"] = state.lockout.to_json_dict()
+            infos.append(info)
+        return book.weights, infos
 
     # -- checkpointing -------------------------------------------------
     def save_checkpoint(self, path: PathLike) -> Path:
