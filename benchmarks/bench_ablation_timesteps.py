@@ -30,15 +30,15 @@ def sweep_timesteps():
     uniform = np.full((32, test.n_assets + 1), 1.0 / (test.n_assets + 1))
     states = agent.prepare_states(test, indices, uniform)
 
-    reference = agent.network.forward(states, timesteps=REFERENCE_T).data
+    reference = agent.network.forward_inference(states, timesteps=REFERENCE_T)
     device = LoihiDeviceModel()
     results = []
     for t in SWEEP:
-        actions, activity = agent.network.forward_with_activity(states, timesteps=t)
-        err = float(np.abs(actions.data - reference).sum(axis=1).mean())
-        agree = float(
-            (np.argmax(actions.data, 1) == np.argmax(reference, 1)).mean()
+        actions, activity = agent.network.forward_inference_with_activity(
+            states, timesteps=t
         )
+        err = float(np.abs(actions - reference).sum(axis=1).mean())
+        agree = float((np.argmax(actions, 1) == np.argmax(reference, 1)).mean())
         energy = device.dynamic_energy_per_inference(activity)
         results.append((t, agree, err, energy * 1e9))
     return results

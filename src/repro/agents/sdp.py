@@ -159,10 +159,12 @@ class SDPAgent(Agent):
     def decide_batch(self, states: np.ndarray) -> np.ndarray:
         """One batched SNN forward over a prepared state batch.
 
-        Inference never takes a gradient, so this routes through the
-        fused graph-free kernels (:meth:`SDPNetwork.forward_inference`) —
-        bit-identical decisions to the autograd path at a fraction of
-        the cost.  Training goes through :meth:`policy_forward`.
+        Inference never takes a gradient, so this runs the seed bank's
+        unroll without recording (:meth:`SDPNetwork.forward_inference`):
+        bit-identical decisions to the autograd path, no bank built (a
+        running trainer keeps its parameter storage) and buffers
+        allocated per call, so concurrent callers may share the agent.
+        Training goes through :meth:`policy_forward_fused`.
         """
         return self.network.forward_inference(states)
 

@@ -65,7 +65,7 @@ class LoihiDeployment:
         """Compare chip actions against the float network on ``states``."""
         states = np.atleast_2d(states)
         chip_actions, _ = self.simulator.run(states)
-        float_actions = self.float_network.forward(states).data
+        float_actions = self.float_network.forward_inference(states)
         l1 = np.abs(chip_actions - float_actions).sum(axis=1)
         agree = (
             np.argmax(chip_actions, axis=1) == np.argmax(float_actions, axis=1)

@@ -17,13 +17,11 @@ from .network import (
     SharedSDPNetwork,
 )
 from .neurons import (
-    LIFInferenceState,
     LIFParameters,
     LIFState,
     LIFTrainTape,
     lif_backward_step,
     lif_step,
-    lif_step_inference,
     lif_step_train,
     spike_function,
 )
@@ -39,7 +37,6 @@ from .surrogate import (
 __all__ = [
     "ActivityRecord",
     "EncoderConfig",
-    "LIFInferenceState",
     "LIFParameters",
     "LIFState",
     "LIFTrainTape",
@@ -57,7 +54,6 @@ __all__ = [
     "get_surrogate",
     "lif_backward_step",
     "lif_step",
-    "lif_step_inference",
     "lif_step_train",
     "rectangular",
     "spike_function",

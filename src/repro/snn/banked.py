@@ -1,16 +1,27 @@
-"""The fused STBP training kernel: S networks on one stacked tape.
+"""The fused SDP kernel: Algorithm 1's unroll on stacked buffers, in two modes.
 
-This module *is* the SDP training kernel.
-:class:`~repro.agents.multiseed.MultiSeedTrainer` runs S seeds on it at
-once, and the serial :class:`~repro.agents.trainer.PolicyTrainer` is
-that trainer with S = 1; ``SharedSDPNetwork.policy_forward_fused`` and
-``SDPNetwork.policy_forward_fused`` hold a one-network bank for direct
-callers.  The closure-graph path (``network.forward`` + ``backward()``)
-stays the parity oracle the kernel is checked against.
+This module *is* the SDP forward and training kernel.  The
+closure-graph path (``network.forward`` + ``backward()``) stays the
+parity oracle it is checked against.  The ``T``-step encode → LIF →
+decode unroll runs in one of two modes:
 
-The kernel records a ``T``-step unroll onto preallocated buffers and
-replays it backward analytically (eq. (13)).  Almost every op is
-row-independent — encoder chain, LIF dynamics
+* **Recording** (training).  :class:`SharedSDPBank` /
+  :class:`MonolithicSDPBank` record the unroll onto preallocated
+  ``T``-deep tapes and replay it backward analytically (eq. (13)).
+  :class:`~repro.agents.multiseed.MultiSeedTrainer` runs S seeds on one
+  bank, the serial :class:`~repro.agents.trainer.PolicyTrainer` is that
+  trainer with S = 1, and ``policy_forward_fused`` holds a one-network
+  bank for direct callers.
+* **Non-recording** (inference).  :func:`shared_inference` /
+  :func:`monolithic_inference` run the same unroll and heads at S = 1
+  for ``forward_inference`` — and so for ``decide_batch``, back-tests,
+  serving and the Loihi activity counts.  Each layer keeps one time
+  slice of LIF state and no backward buffer; the GEMM operands are read
+  off the live parameters (no bank is built, so a running trainer's
+  bank keeps its storage); every buffer is allocated per call, so one
+  network serves concurrent callers.
+
+Almost every op is row-independent — encoder chain, LIF dynamics
 (:func:`~repro.snn.neurons.lif_step_train` /
 :func:`~repro.snn.neurons.lif_backward_step`), surrogate, softmax rows
 — so S seeds' batches ride one static ``(S·B, …)`` tape and every
@@ -76,15 +87,15 @@ build a new bank instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..autograd.tensor import Tensor
 from .decoding import softmax_head_backward, softmax_head_forward
-from .encoding import EncoderBuffers
+from .encoding import EncoderBuffers, PopulationEncoder
 from .layers import SpikingLinear, SpikingStack
-from .neurons import LIFTrainTape, lif_backward_step, lif_step_train
+from .neurons import LIFParameters, LIFTrainTape, lif_backward_step, lif_step_train
 
 if TYPE_CHECKING:  # network.py imports this module
     from .network import SDPNetwork, SharedSDPNetwork
@@ -96,7 +107,13 @@ __all__ = [
     "SpikingStackBank",
     "SharedSDPBank",
     "MonolithicSDPBank",
+    "shared_inference",
+    "monolithic_inference",
 ]
+
+# One layer's forward operands: the ``(S, in, out)`` transposed weight
+# view, the ``(S, 1, out)`` bias view, and the LIF parameters.
+_LayerOperands = Tuple[np.ndarray, np.ndarray, LIFParameters]
 
 
 # ----------------------------------------------------------------------
@@ -144,6 +161,54 @@ def _publish_grads(pb: ParamBank) -> None:
 
 
 # ----------------------------------------------------------------------
+# the unroll, shared by both modes
+# ----------------------------------------------------------------------
+
+def _spiking_step(
+    input_spikes: np.ndarray, operands: _LayerOperands, lif_tape: LIFTrainTape,
+    t: int,
+) -> np.ndarray:
+    """One banked layer at timestep ``t`` (1-based): all seeds'
+    ``x @ W.T + b`` (the graph's ``F.linear``) into the tape's drive,
+    then one stacked LIF update on ``lif_tape``.  Returns ``o(t)``."""
+    weight_t, bias, lif = operands
+    drive = lif_tape.drive
+    S, n_in, n_out = weight_t.shape
+    R = drive.shape[0] // S
+    d3 = drive.reshape(S, R, n_out)
+    np.matmul(input_spikes.reshape(S, R, n_in), weight_t, out=d3)
+    np.add(d3, bias, out=d3)
+    return lif_step_train(drive, lif_tape, lif, t)
+
+
+def _unroll(
+    operands: Sequence[_LayerOperands], tape, spike_trains: np.ndarray,
+    counts: Optional[List[float]] = None,
+) -> None:
+    """Run the ``T``-step unroll of encoded ``(T, rows, N)`` spike trains
+    on a network tape (recording or not), summing the top layer's spikes
+    into ``tape.sum_spikes``.  ``counts``, when given, is a zeroed list
+    that receives the encoder's spike total and each layer's output
+    spike total (:meth:`~repro.snn.network.ActivityRecord.from_counts`).
+    """
+    tape.spike_trains = spike_trains
+    for lt in tape.layer_tapes:
+        lt.lif.begin()
+    for t in range(1, len(spike_trains) + 1):
+        spikes = tape.spike_trains[t - 1]
+        if counts is not None:
+            counts[0] += float(spikes.sum())
+        for k, (ops, lt) in enumerate(zip(operands, tape.layer_tapes)):
+            spikes = _spiking_step(spikes, ops, lt.lif, t)
+            if counts is not None:
+                counts[k + 1] += float(spikes.sum())
+        if t == 1:
+            np.copyto(tape.sum_spikes, spikes)
+        else:
+            np.add(tape.sum_spikes, spikes, out=tape.sum_spikes)
+
+
+# ----------------------------------------------------------------------
 # layer-level banks
 # ----------------------------------------------------------------------
 
@@ -156,15 +221,16 @@ class BankedLinearTape:
     ``xᵀ @ g`` (one 3-D slot per seed) and are transposed once when
     flushed; the per-step scratch pair carries the t < T accumulate;
     ``g_input`` is the gradient handed to the layer below.  Allocated
-    once per (batch, T) and reused across train steps.
+    once per (batch, T) and reused across train steps.  A
+    non-recording tape has a one-slice LIF tape and no gradient buffers.
     """
 
-    lif: LIFTrainTape            # stacked (T+1, S·R, out)
-    g_weight: np.ndarray         # (S, in, out)
-    g_weight_step: np.ndarray    # (S, in, out)
-    g_bias: np.ndarray           # (S, out)
-    g_bias_step: np.ndarray      # (S, out)
-    g_input: np.ndarray          # (S·R, in)
+    lif: LIFTrainTape                        # stacked (T+1, S·R, out)
+    g_weight: Optional[np.ndarray] = None    # (S, in, out)
+    g_weight_step: Optional[np.ndarray] = None  # (S, in, out)
+    g_bias: Optional[np.ndarray] = None      # (S, out)
+    g_bias_step: Optional[np.ndarray] = None  # (S, out)
+    g_input: Optional[np.ndarray] = None     # (S·R, in)
 
 
 class SpikingLinearBank:
@@ -249,22 +315,17 @@ class SpikingLinearBank:
         b = self.b.bank if self._b_cast is None else self._b_cast
         return b.reshape(self.n_seeds, 1, self.out_features)
 
+    def operands(self) -> _LayerOperands:
+        """The forward operands for the active tier (after :meth:`refresh`)."""
+        return self._fw_weight(), self._fw_bias(), self.lif
+
     # -- forward -------------------------------------------------------
     def step_train(
         self, input_spikes: np.ndarray, tape: BankedLinearTape, t: int
     ) -> np.ndarray:
-        """Fused training forward for timestep ``t`` (1-based): all
-        seeds' ``x @ W.T + b`` (the graph's ``F.linear``), then one
-        stacked LIF update recorded onto ``tape``.  Returns the tape's
-        spike slice ``o(t)``."""
-        drive = tape.lif.drive
-        S = self.n_seeds
-        R = drive.shape[0] // S
-        x3 = input_spikes.reshape(S, R, self.in_features)
-        d3 = drive.reshape(S, R, self.out_features)
-        np.matmul(x3, self._fw_weight(), out=d3)
-        np.add(d3, self._fw_bias(), out=d3)
-        return lif_step_train(drive, tape.lif, self.lif, t)
+        """Fused training forward for timestep ``t`` (1-based), recorded
+        onto ``tape``; see :func:`_spiking_step`."""
+        return _spiking_step(input_spikes, self.operands(), tape.lif, t)
 
     # -- backward ------------------------------------------------------
     def backward_step_train(
@@ -349,13 +410,8 @@ class SpikingStackBank:
         for bank in self.banks:
             bank.refresh()
 
-    def step_train(
-        self, input_spikes: np.ndarray, tapes: List[BankedLinearTape], t: int
-    ) -> np.ndarray:
-        spikes = input_spikes
-        for bank, tape in zip(self.banks, tapes):
-            spikes = bank.step_train(spikes, tape, t)
-        return spikes
+    def operands(self) -> List[_LayerOperands]:
+        return [bank.operands() for bank in self.banks]
 
     def backward(
         self,
@@ -444,29 +500,16 @@ class _SDPBank:
         self.stack_bank.refresh()
 
     def _unroll(self, rows: np.ndarray, timesteps: int) -> None:
-        """Encode ``rows`` and run the recorded ``T``-step unroll into the
-        current tape, summing the top layer's spikes into
-        ``tape.sum_spikes``."""
+        """Run the recorded unroll of ``rows`` into the current tape."""
         if not self.owns_parameters():
             raise RuntimeError(
                 "bank no longer owns its parameters' storage (rebound by "
                 "load_state_dict, a copy, or another bank); build a new bank"
             )
-        tape = self._train_tape
-        tape.spike_trains = self.encoder.encode_buffered(
-            rows, timesteps, tape.encoder
-        )
-        for lt in tape.layer_tapes:
-            lt.lif.begin()
         self._refresh()
-        for t in range(1, timesteps + 1):
-            spikes = self.stack_bank.step_train(
-                tape.spike_trains[t - 1], tape.layer_tapes, t
-            )
-            if t == 1:
-                np.copyto(tape.sum_spikes, spikes)
-            else:
-                np.add(tape.sum_spikes, spikes, out=tape.sum_spikes)
+        tape = self._train_tape
+        spike_trains = self.encoder.encode_buffered(rows, timesteps, tape.encoder)
+        _unroll(self.stack_bank.operands(), tape, spike_trains)
 
     def _recorded_tape(self):
         tape = self._train_tape
@@ -477,10 +520,11 @@ class _SDPBank:
 
 @dataclass
 class _SharedBankTape:
-    """Preallocated buffers of one :class:`SharedSDPBank` train pass."""
+    """Buffers of one :class:`SharedSDPBank` pass (a train pass, or a
+    non-recording inference call without the encoder scratch and the
+    backward buffers)."""
 
     layer_tapes: List[BankedLinearTape]
-    encoder: EncoderBuffers
     sum_spikes: np.ndarray   # (S·batch·assets, P)
     rates: np.ndarray        # (S·batch·assets, P)
     scores: np.ndarray       # (S·batch·assets,)
@@ -488,12 +532,67 @@ class _SharedBankTape:
     temp: np.ndarray         # (S·batch, assets + 1)
     temp_sum: np.ndarray     # (S·batch, 1)
     action: np.ndarray       # (S·batch, assets + 1)
-    g_rates: np.ndarray      # (S·batch·assets, P)
-    g_sum: np.ndarray        # (S·batch·assets, P)
     batch: int               # per-seed batch
     n_assets: int
     timesteps: int
+    encoder: Optional[EncoderBuffers] = None
+    g_rates: Optional[np.ndarray] = None  # (S·batch·assets, P)
+    g_sum: Optional[np.ndarray] = None    # (S·batch·assets, P)
     spike_trains: Optional[np.ndarray] = None
+
+    @classmethod
+    def allocate(
+        cls, layer_tapes: List[BankedLinearTape], S: int, batch: int,
+        n_assets: int, timesteps: int, dtype,
+        encoder: Optional[PopulationEncoder] = None,
+    ) -> "_SharedBankTape":
+        """Head buffers; given the ``encoder``, a recording tape that also
+        holds its reused scratch and the backward buffers."""
+        rows = S * batch * n_assets
+        P = layer_tapes[-1].lif.current.shape[1]
+        tape = cls(
+            layer_tapes=layer_tapes,
+            sum_spikes=np.empty((rows, P), dtype=dtype),
+            rates=np.empty((rows, P), dtype=dtype),
+            scores=np.empty(rows, dtype=dtype),
+            logits=np.empty((S * batch, n_assets + 1), dtype=dtype),
+            temp=np.empty((S * batch, n_assets + 1), dtype=dtype),
+            temp_sum=np.empty((S * batch, 1), dtype=dtype),
+            action=np.empty((S * batch, n_assets + 1), dtype=dtype),
+            batch=batch,
+            n_assets=n_assets,
+            timesteps=timesteps,
+        )
+        if encoder is not None:
+            tape.encoder = encoder.make_buffers(rows, timesteps, dtype)
+            tape.g_rates, tape.g_sum = (np.empty((rows, P), dtype=dtype),
+                                        np.empty((rows, P), dtype=dtype))
+        return tape
+
+
+def _shared_head(
+    tape: _SharedBankTape, readout_w: np.ndarray, readout_b: np.ndarray,
+    cash_b: np.ndarray,
+) -> np.ndarray:
+    """Rate readout (``(S, P)`` weights, ``(S, 1)`` biases), cash column
+    and softmax; returns the tape's stacked ``(S·B, A + 1)`` actions."""
+    S, P = readout_w.shape
+    batch, n_assets = tape.batch, tape.n_assets
+    R = batch * n_assets
+    np.multiply(tape.sum_spikes, 1.0 / tape.timesteps, out=tape.rates)
+    # Batched per-seed matvec rates @ w: (S, R, P) @ (S, P, 1).
+    rates3 = tape.rates.reshape(S, R, P)
+    scores3 = tape.scores.reshape(S, R, 1)
+    np.matmul(rates3, readout_w.reshape(S, P, 1), out=scores3)
+    np.add(scores3, readout_b.reshape(S, 1, 1), out=scores3)
+    # Concatenate [cash | per-asset scores]; the cash column is the
+    # learned bias broadcast over the batch (bias · 1 ≡ bias).
+    logits3 = tape.logits.reshape(S, batch, n_assets + 1)
+    logits3[:, :, 0] = cash_b
+    tape.logits[:, 1:] = tape.scores.reshape(S * batch, n_assets)
+    return softmax_head_forward(
+        tape.logits, tape.temp, tape.temp_sum, tape.action
+    )
 
 
 class SharedSDPBank(_SDPBank):
@@ -542,27 +641,11 @@ class SharedSDPBank(_SDPBank):
             or tape.n_assets != n_assets
             or tape.timesteps != timesteps
         ):
-            S = self.n_seeds
-            rows = S * batch * n_assets
-            P = self.stack_bank.out_features
-            dt = self.dtype
-            tape = _SharedBankTape(
-                layer_tapes=self.stack_bank.make_tapes(batch * n_assets, timesteps),
-                encoder=self.encoder.make_buffers(rows, timesteps, dt),
-                sum_spikes=np.empty((rows, P), dtype=dt),
-                rates=np.empty((rows, P), dtype=dt),
-                scores=np.empty(rows, dtype=dt),
-                logits=np.empty((S * batch, n_assets + 1), dtype=dt),
-                temp=np.empty((S * batch, n_assets + 1), dtype=dt),
-                temp_sum=np.empty((S * batch, 1), dtype=dt),
-                action=np.empty((S * batch, n_assets + 1), dtype=dt),
-                g_rates=np.empty((rows, P), dtype=dt),
-                g_sum=np.empty((rows, P), dtype=dt),
-                batch=batch,
-                n_assets=n_assets,
-                timesteps=timesteps,
+            tape = self._train_tape = _SharedBankTape.allocate(
+                self.stack_bank.make_tapes(batch * n_assets, timesteps),
+                self.n_seeds, batch, n_assets, timesteps, self.dtype,
+                encoder=self.encoder,
             )
-            self._train_tape = tape
         return tape
 
     def _refresh(self) -> None:
@@ -601,21 +684,8 @@ class SharedSDPBank(_SDPBank):
         self._unroll(
             feats.reshape(feats.shape[0] * n_assets, feats.shape[2]), timesteps
         )
-        np.multiply(tape.sum_spikes, 1.0 / timesteps, out=tape.rates)
-        R = batch * n_assets
-        P = self.stack_bank.out_features
-        # Batched per-seed matvec rates @ w: (S, R, P) @ (S, P, 1).
-        rates3 = tape.rates.reshape(S, R, P)
-        scores3 = tape.scores.reshape(S, R, 1)
-        np.matmul(rates3, self._readout_w().reshape(S, P, 1), out=scores3)
-        np.add(scores3, self._readout_b().reshape(S, 1, 1), out=scores3)
-        # Concatenate [cash | per-asset scores]; the cash column is the
-        # learned bias broadcast over the batch (bias · 1 ≡ bias).
-        logits3 = tape.logits.reshape(S, batch, n_assets + 1)
-        logits3[:, :, 0] = self.c_b.bank
-        tape.logits[:, 1:] = tape.scores.reshape(S * batch, n_assets)
-        return softmax_head_forward(
-            tape.logits, tape.temp, tape.temp_sum, tape.action
+        return _shared_head(
+            tape, self._readout_w(), self._readout_b(), self.c_b.bank
         )
 
     # -- backward ------------------------------------------------------
@@ -657,23 +727,67 @@ class SharedSDPBank(_SDPBank):
 
 @dataclass
 class _MonolithicBankTape:
-    """Preallocated buffers of one :class:`MonolithicSDPBank` train pass.
+    """Buffers of one :class:`MonolithicSDPBank` pass (a train pass, or
+    a non-recording inference call without the encoder scratch and the
+    backward buffer).
 
     The decoder head runs in float64 on every tier; its buffers are
     stacked across seeds.
     """
 
     layer_tapes: List[BankedLinearTape]
-    encoder: EncoderBuffers
     sum_spikes: np.ndarray   # (S·batch, N·P)
     rates: np.ndarray        # (S·batch, N, P) float64 decoder rates
     temp: np.ndarray         # (S·batch, N) float64
     temp_sum: np.ndarray     # (S·batch, 1) float64
     action: np.ndarray       # (S·batch, N) float64
-    g_sum: np.ndarray        # (S·batch, N·P)
     batch: int               # per-seed batch
     timesteps: int
+    encoder: Optional[EncoderBuffers] = None
+    g_sum: Optional[np.ndarray] = None  # (S·batch, N·P)
     spike_trains: Optional[np.ndarray] = None
+
+    @classmethod
+    def allocate(
+        cls, layer_tapes: List[BankedLinearTape], S: int, batch: int,
+        timesteps: int, N: int, P: int, dtype,
+        encoder: Optional[PopulationEncoder] = None,
+    ) -> "_MonolithicBankTape":
+        """See :meth:`_SharedBankTape.allocate`."""
+        rows = S * batch
+        tape = cls(
+            layer_tapes=layer_tapes,
+            sum_spikes=np.empty((rows, N * P), dtype=dtype),
+            rates=np.empty((rows, N, P)),
+            temp=np.empty((rows, N)),
+            temp_sum=np.empty((rows, 1)),
+            action=np.empty((rows, N)),
+            batch=batch,
+            timesteps=timesteps,
+        )
+        if encoder is not None:
+            tape.encoder = encoder.make_buffers(rows, timesteps, dtype)
+            tape.g_sum = np.empty((rows, N * P), dtype=dtype)
+        return tape
+
+
+def _monolithic_head(
+    tape: _MonolithicBankTape, decoder_w: np.ndarray, decoder_b: np.ndarray
+) -> np.ndarray:
+    """Decoder forward (eqs. (8)-(10)) — the graph's
+    :meth:`PopulationDecoder.forward` ops on seed-stacked rows, with
+    ``(S, N, P)`` weights and ``(S, N)`` biases; returns the tape's
+    stacked ``(S·B, N)`` actions."""
+    S, N, P = decoder_w.shape
+    batch = tape.batch
+    rows = S * batch
+    np.multiply(tape.sum_spikes.reshape(rows, N, P), 1.0 / tape.timesteps,
+                out=tape.rates)
+    rates4 = tape.rates.reshape(S, batch, N, P)
+    logits = (rates4 * decoder_w[:, None]).sum(axis=3) + decoder_b[:, None, :]
+    return softmax_head_forward(
+        logits.reshape(rows, N), tape.temp, tape.temp_sum, tape.action
+    )
 
 
 class MonolithicSDPBank(_SDPBank):
@@ -696,23 +810,11 @@ class MonolithicSDPBank(_SDPBank):
     def _ensure_tape(self, batch: int, timesteps: int) -> _MonolithicBankTape:
         tape = self._train_tape
         if tape is None or tape.batch != batch or tape.timesteps != timesteps:
-            rows = self.n_seeds * batch
-            out = self.stack_bank.out_features
-            dt = self.dtype
-            N, P = self._n_actions, self._pop_size
-            tape = _MonolithicBankTape(
-                layer_tapes=self.stack_bank.make_tapes(batch, timesteps),
-                encoder=self.encoder.make_buffers(rows, timesteps, dt),
-                sum_spikes=np.empty((rows, out), dtype=dt),
-                rates=np.empty((rows, N, P)),
-                temp=np.empty((rows, N)),
-                temp_sum=np.empty((rows, 1)),
-                action=np.empty((rows, N)),
-                g_sum=np.empty((rows, out), dtype=dt),
-                batch=batch,
-                timesteps=timesteps,
+            tape = self._train_tape = _MonolithicBankTape.allocate(
+                self.stack_bank.make_tapes(batch, timesteps), self.n_seeds,
+                batch, timesteps, self._n_actions, self._pop_size, self.dtype,
+                encoder=self.encoder,
             )
-            self._train_tape = tape
         return tape
 
     def forward(
@@ -729,25 +831,9 @@ class MonolithicSDPBank(_SDPBank):
         batch = states.shape[0] // S
         if timesteps is None:
             timesteps = self.timesteps
-        tape = self._ensure_tape(batch, timesteps)
+        self._ensure_tape(batch, timesteps)
         self._unroll(states, timesteps)
-        # Decoder forward (eqs. (8)-(10)) — the graph's
-        # PopulationDecoder.forward op sequence on seed-stacked rows,
-        # per-seed weights broadcast from the banks.
-        N, P = self._n_actions, self._pop_size
-        rows = S * batch
-        np.multiply(
-            tape.sum_spikes.reshape(rows, N, P),
-            1.0 / timesteps,
-            out=tape.rates,
-        )
-        rates4 = tape.rates.reshape(S, batch, N, P)
-        logits = (rates4 * self.d_w.bank[:, None]).sum(axis=3) + self.d_b.bank[
-            :, None, :
-        ]
-        return softmax_head_forward(
-            logits.reshape(rows, N), tape.temp, tape.temp_sum, tape.action
-        )
+        return _monolithic_head(self._train_tape, self.d_w.bank, self.d_b.bank)
 
     def backward(self, grad_action: np.ndarray) -> None:
         """Analytic backward of the last :meth:`forward`: decoder head,
@@ -775,3 +861,63 @@ class MonolithicSDPBank(_SDPBank):
         )
         _publish_grads(self.d_w)
         _publish_grads(self.d_b)
+
+
+# ----------------------------------------------------------------------
+# the non-recording forward (inference)
+# ----------------------------------------------------------------------
+
+def _live_operands(layers: Sequence[SpikingLinear]) -> List[_LayerOperands]:
+    """S = 1 forward operands read off the layers' live parameters:
+    ``W[None]`` has an S = 1 bank slice's layout wherever ``W`` is
+    stored (its own array, a network's or a trainer's bank), so nothing
+    is stacked, copied or rebound."""
+    return [
+        (layer.weight.data[None].transpose(0, 2, 1),
+         layer.bias.data.reshape(1, 1, layer.out_features), layer.lif)
+        for layer in layers
+    ]
+
+
+def _one_slice_tapes(stack: SpikingStack, rows: int) -> List[BankedLinearTape]:
+    return [BankedLinearTape(lif=LIFTrainTape.zeros(0, (rows, layer.out_features)))
+            for layer in stack.layers]
+
+
+def shared_inference(
+    network: "SharedSDPNetwork", features: np.ndarray, timesteps: int,
+    counts: Optional[List[float]] = None,
+) -> np.ndarray:
+    """Non-recording forward of one :class:`SharedSDPNetwork` over
+    float64 ``(B, A, D)`` features: the :class:`SharedSDPBank` unroll
+    and head at S = 1, in float64 on every tier, on buffers allocated
+    for this call (the encoder's scratch is freed before the unroll).
+    Returns ``(B, A + 1)`` actions; ``counts`` as in :func:`_unroll`."""
+    batch, n_assets, dim = features.shape
+    rows = batch * n_assets
+    spike_trains = network.encoder.encode(features.reshape(rows, dim), timesteps)
+    tape = _SharedBankTape.allocate(
+        _one_slice_tapes(network.stack, rows), 1, batch, n_assets, timesteps,
+        np.float64,
+    )
+    _unroll(_live_operands(network.stack.layers), tape, spike_trains, counts)
+    return _shared_head(tape, network.readout_weight.data[None],
+                        network.readout_bias.data[None],
+                        network.cash_bias.data[None])
+
+
+def monolithic_inference(
+    network: "SDPNetwork", states: np.ndarray, timesteps: int,
+    counts: Optional[List[float]] = None,
+) -> np.ndarray:
+    """Non-recording forward of one :class:`SDPNetwork` over float64
+    ``(B, D)`` states; see :func:`shared_inference`."""
+    batch, decoder = len(states), network.decoder
+    spike_trains = network.encoder.encode(states, timesteps)
+    tape = _MonolithicBankTape.allocate(
+        _one_slice_tapes(network.stack, batch), 1, batch, timesteps,
+        decoder.num_actions, decoder.pop_size, np.float64,
+    )
+    _unroll(_live_operands(network.stack.layers), tape, spike_trains, counts)
+    return _monolithic_head(tape, decoder.weight.data[None],
+                            decoder.bias.data[None])

@@ -122,24 +122,6 @@ class PopulationDecoder(Module):
         temp_action = shifted.exp()
         return temp_action / temp_action.sum(axis=1, keepdims=True)
 
-    def decode_inference(self, sum_spikes: np.ndarray, timesteps: int) -> np.ndarray:
-        """Pure-numpy :meth:`forward`, bit-identical, for the fast path.
-
-        Performs the same operations in the same order on the same
-        arrays — only without building an autograd graph — so decoded
-        actions match the graph path exactly.
-        """
-        if timesteps <= 0:
-            raise ValueError(f"timesteps must be positive, got {timesteps}")
-        sum_spikes = np.asarray(sum_spikes, dtype=np.float64)
-        batch = sum_spikes.shape[0]
-        rates = sum_spikes * (1.0 / timesteps)  # eq. (8)
-        rates = rates.reshape(batch, self.num_actions, self.pop_size)
-        logits = (rates * self.weight.data[None]).sum(axis=2) + self.bias.data
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        temp_action = np.exp(shifted)
-        return temp_action / temp_action.sum(axis=1, keepdims=True)
-
     def firing_rates(self, sum_spikes: np.ndarray, timesteps: int) -> np.ndarray:
         """Plain-numpy firing rates grouped by population (diagnostics)."""
         rates = np.asarray(sum_spikes, dtype=np.float64) / timesteps

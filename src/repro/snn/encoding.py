@@ -31,8 +31,9 @@ class EncoderBuffers:
     """Preallocated scratch for :meth:`PopulationEncoder.encode_buffered`.
 
     One set per (batch, timesteps); the fused training path reuses it
-    across train steps so encoding allocates nothing per step.  Built by
-    :meth:`PopulationEncoder.make_buffers`.
+    across train steps so encoding allocates nothing per step, while
+    :meth:`PopulationEncoder.encode` and inference build fresh ones per
+    call.  Built by :meth:`PopulationEncoder.make_buffers`.
     """
 
     stim: np.ndarray      # (batch, state_dim, pop_size) receptive-field scratch
@@ -144,32 +145,16 @@ class PopulationEncoder:
         """Generate spike trains for ``timesteps`` steps.
 
         Returns an array of shape ``(timesteps, batch, num_neurons)``
-        with entries in {0, 1}.
+        with entries in {0, 1}.  Deterministic mode runs
+        :meth:`encode_buffered` on fresh buffers.
         """
         if timesteps <= 0:
             raise ValueError(f"timesteps must be positive, got {timesteps}")
-        drive = self.stimulation(states)
         if self.config.mode == "deterministic":
-            return self._encode_deterministic(drive, timesteps)
-        return self._encode_probabilistic(drive, timesteps)
-
-    def _encode_deterministic(self, drive: np.ndarray, timesteps: int) -> np.ndarray:
-        """One-step soft-reset LIF accumulators (eqs. (3)-(4)).
-
-        The whole train is emitted as one ``(T, batch, neurons)`` array;
-        the accumulator voltage is updated in place so the per-step loop
-        allocates only the boolean fired mask.
-        """
-        threshold = 1.0 - self.config.epsilon
-        voltage = np.zeros_like(drive)
-        spikes = np.empty((timesteps,) + drive.shape, dtype=np.float64)
-        for t in range(timesteps):
-            np.add(voltage, drive, out=voltage)  # eq. (3): no leak
-            fired = voltage > threshold
-            spikes[t] = fired
-            # eq. (4): soft reset — subtract the threshold where fired.
-            np.subtract(voltage, threshold, out=voltage, where=fired)
-        return spikes
+            states = np.atleast_2d(np.asarray(states, dtype=np.float64))
+            buffers = self.make_buffers(states.shape[0], timesteps)
+            return self.encode_buffered(states, timesteps, buffers)
+        return self._encode_probabilistic(self.stimulation(states), timesteps)
 
     def make_buffers(
         self, batch: int, timesteps: int, dtype=np.float64
@@ -188,7 +173,7 @@ class PopulationEncoder:
     def encode_buffered(
         self, states: np.ndarray, timesteps: int, buffers: EncoderBuffers
     ) -> np.ndarray:
-        """Allocation-free :meth:`encode`, bit-identical spike trains.
+        """:meth:`encode` on caller ``buffers``, allocating nothing.
 
         Deterministic mode runs the stimulation chain (eq. (2)) and the
         soft-reset accumulator loop (eqs. (3)-(4)) entirely on

@@ -16,13 +16,7 @@ import numpy as np
 from ..autograd import Tensor
 from ..autograd import functional as F
 from ..autograd.nn import Module, Parameter, kaiming_uniform
-from .neurons import (
-    LIFInferenceState,
-    LIFParameters,
-    LIFState,
-    lif_step,
-    lif_step_inference,
-)
+from .neurons import LIFParameters, LIFState, lif_step
 from .surrogate import SurrogateGradient, rectangular
 
 
@@ -82,23 +76,6 @@ class SpikingLinear(Module):
         self._state = lif_step(drive, self._state, self.lif, self.surrogate)
         return self._state.spikes
 
-    # -- inference fast path -------------------------------------------
-    def make_inference_state(self, batch_size: int) -> LIFInferenceState:
-        """Preallocated ``c``/``v``/``o`` buffers for one fused unroll."""
-        return LIFInferenceState.zeros((batch_size, self.out_features))
-
-    def step_inference(
-        self, input_spikes: np.ndarray, state: LIFInferenceState
-    ) -> np.ndarray:
-        """One graph-free timestep, bit-identical to :meth:`step`.
-
-        The synaptic drive is the same ``x @ W.T + b`` the autograd path
-        computes; the LIF update runs in place on ``state``'s buffers.
-        Returns the layer's spike buffer (valid until the next call).
-        """
-        drive = input_spikes @ self.weight.data.T + self.bias.data
-        return lif_step_inference(drive, state, self.lif)
-
     def __repr__(self) -> str:
         return (
             f"SpikingLinear({self.in_features}, {self.out_features}, "
@@ -135,30 +112,3 @@ class SpikingStack(Module):
     def reset(self, batch_size: int) -> None:
         for layer in self.layers:
             layer.reset(batch_size)
-
-    def step(self, input_spikes: Tensor) -> Tensor:
-        spikes = input_spikes
-        for layer in self.layers:
-            spikes = layer.step(spikes)
-        return spikes
-
-    def spike_counts(self) -> List[float]:
-        """Total spikes emitted by each layer at the current step.
-
-        Used by the Loihi energy model to count events.
-        """
-        return [float(layer.state.spikes.data.sum()) for layer in self.layers]
-
-    # -- inference fast path -------------------------------------------
-    def make_inference_states(self, batch_size: int) -> List[LIFInferenceState]:
-        """One preallocated buffer set per layer for a fused unroll."""
-        return [layer.make_inference_state(batch_size) for layer in self.layers]
-
-    def step_inference(
-        self, input_spikes: np.ndarray, states: List[LIFInferenceState]
-    ) -> np.ndarray:
-        """Graph-free step through every layer (Algorithm 1 inner loop)."""
-        spikes = input_spikes
-        for layer, state in zip(self.layers, states):
-            spikes = layer.step_inference(spikes, state)
-        return spikes

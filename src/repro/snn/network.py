@@ -20,7 +20,12 @@ import numpy as np
 
 from ..autograd import Tensor
 from ..autograd.nn import Module
-from .banked import MonolithicSDPBank, SharedSDPBank
+from .banked import (
+    MonolithicSDPBank,
+    SharedSDPBank,
+    monolithic_inference,
+    shared_inference,
+)
 from .decoding import PopulationDecoder
 from .encoding import EncoderConfig, PopulationEncoder
 from .layers import SpikingLinear, SpikingStack
@@ -102,6 +107,28 @@ class ActivityRecord:
     @property
     def total_neuron_updates(self) -> float:
         return sum(self.neuron_updates)
+
+    @classmethod
+    def from_counts(
+        cls, counts: List[float], stack: SpikingStack, timesteps: int,
+        batch_size: int, rows: int,
+    ) -> "ActivityRecord":
+        """The record of an unroll over ``rows`` population rows, from its
+        spike totals: ``counts[0]`` encoder spikes, ``counts[k + 1]``
+        layer ``k``'s output spikes.  Each presynaptic spike touches
+        every postsynaptic neuron once: synops = input spikes × fan-out.
+        """
+        layers = stack.layers
+        return cls(
+            timesteps=timesteps,
+            batch_size=batch_size,
+            input_spikes=counts[0],
+            layer_spikes=counts[1:],
+            synaptic_ops=[counts[k] * l.out_features for k, l in enumerate(layers)],
+            neuron_updates=[
+                float(l.out_features * timesteps * rows) for l in layers
+            ],
+        )
 
     def per_inference(self) -> "ActivityRecord":
         """Normalise counts to a single inference."""
@@ -222,20 +249,49 @@ class SharedSDPNetwork(Module):
     def forward_inference(
         self, asset_features: np.ndarray, timesteps: Optional[int] = None
     ) -> np.ndarray:
-        """Graph-free fused forward; bit-identical to :meth:`forward`.
+        """Graph-free forward; bit-identical to :meth:`forward`.
 
-        Runs the whole ``T``-step unroll on preallocated, in-place
-        updated LIF buffers and returns a plain ``(batch, n_assets + 1)``
-        ndarray — no autograd nodes are created anywhere.
+        Runs the seed bank's unroll without recording
+        (:func:`~repro.snn.banked.shared_inference`): one LIF time slice
+        per layer, operands read off the live parameters, buffers
+        allocated per call — safe for concurrent callers and beside a
+        running trainer.  Returns a plain ``(batch, n_assets + 1)``
+        ndarray; no autograd nodes are created anywhere.
         """
-        action, _ = self._run_inference(asset_features, timesteps, record=False)
+        action, _ = self._infer(asset_features, timesteps, record=False)
         return action
 
     def forward_inference_with_activity(
         self, asset_features: np.ndarray, timesteps: Optional[int] = None
     ) -> Tuple[np.ndarray, ActivityRecord]:
-        """Fused forward that also returns the Loihi activity counts."""
-        return self._run_inference(asset_features, timesteps, record=True)
+        """:meth:`forward_inference` plus the Loihi activity counts, taken
+        from the same unroll."""
+        return self._infer(asset_features, timesteps, record=True)
+
+    def _features(self, asset_features) -> np.ndarray:
+        """``(batch, n_assets, feature_dim)`` float64 features."""
+        feats = np.asarray(asset_features, dtype=np.float64)
+        if feats.ndim == 2:
+            feats = feats[None]
+        if feats.shape[2] != self.config.feature_dim:
+            raise ValueError(
+                f"expected feature_dim={self.config.feature_dim}, "
+                f"got {feats.shape[2]}"
+            )
+        return feats
+
+    def _infer(self, asset_features, timesteps, record):
+        timesteps = timesteps if timesteps is not None else self.config.timesteps
+        feats = self._features(asset_features)
+        counts = [0.0] * (len(self.stack.layers) + 1) if record else None
+        action = shared_inference(self, feats, timesteps, counts)
+        if not record:
+            return action, None
+        batch, n_assets = feats.shape[:2]
+        # One *inference* covers all assets.
+        return action, ActivityRecord.from_counts(
+            counts, self.stack, timesteps, batch, batch * n_assets
+        )
 
     # -- training: the S=1 seed bank ------------------------------------
     def _train_bank(self) -> SharedSDPBank:
@@ -262,15 +318,7 @@ class SharedSDPNetwork(Module):
         array is a tape buffer, valid until the next fused forward.  Not
         thread-safe: one trainer per network instance.
         """
-        feats = np.asarray(asset_features, dtype=np.float64)
-        if feats.ndim == 2:
-            feats = feats[None]
-        if feats.shape[2] != self.config.feature_dim:
-            raise ValueError(
-                f"expected feature_dim={self.config.feature_dim}, "
-                f"got {feats.shape[2]}"
-            )
-        return self._train_bank().forward(feats, timesteps)
+        return self._train_bank().forward(self._features(asset_features), timesteps)
 
     def policy_backward_fused(self, grad_action: np.ndarray) -> None:
         """Analytic backward of :meth:`policy_forward_fused`.
@@ -291,32 +339,22 @@ class SharedSDPNetwork(Module):
         from ..autograd import concatenate
 
         timesteps = timesteps if timesteps is not None else self.config.timesteps
-        feats = np.asarray(asset_features, dtype=np.float64)
-        if feats.ndim == 2:
-            feats = feats[None]
+        feats = self._features(asset_features)
         batch, n_assets, d = feats.shape
-        if d != self.config.feature_dim:
-            raise ValueError(
-                f"expected feature_dim={self.config.feature_dim}, got {d}"
-            )
         flat = feats.reshape(batch * n_assets, d)
         spike_trains = self.encoder.encode(flat, timesteps)
         self.stack.reset(batch * n_assets)
 
         sum_spikes = None
-        layer_spikes = [0.0] * len(self.stack.layers)
-        synaptic_ops = [0.0] * len(self.stack.layers)
-        input_total = 0.0
+        counts = [0.0] * (len(self.stack.layers) + 1)
         for t in range(timesteps):
             spikes = _T(spike_trains[t])
             if record:
-                input_total += float(spike_trains[t].sum())
+                counts[0] += float(spike_trains[t].sum())
             for k, layer in enumerate(self.stack.layers):
-                if record:
-                    synaptic_ops[k] += float(spikes.data.sum()) * layer.out_features
                 spikes = layer.step(spikes)
                 if record:
-                    layer_spikes[k] += float(spikes.data.sum())
+                    counts[k + 1] += float(spikes.data.sum())
             sum_spikes = spikes if sum_spikes is None else sum_spikes + spikes
 
         rates = sum_spikes * (1.0 / timesteps)
@@ -328,76 +366,12 @@ class SharedSDPNetwork(Module):
         temp = shifted.exp()
         action = temp / temp.sum(axis=1, keepdims=True)
 
-        activity = None
-        if record:
-            activity = ActivityRecord(
-                timesteps=timesteps,
-                batch_size=batch,  # one *inference* covers all assets
-                input_spikes=input_total,
-                layer_spikes=layer_spikes,
-                synaptic_ops=synaptic_ops,
-                neuron_updates=[
-                    float(l.out_features * timesteps * batch * n_assets)
-                    for l in self.stack.layers
-                ],
-            )
-        return action, activity
-
-    def _run_inference(
-        self, asset_features, timesteps, record
-    ) -> Tuple[np.ndarray, Optional[ActivityRecord]]:
-        timesteps = timesteps if timesteps is not None else self.config.timesteps
-        feats = np.asarray(asset_features, dtype=np.float64)
-        if feats.ndim == 2:
-            feats = feats[None]
-        batch, n_assets, d = feats.shape
-        if d != self.config.feature_dim:
-            raise ValueError(
-                f"expected feature_dim={self.config.feature_dim}, got {d}"
-            )
-        flat = feats.reshape(batch * n_assets, d)
-        spike_trains = self.encoder.encode(flat, timesteps)  # (T, B·A, N)
-        states = self.stack.make_inference_states(batch * n_assets)
-
-        sum_spikes = np.zeros((batch * n_assets, self.stack.out_features))
-        layer_spikes = [0.0] * len(self.stack.layers)
-        synaptic_ops = [0.0] * len(self.stack.layers)
-        input_total = 0.0
-        for t in range(timesteps):
-            spikes = spike_trains[t]
-            if record:
-                input_total += float(spikes.sum())
-            for k, (layer, state) in enumerate(zip(self.stack.layers, states)):
-                if record:
-                    synaptic_ops[k] += float(spikes.sum()) * layer.out_features
-                spikes = layer.step_inference(spikes, state)
-                if record:
-                    layer_spikes[k] += float(spikes.sum())
-            sum_spikes += spikes
-
-        rates = sum_spikes * (1.0 / timesteps)
-        scores = rates @ self.readout_weight.data + self.readout_bias.data
-        scores = scores.reshape(batch, n_assets)
-        cash = self.cash_bias.data.reshape(1, 1) * np.ones((batch, 1))
-        logits = np.concatenate([cash, scores], axis=1)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        temp = np.exp(shifted)
-        action = temp / temp.sum(axis=1, keepdims=True)
-
-        activity = None
-        if record:
-            activity = ActivityRecord(
-                timesteps=timesteps,
-                batch_size=batch,  # one *inference* covers all assets
-                input_spikes=input_total,
-                layer_spikes=layer_spikes,
-                synaptic_ops=synaptic_ops,
-                neuron_updates=[
-                    float(l.out_features * timesteps * batch * n_assets)
-                    for l in self.stack.layers
-                ],
-            )
-        return action, activity
+        if not record:
+            return action, None
+        # One *inference* covers all assets.
+        return action, ActivityRecord.from_counts(
+            counts, self.stack, timesteps, batch, batch * n_assets
+        )
 
     def act(self, asset_features: np.ndarray, timesteps: Optional[int] = None) -> np.ndarray:
         action = self.forward_inference(np.asarray(asset_features)[None], timesteps)
@@ -479,20 +453,34 @@ class SDPNetwork(Module):
     def forward_inference(
         self, states: np.ndarray, timesteps: Optional[int] = None
     ) -> np.ndarray:
-        """Graph-free fused forward; bit-identical to :meth:`forward`.
+        """Graph-free forward; bit-identical to :meth:`forward`.
 
-        The ``T``-step unroll runs on preallocated, in-place-updated
-        ``c``/``v``/``o`` buffers and returns a plain
-        ``(batch, num_actions)`` ndarray — no autograd nodes anywhere.
+        Runs the seed bank's unroll without recording
+        (:func:`~repro.snn.banked.monolithic_inference`; see
+        :meth:`SharedSDPNetwork.forward_inference`) and returns a plain
+        ``(batch, num_actions)`` ndarray.
         """
-        action, _ = self._run_inference(states, timesteps, record=False)
+        action, _ = self._infer(states, timesteps, record=False)
         return action
 
     def forward_inference_with_activity(
         self, states: np.ndarray, timesteps: Optional[int] = None
     ) -> Tuple[np.ndarray, ActivityRecord]:
-        """Fused forward that also returns the Loihi activity counts."""
-        return self._run_inference(states, timesteps, record=True)
+        """:meth:`forward_inference` plus the Loihi activity counts, taken
+        from the same unroll."""
+        return self._infer(states, timesteps, record=True)
+
+    def _infer(self, states, timesteps, record):
+        timesteps = timesteps if timesteps is not None else self.config.timesteps
+        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
+        counts = [0.0] * (len(self.stack.layers) + 1) if record else None
+        action = monolithic_inference(self, states, timesteps, counts)
+        if not record:
+            return action, None
+        batch = len(states)
+        return action, ActivityRecord.from_counts(
+            counts, self.stack, timesteps, batch, batch
+        )
 
     # -- training: the S=1 seed bank ------------------------------------
     def _train_bank(self) -> MonolithicSDPBank:
@@ -532,89 +520,23 @@ class SDPNetwork(Module):
         self.stack.reset(batch)
 
         sum_spikes: Optional[Tensor] = None
-        layer_spikes = [0.0] * len(self.stack.layers)
-        synaptic_ops = [0.0] * len(self.stack.layers)
-        input_total = 0.0
-
+        counts = [0.0] * (len(self.stack.layers) + 1)
         for t in range(timesteps):
-            step_input = Tensor(spike_trains[t])
+            spikes = Tensor(spike_trains[t])
             if record:
-                input_total += float(spike_trains[t].sum())
-            spikes = step_input
+                counts[0] += float(spike_trains[t].sum())
             for k, layer in enumerate(self.stack.layers):
-                if record:
-                    # Each presynaptic spike touches every postsynaptic
-                    # neuron once: synops = (# input spikes) * fan-out.
-                    synaptic_ops[k] += float(spikes.data.sum()) * layer.out_features
                 spikes = layer.step(spikes)
                 if record:
-                    layer_spikes[k] += float(spikes.data.sum())
+                    counts[k + 1] += float(spikes.data.sum())
             sum_spikes = spikes if sum_spikes is None else sum_spikes + spikes
 
         action = self.decoder(sum_spikes, timesteps)
-
-        activity = None
-        if record:
-            neuron_updates = [
-                float(layer.out_features * timesteps * batch)
-                for layer in self.stack.layers
-            ]
-            activity = ActivityRecord(
-                timesteps=timesteps,
-                batch_size=batch,
-                input_spikes=input_total,
-                layer_spikes=layer_spikes,
-                synaptic_ops=synaptic_ops,
-                neuron_updates=neuron_updates,
-            )
-        return action, activity
-
-    def _run_inference(
-        self, states: np.ndarray, timesteps: Optional[int], record: bool
-    ) -> Tuple[np.ndarray, Optional[ActivityRecord]]:
-        timesteps = timesteps if timesteps is not None else self.config.timesteps
-        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-        batch = states.shape[0]
-
-        spike_trains = self.encoder.encode(states, timesteps)  # (T, B, N)
-        buffer_states = self.stack.make_inference_states(batch)
-
-        sum_spikes = np.zeros((batch, self.stack.out_features))
-        layer_spikes = [0.0] * len(self.stack.layers)
-        synaptic_ops = [0.0] * len(self.stack.layers)
-        input_total = 0.0
-
-        for t in range(timesteps):
-            spikes = spike_trains[t]
-            if record:
-                input_total += float(spikes.sum())
-            for k, (layer, state) in enumerate(
-                zip(self.stack.layers, buffer_states)
-            ):
-                if record:
-                    synaptic_ops[k] += float(spikes.sum()) * layer.out_features
-                spikes = layer.step_inference(spikes, state)
-                if record:
-                    layer_spikes[k] += float(spikes.sum())
-            sum_spikes += spikes
-
-        action = self.decoder.decode_inference(sum_spikes, timesteps)
-
-        activity = None
-        if record:
-            neuron_updates = [
-                float(layer.out_features * timesteps * batch)
-                for layer in self.stack.layers
-            ]
-            activity = ActivityRecord(
-                timesteps=timesteps,
-                batch_size=batch,
-                input_spikes=input_total,
-                layer_spikes=layer_spikes,
-                synaptic_ops=synaptic_ops,
-                neuron_updates=neuron_updates,
-            )
-        return action, activity
+        if not record:
+            return action, None
+        return action, ActivityRecord.from_counts(
+            counts, self.stack, timesteps, batch, batch
+        )
 
     def act(self, state: np.ndarray, timesteps: Optional[int] = None) -> np.ndarray:
         """Single-state convenience wrapper returning a numpy action."""

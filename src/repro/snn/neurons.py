@@ -121,113 +121,74 @@ def lif_step(
 
 
 @dataclass
-class LIFInferenceState:
-    """Preallocated numpy ``c``/``v``/``o`` buffers for the fused
-    inference kernel.
-
-    One set of buffers carries a whole ``T``-step unroll: every
-    :func:`lif_step_inference` updates them in place, so the unroll
-    allocates nothing per step (beyond the synaptic drive the caller
-    computes).  ``scratch`` holds the transient ``1 − o`` gating term.
-    """
-
-    current: np.ndarray
-    voltage: np.ndarray
-    spikes: np.ndarray
-    scratch: np.ndarray
-
-    @classmethod
-    def zeros(cls, shape: Tuple[int, ...]) -> "LIFInferenceState":
-        return cls(
-            current=np.zeros(shape),
-            voltage=np.zeros(shape),
-            spikes=np.zeros(shape),
-            scratch=np.empty(shape),
-        )
-
-
-def lif_step_inference(
-    synaptic_input: np.ndarray,
-    state: LIFInferenceState,
-    params: LIFParameters,
-) -> np.ndarray:
-    """Fused pure-numpy LIF step for inference (no autograd graph).
-
-    Performs exactly the elementwise operations of :func:`lif_step`, in
-    the same order, but in place on the preallocated buffers — so the
-    emitted spikes are bit-identical to the graph path while allocating
-    no graph nodes and no intermediate arrays.
-
-    Returns ``state.spikes`` (the in-place-updated ``o`` buffer).
-    """
-    c, v, o = state.current, state.voltage, state.spikes
-    # c(t) = dc · c(t−1) + I(t)
-    np.multiply(c, params.current_decay, out=c)
-    np.add(c, synaptic_input, out=c)
-    # v(t) = dv · v(t−1) · (1 − o(t−1)) + c(t)
-    np.multiply(v, params.voltage_decay, out=v)
-    np.subtract(1.0, o, out=state.scratch)
-    np.multiply(v, state.scratch, out=v)
-    np.add(v, c, out=v)
-    # o(t) = 1[v(t) > V_th]; unsafe casting writes the bool result
-    # straight into the float buffer (True → 1.0, same as astype).
-    np.greater(v, params.v_threshold, out=o, casting="unsafe")
-    return o
-
-
-@dataclass
 class LIFTrainTape:
-    """Compact static tape of one ``T``-step LIF unroll for training.
+    """Static buffers of one ``T``-step LIF unroll, in one of two modes.
 
-    The fused STBP kernel (:mod:`repro.snn.banked`) records, per
-    timestep, only what the analytic backward needs — the membrane
-    voltage (for the surrogate window and the reset-gate gradient) and
-    the emitted spikes (for the ``1 − o`` gate and as the next layer's
-    input).  Slice ``0`` of the
+    *Recording* (training, ``zeros(T, shape)``): the fused STBP kernel
+    (:mod:`repro.snn.banked`) records, per timestep, only what the
+    analytic backward needs — the membrane voltage (for the surrogate
+    window and the reset-gate gradient) and the emitted spikes (for the
+    ``1 − o`` gate and as the next layer's input).  Slice ``0`` of the
     ``voltage``/``spikes`` arrays holds the zero initial state and is
     never written, so :func:`lif_backward_step` can treat ``t − 1``
-    uniformly.
+    uniformly.  The buffers are preallocated once and reused across
+    train steps: neither the forward unroll (:func:`lif_step_train`)
+    nor the backward replay (:func:`lif_backward_step`) allocates.
 
-    All buffers are preallocated once and reused across train steps:
-    neither the forward unroll (:func:`lif_step_train`) nor the backward
-    replay (:func:`lif_backward_step`) allocates.
+    *Non-recording* (inference, ``zeros(0, shape)``): the tape records
+    no step — ``voltage``/``spikes`` are the running ``(batch, n)``
+    state, overwritten every step — and has no backward carries.
     """
 
-    voltage: np.ndarray    # (T+1, batch, n) recorded v(t); index 0 = initial 0
-    spikes: np.ndarray     # (T+1, batch, n) recorded o(t); index 0 = initial 0
+    voltage: np.ndarray    # (T+1, batch, n) recorded v(t), index 0 = initial 0;
+                           # the running (batch, n) v when not recording
+    spikes: np.ndarray     # likewise for o(t)
     current: np.ndarray    # (batch, n) running synaptic current c(t)
     drive: np.ndarray      # (batch, n) scratch for the weighted input I(t)
     scratch: np.ndarray    # (batch, n) transient terms (gate, surrogate, ...)
-    g_voltage: np.ndarray  # (batch, n) carry: dL/dv flowing back from t+1
-    g_current: np.ndarray  # (batch, n) carry: dL/dc (doubles as dL/dI(t))
-    g_gate: np.ndarray     # (batch, n) carry: dL/do(t) from the t+1 reset gate
-    g_spikes: np.ndarray   # (batch, n) scratch: total dL/do(t)
-    timesteps: int
+    timesteps: int         # recorded steps T; 0 when not recording
+    g_voltage: Optional[np.ndarray] = None  # carry: dL/dv flowing back from t+1
+    g_current: Optional[np.ndarray] = None  # carry: dL/dc (doubles as dL/dI(t))
+    g_gate: Optional[np.ndarray] = None     # carry: dL/do(t) from the t+1 reset gate
+    g_spikes: Optional[np.ndarray] = None   # scratch: total dL/do(t)
 
     @classmethod
     def zeros(
         cls, timesteps: int, shape: Tuple[int, ...], dtype=np.float64
     ) -> "LIFTrainTape":
-        if timesteps <= 0:
-            raise ValueError(f"timesteps must be positive, got {timesteps}")
+        """A tape recording ``timesteps`` steps (0: a non-recording one)."""
+        if timesteps < 0:
+            raise ValueError(f"timesteps must be non-negative, got {timesteps}")
         shape = tuple(shape)
-        return cls(
+        if not timesteps:  # one running state; begin() zeroes it
+            return cls(
+                voltage=np.empty(shape, dtype=dtype),
+                spikes=np.empty(shape, dtype=dtype),
+                current=np.empty(shape, dtype=dtype),
+                drive=np.empty(shape, dtype=dtype),
+                scratch=np.empty(shape, dtype=dtype),
+                timesteps=0,
+            )
+        tape = cls(
             voltage=np.zeros((timesteps + 1,) + shape, dtype=dtype),
             spikes=np.zeros((timesteps + 1,) + shape, dtype=dtype),
             current=np.zeros(shape, dtype=dtype),
             drive=np.empty(shape, dtype=dtype),
             scratch=np.empty(shape, dtype=dtype),
-            g_voltage=np.empty(shape, dtype=dtype),
-            g_current=np.empty(shape, dtype=dtype),
-            g_gate=np.empty(shape, dtype=dtype),
-            g_spikes=np.empty(shape, dtype=dtype),
             timesteps=timesteps,
         )
+        tape.g_voltage, tape.g_current, tape.g_gate, tape.g_spikes = (
+            np.empty(shape, dtype=dtype) for _ in range(4)
+        )
+        return tape
 
     def begin(self) -> None:
-        """Reset the running state ahead of a fresh unroll (slices 0 of
-        the recorded arrays stay zero by construction)."""
+        """Reset the running state ahead of a fresh unroll (recorded
+        slices 0 stay zero by construction)."""
         self.current.fill(0.0)
+        if not self.timesteps:
+            self.voltage.fill(0.0)
+            self.spikes.fill(0.0)
 
 
 def lif_step_train(
@@ -236,27 +197,34 @@ def lif_step_train(
     params: LIFParameters,
     t: int,
 ) -> np.ndarray:
-    """Fused LIF forward step ``t`` (1-based) that records onto ``tape``.
+    """Fused LIF forward step ``t`` (1-based) on ``tape``.
 
     Performs the exact elementwise operations of :func:`lif_step`, in
-    the same order, writing ``v(t)``/``o(t)`` into the tape's
-    per-timestep slices — so the unroll is bit-identical to the
-    closure-graph path while allocating nothing.
+    the same order — so the unroll is bit-identical to the closure-graph
+    path while allocating nothing.  A recording tape receives
+    ``v(t)``/``o(t)`` in its per-timestep slices; a non-recording one
+    overwrites its running state, each op reading ``v(t−1)``/``o(t−1)``
+    before it writes.
 
-    Returns ``tape.spikes[t]`` (valid until the tape is reused).
+    Returns the spike slice ``o(t)`` (valid until the tape is reused).
     """
+    if tape.timesteps:
+        v_prev, o_prev = tape.voltage[t - 1], tape.spikes[t - 1]
+        v, o = tape.voltage[t], tape.spikes[t]
+    else:
+        v_prev = v = tape.voltage
+        o_prev = o = tape.spikes
     c = tape.current
     # c(t) = dc · c(t−1) + I(t)
     np.multiply(c, params.current_decay, out=c)
     np.add(c, synaptic_input, out=c)
     # v(t) = dv · v(t−1) · (1 − o(t−1)) + c(t)
-    v = tape.voltage[t]
-    np.multiply(tape.voltage[t - 1], params.voltage_decay, out=v)
-    np.subtract(1.0, tape.spikes[t - 1], out=tape.scratch)
+    np.multiply(v_prev, params.voltage_decay, out=v)
+    np.subtract(1.0, o_prev, out=tape.scratch)
     np.multiply(v, tape.scratch, out=v)
     np.add(v, c, out=v)
-    # o(t) = 1[v(t) > V_th]
-    o = tape.spikes[t]
+    # o(t) = 1[v(t) > V_th]; unsafe casting writes the bool result
+    # straight into the float buffer (True → 1.0, same as astype).
     np.greater(v, params.v_threshold, out=o, casting="unsafe")
     return o
 

@@ -23,12 +23,14 @@ from repro.autograd import (
 from repro.data import MarketGenerator
 from repro.envs import Backtester, ObservationConfig
 from repro.snn import (
+    LIFTrainTape,
     SDPConfig,
     SDPNetwork,
     SharedSDPConfig,
     SharedSDPNetwork,
     spike_function,
 )
+from repro.snn.banked import _live_operands, _spiking_step
 from repro.snn.layers import SpikingLinear
 
 
@@ -146,14 +148,19 @@ class TestSpikeFunctionLazySurrogate:
 
 class TestFusedKernelParity:
     def test_lif_step_inference_matches_graph(self):
+        # The inference layer step: the S = 1 banked drive off the live
+        # parameters, then lif_step_train on a one-slice (non-recording)
+        # tape.
         rng = np.random.default_rng(3)
         layer = SpikingLinear(8, 8, rng=rng)
-        inf = layer.make_inference_state(4)
+        (operands,) = _live_operands([layer])
+        inf = LIFTrainTape.zeros(0, (4, 8))
+        inf.begin()
         layer.reset(4)
         spikes_in = (rng.random((4, 8)) > 0.5).astype(np.float64)
-        for _ in range(6):
+        for t in range(1, 7):
             graph_out = layer.step(Tensor(spikes_in))
-            fused_out = layer.step_inference(spikes_in, inf)
+            fused_out = _spiking_step(spikes_in, operands, inf, t)
             assert np.array_equal(graph_out.data, fused_out)
             assert np.array_equal(layer.state.current.data, inf.current)
             assert np.array_equal(layer.state.voltage.data, inf.voltage)
@@ -175,18 +182,31 @@ class TestFusedKernelParity:
         fused = net.forward_inference(feats)
         assert np.array_equal(graph, fused)
 
-    def test_activity_records_identical(self):
-        net = small_sdp_network()
-        states = np.random.default_rng(4).uniform(-1, 1, (3, 6))
-        _, graph_act = net.forward_with_activity(states)
-        _, fused_act = net.forward_inference_with_activity(states)
+    @pytest.mark.parametrize("timesteps", [None, 1, 3, 8])
+    @pytest.mark.parametrize("architecture", ["shared", "monolithic"])
+    def test_activity_records_identical(self, panel, architecture, timesteps):
+        if architecture == "monolithic":
+            net = small_sdp_network()
+            inputs = np.random.default_rng(4).uniform(-1, 1, (3, 6))
+        else:
+            net = small_shared_network()
+            inputs = np.random.default_rng(5).uniform(-1, 1, (3, 4, 5))
+        _, graph_act = net.forward_with_activity(inputs, timesteps)
+        _, fused_act = net.forward_inference_with_activity(inputs, timesteps)
         assert graph_act == fused_act
 
-        snet = small_shared_network()
-        feats = np.random.default_rng(5).uniform(-1, 1, (3, 4, 5))
-        _, graph_act = snet.forward_with_activity(feats)
-        _, fused_act = snet.forward_inference_with_activity(feats)
-        assert graph_act == fused_act
+        # The same through the Loihi accounting entry point.
+        agent = SDPAgent(
+            4, observation=CFG, architecture=architecture,
+            hidden_sizes=(16, 16), encoder_pop_size=4, decoder_pop_size=4,
+            seed=7,
+        )
+        act = agent.inference_activity(panel, 12, np.full(5, 0.2), timesteps)
+        states = agent.prepare_states(
+            panel, np.array([12]), np.full((1, 5), 0.2)
+        )
+        _, graph_act = agent.network.forward_with_activity(states, timesteps)
+        assert act == graph_act
 
     def test_fused_forward_is_stateless_across_calls(self):
         net = small_shared_network()

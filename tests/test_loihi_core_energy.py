@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.loihi import (
+    AgreementReport,
     LoihiCoreSimulator,
     LoihiDeviceModel,
     deploy,
@@ -47,9 +48,22 @@ class TestCoreSimulator:
 
     def test_agreement_with_float(self, network, states):
         # Quantisation fidelity (Fig. 2): chip actions track float ones.
-        report = deploy(network).agreement(states)
+        dep = deploy(network)
+        report = dep.agreement(states)
         assert report.argmax_agreement >= 0.8
         assert report.mean_l1_action_error < 0.2
+        # The float reference equals the graph oracle's actions.
+        chip, _ = dep.run(states)
+        graph = network.forward(states).data
+        l1 = np.abs(chip - graph).sum(axis=1)
+        assert report == AgreementReport(
+            mean_l1_action_error=float(l1.mean()),
+            max_l1_action_error=float(l1.max()),
+            argmax_agreement=float(
+                (np.argmax(chip, axis=1) == np.argmax(graph, axis=1)).mean()
+            ),
+            num_states=len(states),
+        )
 
     def test_encoder_mismatch_rejected(self, network):
         q = quantize_network(network)
