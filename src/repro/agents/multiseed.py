@@ -48,7 +48,7 @@ So a seed's run does not depend on which seeds ride along.  On the
 path the serial trainer keeps as its parity oracle: every stacked op
 either is the graph op on a contiguous per-seed slice (same BLAS call,
 same reduction order) or an elementwise op over identical values; the
-parity suite and the bench ``--check`` gate enforce the end-to-end
+parity suite (``tests/test_multiseed.py``) enforces the end-to-end
 guarantee.  The ``fast`` backend (float32 tapes + float32-cast weight
 banks) is a documented-tolerance approximation and is rejected by
 every parity gate; see :mod:`repro.backend`.

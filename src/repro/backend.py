@@ -10,8 +10,7 @@ plain numpy, which gives two natural execution tiers:
     This is the gold standard: stacked (multi-seed) execution through
     this tier is **bit-identical** to one-seed
     :class:`~repro.agents.trainer.PolicyTrainer` runs, and it is the
-    only tier any parity gate (``--check``, CI, tests) is allowed to
-    use.
+    only tier any parity gate (tests, CI) is allowed to use.
 
 ``fast``
     float32 tape buffers with BLAS-batched 3-D GEMMs over the seed

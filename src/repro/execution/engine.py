@@ -19,7 +19,7 @@ The zero-cost invariant: with :class:`~repro.execution.models.ZeroSlippage`
 (no caps, zero rates) the executed weights are the target array itself
 and the returned μ_t is bit-identical to the commission-only fixed
 point — the whole execution layer is a numerical no-op, which is what
-the parity tests and ``bench_throughput.py --check`` gate.
+the parity tests in ``tests/test_execution.py`` gate.
 
 Portfolio notional
 ------------------

@@ -19,8 +19,8 @@ Three primitives behind one handle:
 
 The process-global default (:func:`get_obs`) is :data:`NULL_OBS`, a
 true null object: with obs disabled every instrumented path pays one
-attribute check and stays bit-identical to the unobserved code (the
-bench ``observability`` section gates this under ``--check``).
+attribute check and stays bit-identical to the unobserved code
+(``tests/test_obs.py`` gates this).
 """
 
 from .core import (

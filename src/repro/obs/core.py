@@ -14,9 +14,9 @@ Design contract (the crown-jewel invariant depends on it):
   dispatch threads each get their own stack, so span paths never
   interleave across threads.
 * Instrumentation must never perturb numerics: handles only read
-  clocks and write metric/event sinks.  The bench ``observability``
-  section gates bit-parity of training/backtest/serving outputs with
-  obs enabled vs. disabled.
+  clocks and write metric/event sinks.  ``tests/test_obs.py`` gates
+  bit-parity of training/backtest/serving outputs with obs enabled
+  vs. disabled.
 
 Spans emit a single ``span`` event on exit (``span`` = the ``/``-joined
 nesting path, ``seconds`` = duration) and feed a per-leaf-name

@@ -9,8 +9,7 @@ deterministic jitter.
 
 The contract that keeps the parity crown jewel safe: a ``None`` or
 empty plan and all-healthy inputs take exactly the unhardened code
-paths — bit-identical results, gated by the throughput bench's
-``resilience`` section under ``--check``.
+paths — bit-identical results, gated by ``tests/test_resilience.py``.
 """
 
 from .faults import (

@@ -32,7 +32,7 @@ the behaviour a real desk's limits have.)
 
 An engine with no limits is *null*: :meth:`RiskEngine.step` returns the
 target untouched (the identical array, so the no-engine path stays
-bit-identical — the invariant ``bench_throughput.py --check`` gates).
+bit-identical — the invariant ``tests/test_risk.py`` gates).
 """
 
 from __future__ import annotations

@@ -782,7 +782,7 @@ class PortfolioService:
             if not self._breaker_dirty:
                 # Hot path: every breaker closed and clean.  Serve the
                 # whole batch through the transactional core with O(1)
-                # extra work — the overhead budget the bench gates on.
+                # extra work — the overhead budget CI's dispatch gate holds.
                 try:
                     return self._rebalance_transactional(requests)
                 except Exception:

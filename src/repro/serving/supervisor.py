@@ -47,8 +47,7 @@ the highest-priority work keeps landing while the front is saturated.
 Parity: with one worker and no fault plan the supervisor serves
 bit-identical responses to a plain in-process ``PortfolioService`` —
 the whole batch goes to worker 0 in arrival order through the same
-``rebalance_many`` — which the throughput bench gates under
-``--check``.
+``rebalance_many`` — which ``tests/test_supervisor.py`` gates.
 
 Each worker caps its OpenBLAS threads at its share of the cores
 (:func:`~repro.utils.blas.worker_budget`) before building its shard;

@@ -52,8 +52,7 @@ not a convenience.
 
 Elementwise bank ops (bias broadcast, reductions over the per-seed row
 axis) reduce the same values in the same order for every seed.  The
-parity suite and the bench ``--check`` gate assert the end-to-end
-guarantee: on the ``reference`` (float64) backend every seed's weight
+parity suite asserts the end-to-end guarantee: on the ``reference`` (float64) backend every seed's weight
 trajectory and PVM are bit-identical to the graph path and to S serial
 runs.  On the ``fast`` backend the same code runs on float32 tapes and
 float32-cast weights — close, not bit-identical; see

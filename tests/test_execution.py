@@ -287,6 +287,19 @@ class TestBacktestIntegration:
             assert np.array_equal(b.values, z.values)
             assert np.array_equal(b.weights, z.weights)
 
+    def test_run_many_zero_parity_at_bench_scale(
+        self, bench_panels, bench_sdp_params, bench_backtests
+    ):
+        agent = SDPAgent(4, **bench_sdp_params)
+        zero = Backtester(
+            observation=bench_sdp_params["observation"],
+            execution=ExecutionEngine(ZeroSlippage()),
+        ).run_many(agent, bench_panels)
+        for b, z in zip(bench_backtests, zero):
+            assert np.array_equal(b.values, z.values)
+            assert np.array_equal(b.weights, z.weights)
+            assert np.array_equal(b.mus, z.mus)
+
     def test_impact_costs_wealth(self, panel, agent):
         base = Backtester(observation=OBS).run(agent, panel)
         lin = Backtester(

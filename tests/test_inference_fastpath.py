@@ -275,6 +275,27 @@ class TestAgentRouting:
         assert np.array_equal(fused_result.weights, graph_result.weights)
         assert np.array_equal(fused_result.values, graph_result.values)
 
+    def test_graph_fused_and_lockstep_backtests_agree_at_bench_scale(
+        self, bench_panels, bench_sdp_params, bench_backtests
+    ):
+        """The (128, 128) agent over four panels: per-panel graph-path
+        back-tests, per-panel fused back-tests and one lockstep
+        ``run_many`` give the same weights, bit for bit."""
+        agent = SDPAgent(4, **bench_sdp_params)
+        engine = Backtester(observation=bench_sdp_params["observation"])
+        fused = [engine.run(agent, p) for p in bench_panels]
+
+        def graph_decide(states):
+            with enable_grad():
+                return agent.network.forward(states).data
+
+        agent.decide_batch = graph_decide
+        graph = [engine.run(agent, p) for p in bench_panels]
+        for g, f, lockstep in zip(graph, fused, bench_backtests):
+            assert np.array_equal(g.weights, f.weights)
+            assert np.array_equal(g.weights, lockstep.weights)
+            assert np.array_equal(g.values, lockstep.values)
+
     def test_inference_activity_unchanged(self, panel):
         agent = SDPAgent(
             4, observation=CFG, hidden_sizes=(16, 16),

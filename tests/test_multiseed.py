@@ -3,7 +3,8 @@
 Gates the stacked multi-seed tape against serial closure-graph
 training: per-seed RNG-stream purity (``GeometricBatchSampler.for_seed``),
 bit-identical weights/PVM/histories after full ``train()`` runs for both
-SDP architectures and the EIIE network, resume from ``state_dict``, the
+SDP architectures and the EIIE network (and, at S in {1, 4, 10}, against
+serial fused runs of a (32, 32) network on a year-long panel), resume from ``state_dict``, the
 float32 fast tier's documented tolerance (and its exclusion from every
 exactness check), seed-group coalescing in the sweep engine
 (artifact/manifest byte-stability, mid-group interrupt and resume), and
@@ -262,6 +263,44 @@ def test_multiseed_matches_serial_jiang(panel):
         )
         assert np.array_equal(multi.pvms[s].snapshot(), ref_trainer.pvm.snapshot())
         assert histories[s].loss == ref_history.loss
+
+
+BENCH_TRAIN = TrainConfig(steps=200, batch_size=32, permute_assets=True)
+
+
+@pytest.fixture(scope="module")
+def bench_serial_runs(bench_train_panel, bench_train_agent):
+    """Final weights and PVM of seeds 0..9, each trained alone for 200
+    fused steps: what a seed sweep runs shard by shard."""
+    runs = []
+    for seed in range(10):
+        agent = bench_train_agent(seed)
+        trainer = PolicyTrainer(
+            agent, bench_train_panel, SGD(agent.parameters(), 1e-5),
+            observation=CFG, config=BENCH_TRAIN, seed=seed, use_fused=True,
+        )
+        trainer.train()
+        runs.append((agent.network.state_dict(), trainer.pvm.snapshot()))
+    return runs
+
+
+@pytest.mark.parametrize("n_seeds", [1, 4, 10])
+def test_multiseed_matches_serial_at_bench_scale(
+    bench_train_panel, bench_train_agent, bench_serial_runs, n_seeds
+):
+    agents = [bench_train_agent(seed) for seed in range(n_seeds)]
+    multi = MultiSeedTrainer(
+        agents, bench_train_panel,
+        [SGD(agent.parameters(), 1e-5) for agent in agents],
+        observation=CFG, config=BENCH_TRAIN, seeds=list(range(n_seeds)),
+    )
+    multi.train()
+    for s, agent in enumerate(agents):
+        weights, pvm = bench_serial_runs[s]
+        _assert_states_equal(
+            agent.network.state_dict(), weights, f"S={n_seeds} seed {s}"
+        )
+        assert np.array_equal(multi.pvms[s].snapshot(), pvm), f"seed {s} PVM"
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ instrumentation (micro-batcher thread, 2-worker supervisor), the
 ``GET /metrics`` endpoint, and the CLI surface."""
 
 import json
+import re
 import threading
 import urllib.request
 
@@ -256,29 +257,39 @@ class TestSpans:
 
 
 # ----------------------------------------------------------------------
+def _dark_and_lit_sweeps(spec, tmp_path):
+    """Run ``spec`` with obs off and with debug obs on; assert their
+    shards hold the same artifact bytes.  Returns both stores and the
+    observed run's handle."""
+    dark_root, lit_root = tmp_path / "dark", tmp_path / "lit"
+    with use_obs(NULL_OBS):
+        SweepRunner(spec, dark_root).run(parallel=False)
+    obs = Obs(events=EventLog(level="debug"))
+    with use_obs(obs):
+        SweepRunner(spec, lit_root).run(parallel=False)
+
+    # Bit parity: recording metrics never perturbs the artifacts.
+    dark_store, lit_store = ArtifactStore(dark_root), ArtifactStore(lit_root)
+    shard_ids = dark_store.list_shards()
+    assert shard_ids and shard_ids == lit_store.list_shards()
+    for shard_id in shard_ids:
+        for name in ("series.npz", "weights.npz"):
+            a = dark_store.shard_dir(shard_id) / name
+            b = lit_store.shard_dir(shard_id) / name
+            assert a.exists() == b.exists()
+            if a.exists():
+                assert a.read_bytes() == b.read_bytes()
+    return dark_store, lit_store, obs
+
+
 class TestSweepIntegration:
     def test_observed_sweep_matches_dark_sweep_and_merges_on_resume(
         self, tmp_path
     ):
         spec = make_spec()
-        dark_root, lit_root = tmp_path / "dark", tmp_path / "lit"
-        with use_obs(NULL_OBS):
-            SweepRunner(spec, dark_root).run(parallel=False)
-        obs = Obs(events=EventLog(level="debug"))
-        with use_obs(obs):
-            SweepRunner(spec, lit_root).run(parallel=False)
-
-        # Bit parity: recording metrics never perturbs the artifacts.
-        dark_store, lit_store = ArtifactStore(dark_root), ArtifactStore(lit_root)
+        lit_root = tmp_path / "lit"
+        dark_store, lit_store, obs = _dark_and_lit_sweeps(spec, tmp_path)
         shard_ids = dark_store.list_shards()
-        assert shard_ids and shard_ids == lit_store.list_shards()
-        for shard_id in shard_ids:
-            for name in ("series.npz", "weights.npz"):
-                a = dark_store.shard_dir(shard_id) / name
-                b = lit_store.shard_dir(shard_id) / name
-                assert a.exists() == b.exists()
-                if a.exists():
-                    assert a.read_bytes() == b.read_bytes()
 
         # The observed run persisted per-shard snapshots...
         fresh = obs.metrics.snapshot()
@@ -299,6 +310,14 @@ class TestSweepIntegration:
             resumed.metrics.snapshot()["counters"]["repro_train_steps_total"]
             == fresh["counters"]["repro_train_steps_total"]
         )
+
+    def test_observed_sweep_with_eight_train_steps_matches_dark(self, tmp_path):
+        spec = ExperimentSpec(
+            name="obs-parity", profile="quick", experiments=(1,),
+            strategies=("ucrp", "sdp"), seeds=(0,),
+            overrides=(("train_steps", 8),),
+        )
+        _dark_and_lit_sweeps(spec, tmp_path)
 
     def test_pool_workers_write_shard_event_logs(self, tmp_path):
         spec = make_spec(name="obs-pool")
@@ -354,6 +373,27 @@ class TestServingInstrumentation:
         assert service.obs is NULL_OBS
         first = service.rebalance("s1")
         assert not first.degraded  # no behaviour change
+
+    def test_enabled_service_answers_like_disabled(self, bench_panels):
+        """Eight ``ucrp`` sessions for ten rounds: obs-on responses
+        match obs-off ones byte for byte."""
+        from repro.serving import PortfolioService, RebalanceRequest
+
+        def build(obs):
+            service = PortfolioService(obs=obs)
+            service.register_market("m", bench_panels[0])
+            for i in range(8):
+                service.create_session(f"s{i}", "ucrp", market="m")
+            return service
+
+        dark, lit = build(None), build(Obs())
+        requests = [RebalanceRequest(f"s{i}") for i in range(8)]
+        for _ in range(10):
+            for a, b in zip(dark.rebalance_many(requests),
+                            lit.rebalance_many(requests)):
+                assert a.t == b.t
+                assert np.array_equal(a.weights, b.weights)
+                assert a.to_json_dict() == b.to_json_dict()
 
     def test_enabled_service_records_latency_and_counters(self, serving_market):
         obs = Obs()
@@ -474,6 +514,13 @@ def http_server(serving_market):
     server.server_close()
 
 
+PROMETHEUS_SAMPLE = re.compile(
+    r"^[a-zA-Z_:][a-zA-Z0-9_:]*"
+    r'(\{[a-zA-Z0-9_]+="[^"]*"(,[a-zA-Z0-9_]+="[^"]*")*\})?'
+    r" [-+]?([0-9.eE+-]+|nan|inf)$"
+)
+
+
 def _get(base, path):
     with urllib.request.urlopen(f"{base}{path}") as rsp:
         ctype = rsp.headers.get("Content-Type", "")
@@ -507,6 +554,49 @@ class TestHTTPFront:
         assert "repro_stats_service_requests_served 1" in body
         assert "repro_uptime_seconds" in body
         assert 'repro_http_requests_total{method="POST",route="/rebalance"} 1' in body
+
+    def test_metrics_wellformed_on_supervisor_backend(self, tmp_path, bench_panels):
+        """``/metrics`` in front of a 1-worker supervisor: served before
+        the first request, every line a comment or a well-formed sample,
+        and the rebalance latency, failover, shed and uptime families
+        present after a rebalance."""
+        from repro.serving import ServingSupervisor
+        from repro.serving.http import serve
+
+        with ServingSupervisor(tmp_path / "state", workers=1) as sup:
+            sup.register_market("bench", bench_panels[0])
+            sup.create_session("m0", strategy="ucrp", market="bench")
+            server = serve(sup, port=0)
+            thread = threading.Thread(target=server.serve_forever, daemon=True)
+            thread.start()
+            try:
+                host, port = server.server_address[:2]
+                base = f"http://{host}:{port}"
+                status, _, first_page = _get(base, "/metrics")
+                assert status == 200 and first_page
+                post = urllib.request.Request(
+                    f"{base}/rebalance",
+                    data=json.dumps({"session_id": "m0"}).encode(),
+                    headers={"Content-Type": "application/json"},
+                )
+                urllib.request.urlopen(post).read()
+                _, _, page = _get(base, "/metrics")
+            finally:
+                server.shutdown()
+                server.server_close()
+        lines = [line for line in page.splitlines() if line]
+        malformed = [
+            line for line in lines
+            if not (line.startswith("# ") or PROMETHEUS_SAMPLE.match(line))
+        ]
+        assert lines and not malformed, malformed
+        for family in (
+            "repro_rebalance_latency_seconds",
+            "repro_stats_supervisor_failovers",
+            "repro_stats_supervisor_shed_requests",
+            "repro_uptime_seconds",
+        ):
+            assert family in page, family
 
     def test_unknown_route_label_collapses(self, http_server):
         server, base = http_server

@@ -33,8 +33,10 @@ from repro.experiments import (
     ExperimentSpec,
     SweepRunner,
 )
+from repro.envs import Backtester, ObservationConfig
 from repro.experiments import engine as engine_mod
 from repro.experiments.engine import run_shard
+from repro.registry import DEFAULT_REGISTRY
 from repro.resilience import (
     DataFaults,
     FaultInjector,
@@ -654,6 +656,61 @@ class TestServingChaos:
         shutil.rmtree(path / "sessions" / "b")
         with pytest.raises(CheckpointCorrupt, match="session 'b'"):
             PortfolioService.load_checkpoint(path)
+
+
+class TestNoPlanParity:
+    """An empty plan over healthy inputs, end to end at the dispatch
+    gate's scale: a month of 2-hour candles, eight ``ucrp`` sessions for
+    ten rounds."""
+
+    SPAN = ("2019/01/01", "2019/02/01", 7200)
+
+    @pytest.fixture(scope="class")
+    def month(self):
+        return MarketGenerator(seed=321).generate(*self.SPAN).select_assets(
+            list(range(4))
+        )
+
+    def test_backtest_on_armed_panel_unchanged(self, month):
+        armed = (
+            MarketGenerator(seed=321)
+            .generate(*self.SPAN, faults=FaultPlan(seed=0), repair=None)
+            .select_assets(list(range(4)))
+        )
+        for f in ("timestamps", "open", "high", "low", "close", "volume"):
+            assert np.array_equal(getattr(month, f), getattr(armed, f))
+        engine = Backtester(
+            observation=ObservationConfig(
+                window=6, stride=1, momentum_horizons=(1, 3, 6)
+            )
+        )
+        plain = engine.run(DEFAULT_REGISTRY.create("ucrp"), month)
+        hardened = engine.run(DEFAULT_REGISTRY.create("ucrp"), armed)
+        assert np.array_equal(plain.values, hardened.values)
+        assert np.array_equal(plain.weights, hardened.weights)
+
+    def test_sweep_manifest_unchanged(self, tmp_path):
+        spec = ExperimentSpec(
+            name="no-plan", profile="quick", experiments=(1,),
+            strategies=("ucrp",), seeds=(0,),
+        )
+        plain = SweepRunner(spec, tmp_path / "plain")
+        plain.run(parallel=False)
+        armed = SweepRunner(spec, tmp_path / "armed", fault_plan=FaultPlan(seed=0))
+        armed.run(parallel=False)
+        assert plain.store.read_manifest() == armed.store.read_manifest()
+
+    def test_serving_rounds_unchanged(self, month):
+        sessions = [f"s{i}" for i in range(8)]
+        plain = make_resilient_service(month, resilience=None, sessions=sessions)
+        hard = make_resilient_service(month, sessions=sessions)
+        requests = [RebalanceRequest(sid) for sid in sessions]
+        for _ in range(10):
+            for a, b in zip(plain.rebalance_many(requests),
+                            hard.rebalance_many(requests)):
+                assert a.t == b.t and not b.degraded
+                assert np.array_equal(a.weights, b.weights)
+                assert a.to_json_dict() == b.to_json_dict()
 
 
 class TestBackpressure:

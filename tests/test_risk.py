@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.__main__ import main as cli_main
-from repro.agents import run_backtest
+from repro.agents import SDPAgent, run_backtest
 from repro.data import MarketGenerator
 from repro.data.splits import walk_forward_windows
 from repro.envs import Backtester, ObservationConfig
@@ -299,6 +299,18 @@ class TestEnvIntegration:
         summary = null.extra["risk"]
         assert summary["violation_rate"] == 0.0
         assert summary["binding_counts"] == {}
+
+    def test_none_engine_run_many_parity_at_bench_scale(
+        self, bench_panels, bench_sdp_params, bench_backtests
+    ):
+        agent = SDPAgent(4, **bench_sdp_params)
+        null = Backtester(
+            observation=bench_sdp_params["observation"], risk=RiskEngine(())
+        ).run_many(agent, bench_panels)
+        for b, n in zip(bench_backtests, null):
+            assert np.array_equal(b.values, n.values)
+            assert np.array_equal(b.weights, n.weights)
+            assert np.array_equal(b.mus, n.mus)
 
     def test_env_histories_and_summary(self, panel):
         env = PortfolioEnv(

@@ -857,6 +857,31 @@ class TestPanelGroupedPrepare:
                 assert x.t == y.t
                 assert np.array_equal(x.weights, y.weights)
 
+    def test_microbatched_rounds_match_one_by_one_at_bench_scale(
+        self, bench_panels, bench_sdp_params
+    ):
+        """Eight sessions of the (128, 128) agent on one panel for ten
+        rounds: micro-batched rounds and one-by-one calls agree."""
+        sessions = [f"s{i}" for i in range(8)]
+
+        def build():
+            service = PortfolioService()
+            service.register_market("bench", bench_panels[0])
+            for sid in sessions:
+                service.create_session(
+                    sid, "sdp", params=bench_sdp_params, market="bench"
+                )
+            return service
+
+        grouped, single = build(), build()
+        requests = [RebalanceRequest(sid) for sid in sessions]
+        for _ in range(10):
+            batched = grouped.rebalance_many(requests)
+            solo = [single.rebalance(sid) for sid in sessions]
+            for x, y in zip(batched, solo):
+                assert x.t == y.t
+                assert np.array_equal(x.weights, y.weights)
+
 
 class TestMicroBatcherSlotBookkeeping:
     def test_interrupt_mid_fallback_reports_committed_slots(self):

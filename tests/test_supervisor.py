@@ -285,6 +285,74 @@ class TestFailover:
                 sup.rebalance("ghost")
 
 
+class TestBenchScaleLoad:
+    """The supervised tier at load-test scale: eight (128, 128) SDP
+    sessions over two markets, one per worker, for ten rounds."""
+
+    SESSIONS = [f"s{i}" for i in range(8)]
+
+    def open_sessions(self, front, markets, params):
+        names = sorted(markets)
+        for name in names:
+            front.register_market(name, markets[name])
+        for i, session_id in enumerate(self.SESSIONS):
+            front.create_session(
+                session_id, "sdp", params=params, market=names[i % 2]
+            )
+
+    def run_supervised(self, root, markets, params, workers, faults=None):
+        """Ten rounds, then a drain; returns the response payloads, the
+        restart count, the sessions still routed and those drained."""
+        requests = [RebalanceRequest(s) for s in self.SESSIONS]
+        with ServingSupervisor(root, workers=workers, faults=faults) as sup:
+            self.open_sessions(sup, markets, params)
+            responses = json_rounds(sup, requests, rounds=10)
+            drained = sup.drain(timeout=60.0)["sessions_checkpointed"]
+            return (
+                responses, sup.stats.worker_restarts,
+                len(sup.session_ids()), drained,
+            )
+
+    @pytest.fixture(scope="class")
+    def markets(self, bench_panels):
+        return dict(zip(two_market_names(), bench_panels[:2]))
+
+    def test_single_worker_bit_identical_to_in_process(
+        self, tmp_path, markets, bench_sdp_params
+    ):
+        supervised, restarts, _, _ = self.run_supervised(
+            tmp_path / "state", markets, bench_sdp_params, workers=1
+        )
+        service = PortfolioService()
+        self.open_sessions(service, markets, bench_sdp_params)
+        requests = [RebalanceRequest(s) for s in self.SESSIONS]
+        assert restarts == 0
+        assert supervised == json_rounds(service, requests, rounds=10)
+
+    def test_worker_crash_mid_run_loses_nothing(
+        self, tmp_path, markets, bench_sdp_params
+    ):
+        """The worker owning the first market dies at batch 5 (0-based,
+        one batch per round): the run completes with a restart, the
+        responses of the healthy run, every session routed and every
+        session drained."""
+        healthy, _, _, _ = self.run_supervised(
+            tmp_path / "healthy", markets, bench_sdp_params, workers=2
+        )
+        victim = stable_hash(sorted(markets)[0]) % 2
+        plan = FaultPlan(
+            seed=0,
+            serving=ServingFaults(worker_crash_batches=((victim, 5),)),
+        )
+        chaos, restarts, routed, drained = self.run_supervised(
+            tmp_path / "chaos", markets, bench_sdp_params, workers=2,
+            faults=plan,
+        )
+        assert chaos == healthy
+        assert restarts >= 1
+        assert routed == drained == len(self.SESSIONS)
+
+
 class TestDrainAndResume:
     def test_drain_under_load_loses_no_committed_response(
         self, tmp_path, market, market2

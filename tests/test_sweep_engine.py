@@ -471,7 +471,3 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "Walk-forward evaluation" in out
         assert "Per-regime attribution" in out
-
-    def test_bench_missing_script(self, tmp_path):
-        with pytest.raises(SystemExit):
-            cli_main(["bench", "--script", str(tmp_path / "nope.py")])

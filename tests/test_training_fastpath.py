@@ -6,8 +6,9 @@ layer-level LIF BPTT parity, finite-difference checks on the fused loss,
 bit-identical weight trajectories and PVM contents over full ``train()``
 runs (with and without permute-assets augmentation, and after
 ``load_state_dict``, ``copy.deepcopy`` or a multi-seed trainer rebinds
-the parameters' storage under the network's training bank), the in-place
-optimizer rewrites, the CDF batch sampler, the PVM fast write, and the
+the parameters' storage under the network's training bank), a 200-step
+run of the seed's own training loop against both trainer paths, the
+in-place optimizer rewrites, the CDF batch sampler, the PVM fast write, and the
 ``permute_assets`` panel view.
 """
 
@@ -310,6 +311,123 @@ def test_train_run_bit_identical_jiang(panel):
     for key in w_g:
         assert np.array_equal(w_g[key], w_f[key]), key
     assert np.array_equal(pvm_g, pvm_f)
+
+
+# ----------------------------------------------------------------------
+# Seed-faithful training loop: the training step as it stood before the
+# fused STBP kernels, value for value but with the seed's costs.  The
+# 200-step gate below checks today's trainer still ends where it did.
+# ----------------------------------------------------------------------
+class _SeedSGD(SGD):
+    """SGD with the seed's out-of-place updates (fresh arrays per step)."""
+
+    def step(self):
+        self._step_count += 1
+        for index, param in enumerate(self.params):
+            if param.grad is None:
+                continue
+            grad = param.grad
+            if self.weight_decay:
+                grad = grad + self.weight_decay * param.data
+            if self.momentum:
+                self._velocity[index] = self.momentum * self._velocity[index] + grad
+                grad = self._velocity[index]
+            param.data = param.data - self.lr * grad
+
+
+class _SeedSampler(GeometricBatchSampler):
+    """Start sampling via ``rng.choice`` (O(n) per call, same indices)."""
+
+    def sample(self):
+        start = self.first_index + self._rng.choice(
+            self._probabilities.shape[0], p=self._probabilities
+        )
+        return np.arange(start, start + self.batch_size, dtype=np.int64)
+
+
+class _SeedTrainer:
+    """The seed's training loop, self-contained: ``rng.choice`` start
+    sampling, a chained-fancy-indexing prologue, a ``select_assets``
+    panel (full-panel re-validation) on every permuted step, and the
+    closure-graph step.  It consumes the trainers' RNG streams (sampler
+    ``make_rng(seed)``, permutations ``make_rng(seed + 1)``), so it must
+    end bit-identical to them."""
+
+    def __init__(self, policy, data, optimizer, observation, config, seed=0):
+        self.policy = policy
+        self.data = data
+        self.optimizer = optimizer
+        self.config = config
+        n = data.n_periods
+        self.sampler = _SeedSampler(
+            max(observation.first_decision_index(), 1),
+            n - 2,
+            config.batch_size,
+            bias=config.geometric_bias,
+            rng=make_rng(seed),
+        )
+        self.perm_rng = make_rng(seed + 1)
+        self.pvm = PortfolioVectorMemory(n, data.n_assets)
+        rel = data.close[1:] / data.close[:-1]
+        self.relatives = np.concatenate([np.ones((n - 1, 1)), rel], axis=1)
+
+    def train_step(self) -> None:
+        indices = self.sampler.sample()
+        m = self.data.n_assets
+        if self.config.permute_assets:
+            perm = self.perm_rng.permutation(m)
+            view = self.data.select_assets(list(perm))
+        else:
+            perm = np.arange(m)
+            view = self.data
+        action_perm = np.concatenate([[0], 1 + perm])
+        w_prev = self.pvm.read(indices - 1)[:, action_perm]
+        growth = w_prev * self.relatives[indices - 1][:, action_perm]
+        w_drifted = growth / growth.sum(axis=1, keepdims=True)
+        y_next = self.relatives[indices][:, action_perm]
+
+        actions = self.policy.policy_forward(view, indices, w_prev)
+        mu = transaction_remainder_approx(
+            Tensor(w_drifted), actions, self.config.commission
+        )
+        log_return = (mu * (actions * Tensor(y_next)).sum(axis=1)).log()
+        loss = -log_return.mean()
+        self.optimizer.zero_grad()
+        loss.backward()
+        self.optimizer.step()
+
+        unpermuted = np.empty_like(actions.data)
+        unpermuted[:, action_perm] = actions.data
+        self.pvm.write(indices, unpermuted)
+
+
+def test_seed_loop_graph_and_fused_agree_after_200_steps(
+    bench_train_panel, bench_train_agent
+):
+    """The seed's loop, the closure-graph trainer and the fused trainer
+    end 200 permuted SGD steps of a (32, 32) network with the same
+    weights and PVM, bit for bit."""
+    config = TrainConfig(steps=200, batch_size=32, permute_assets=True)
+
+    def run(trainer_cls, optimizer_cls, **kwargs):
+        agent = bench_train_agent(0)
+        trainer = trainer_cls(
+            agent, bench_train_panel, optimizer_cls(agent.parameters(), 1e-5),
+            observation=CFG, config=config, seed=0, **kwargs,
+        )
+        for _ in range(config.steps):
+            trainer.train_step()
+        return agent.network.state_dict(), trainer.pvm.snapshot()
+
+    w_f, pvm_f = run(PolicyTrainer, SGD, use_fused=True)
+    for w, pvm in (
+        run(_SeedTrainer, _SeedSGD),
+        run(PolicyTrainer, SGD, use_fused=False),
+    ):
+        assert set(w) == set(w_f)
+        for key in w:
+            assert np.array_equal(w[key], w_f[key]), key
+        assert np.array_equal(pvm, pvm_f)
 
 
 # ----------------------------------------------------------------------
