@@ -351,8 +351,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     supervisor = None
     if args.workers is not None:
-        # Supervised multi-worker tier: sessions persist write-through
-        # in --state-dir and survive worker crashes and restarts.
+        # Supervised multi-worker tier: sessions persist in --state-dir
+        # (one journal append per batch) and survive worker crashes and
+        # restarts.
         if args.state_dir is None:
             raise SystemExit("--workers requires --state-dir (the session store)")
         if args.checkpoint is not None or args.artifact_store is not None:
@@ -548,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--state-dir", default=None,
-        help="session state store root (supervised mode: write-through "
+        help="session state store root (supervised mode: journaled "
         "persistence + crash failover; in-process mode: where the final "
         "checkpoint lands on shutdown)",
     )

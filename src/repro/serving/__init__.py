@@ -19,7 +19,7 @@ bit-identical.
 
 Scale: :class:`ServingSupervisor` runs N worker processes (one
 :class:`PortfolioService` shard each, sessions routed by market panel)
-over a write-through :class:`SessionStateStore` — crash failover with
+over a journaled :class:`SessionStateStore` — crash failover with
 at-most-one-round replay, lazy session rehydration with LRU residency,
 heartbeat health checks, graceful drain (:class:`Draining` → HTTP 503),
 and priority load shedding (:class:`LoadShed` → HTTP 429).  With one

@@ -225,6 +225,19 @@ class RebalanceResponse:
             payload["degraded"] = True
         return payload
 
+    @classmethod
+    def from_json_dict(cls, payload: Mapping[str, Any]) -> "RebalanceResponse":
+        """Inverse of :meth:`to_json_dict`."""
+        return cls(
+            session_id=payload["session_id"],
+            t=payload["t"],
+            weights=np.asarray(payload["weights"], dtype=np.float64),
+            strategy=payload["strategy"],
+            execution=payload.get("execution"),
+            risk=payload.get("risk"),
+            degraded=bool(payload.get("degraded", False)),
+        )
+
 
 @dataclass
 class SessionInfo:
@@ -702,6 +715,11 @@ class PortfolioService:
                 for s in self._sessions.values()
             ):
                 self._shared_agents.pop(session.agent_key, None)
+
+    def agent_keys(self) -> Tuple[str, ...]:
+        """Keys of the shared agents this service holds."""
+        with self._lock:
+            return tuple(self._shared_agents)
 
     def session_ids(self) -> Tuple[str, ...]:
         with self._lock:
@@ -1264,7 +1282,9 @@ class PortfolioService:
         return service
 
     # -- session export/import -----------------------------------------
-    def export_session(self, session_id: str) -> Dict[str, Any]:
+    def export_session(
+        self, session_id: str, weights: bool = True
+    ) -> Dict[str, Any]:
         """Portable snapshot of one session — the unit a
         :class:`~repro.serving.SessionStateStore` persists, and so the
         per-session unit of every checkpoint.
@@ -1278,7 +1298,9 @@ class PortfolioService:
         it to an ``.npz`` sidecar).  :meth:`import_session` on any
         service with the same market registered rebuilds a session whose
         next decisions are bit-identical — the failover contract the
-        multi-worker supervisor rehydrates through.
+        multi-worker supervisor rehydrates through.  ``weights=False``
+        leaves the ``"weights"`` entry out, skipping the state-dict copy
+        for a caller whose store already holds the weights.
         """
         with self._lock:
             session = self._session(session_id)
@@ -1303,11 +1325,7 @@ class PortfolioService:
                         else None
                     ),
                 }
-            weights = None
-            network = getattr(session.agent, "network", None)
-            if network is not None and hasattr(network, "state_dict"):
-                weights = network.state_dict()
-            return {
+            payload = {
                 "version": 2,
                 "session_id": session.session_id,
                 "spec": {
@@ -1318,8 +1336,15 @@ class PortfolioService:
                 "shared": session.shared,
                 "agent_key": session.agent_key if session.shared else None,
                 "state": state,
-                "weights": weights,
             }
+            if weights:
+                network = getattr(session.agent, "network", None)
+                payload["weights"] = (
+                    network.state_dict()
+                    if network is not None and hasattr(network, "state_dict")
+                    else None
+                )
+            return payload
 
     def import_session(
         self, payload: Mapping[str, Any], data: Optional[MarketData] = None

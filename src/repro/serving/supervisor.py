@@ -12,15 +12,26 @@ service (``rebalance`` / ``rebalance_many`` / ``create_session`` /
 
 Robustness model
 ----------------
-*Write-through persistence.*  After every committed batch the worker
-writes each touched session's :meth:`~repro.serving.PortfolioService.export_session`
-payload to a :class:`~repro.serving.SessionStateStore` (atomic JSON +
-npz).  A worker crash therefore loses **at most the round in flight** —
-and not even that, observably: the round never committed anywhere, and
-the supervisor replays it against a restarted worker, which rehydrates
-each session lazily from the store and recomputes the identical
-decisions.  Sessions on the crashed worker that were *not* in flight
-lose nothing at all.
+*Group-commit persistence.*  After every committed batch the worker
+makes one append to its journal in the
+:class:`~repro.serving.SessionStateStore` (``journal/<worker-index>``):
+the batch's session records and responses, before it replies.
+Compaction turns journaled records into per-session ``state.json``
+snapshots on eviction, at worker start, when the journal outgrows a
+fixed multiple of its sessions' snapshot bytes, and over every journal
+when a supervisor opens (so a changed worker count resumes correctly)
+and on drain.  A worker crash therefore loses **at most the
+round in flight** — and not observably.  A batch that died before its
+append never committed anywhere: the supervisor replays it against a
+restarted worker, which rehydrates each session lazily from the store
+and recomputes the identical decisions.  A batch that died after its
+append but before its reply is replayed too, under the id of its first
+attempt, and the restarted worker answers it from the journal rather
+than applying the round twice.  A torn journal tail is an append the
+crash cut: that batch was never acknowledged and is dropped.  Sessions
+on the crashed worker that were *not* in flight lose nothing at all.
+Nothing calls ``fsync``; what host power loss can lose is in
+:mod:`repro.serving.store`.
 
 *Crash detection.*  Two paths: the dispatch path sees the broken pipe
 the moment a send/recv fails, and a heartbeat monitor thread polls
@@ -33,8 +44,9 @@ replay.
 
 *Graceful drain.*  :meth:`drain` stops admission (new work gets a
 structured :class:`Draining` → HTTP 503), waits for in-flight batches
-to flush, asks each worker to persist every resident session and exit
-with code 0, then writes ``checkpoint.json`` over the store — so a
+to flush, asks each worker to compact its journal and exit with code
+0, then compacts any journal a worker left and writes
+``checkpoint.json`` over the store — so a
 drained state dir is itself a checkpoint
 :meth:`~repro.serving.PortfolioService.load_checkpoint` loads.
 
@@ -180,10 +192,12 @@ def _worker_main(conn, config: _WorkerConfig) -> None:
     """One worker process: a PortfolioService shard behind a pipe.
 
     Commands arrive as tuples; every reply is ``("ok", payload)`` or
-    ``("error", exception)``.  Per-session state is written through to
-    the store after each committed command, so the process can die at
-    any instruction and the supervisor recovers everything but the
-    round in flight (which it replays).
+    ``("error", exception)``.  Each committed batch is journaled in one
+    append before the reply, so the process can die at any instruction
+    and the supervisor recovers everything but a batch it never
+    acknowledged (which it replays).  Eviction and size-triggered
+    compaction run after the reply, off the request's path; should one
+    fail, the worker exits and its successor replays the journal.
     """
     for other in list(_PARENT_CONNS):
         try:
@@ -202,6 +216,9 @@ def _worker_main(conn, config: _WorkerConfig) -> None:
     set_blas_threads(config.blas_threads)
 
     store = SessionStateStore(config.state_dir, max_resident=config.max_resident)
+    # A crashed predecessor's last committed batch: if the supervisor
+    # replays it, the journal answers instead of applying it twice.
+    last_commit = store.open_journal(config.index)
     injector = injector_from(config.fault_plan)
     service = PortfolioService(
         registry=config.registry,
@@ -214,9 +231,6 @@ def _worker_main(conn, config: _WorkerConfig) -> None:
     rehydrated = 0
     evicted_count = 0
 
-    def persist(session_id: str) -> None:
-        store.save_session(service.export_session(session_id))
-
     def ensure_market(name: str) -> None:
         if name not in service.market_names():
             service.register_market(name, store.load_market(name))
@@ -228,17 +242,20 @@ def _worker_main(conn, config: _WorkerConfig) -> None:
             return
         if not store.has_session(session_id):
             return  # the service raises its structured unknown-session error
-        payload = store.load_session(session_id)
+        payload = store.load_session(session_id, service.agent_keys())
         ensure_market(payload["market"])
         service.import_session(payload)
         store.touch(session_id)
         rehydrated += 1
 
     def evict_overflow() -> None:
-        # Safe at any commit boundary: everything resident has been
-        # written through, so dropping it from memory loses nothing.
         nonlocal evicted_count
-        for session_id in store.overflow():
+        evicted = store.overflow()
+        if evicted:
+            # Snapshots first: rehydration and the supervisor's
+            # describe fallback read evicted sessions' state.json.
+            store.compact()
+        for session_id in evicted:
             service.close_session(session_id)
             evicted_count += 1
 
@@ -246,7 +263,7 @@ def _worker_main(conn, config: _WorkerConfig) -> None:
         try:
             message = conn.recv()
         except (EOFError, OSError):
-            return  # supervisor went away; all committed state is stored
+            return  # supervisor went away; all committed state is journaled
         command, args = message[0], message[1:]
         try:
             if command == "ping":
@@ -263,32 +280,43 @@ def _worker_main(conn, config: _WorkerConfig) -> None:
                     reply = service.describe_session(session_id)
                 else:
                     reply = service.create_session(**kwargs)
-                    persist(session_id)
+                    store.save_session(service.export_session(session_id))
                     store.touch(session_id)
-                evict_overflow()
             elif command == "rebalance":
-                batch_id, requests = args
-                batch_ids: List[str] = []
-                for request in requests:
-                    if request.session_id not in batch_ids:
-                        batch_ids.append(request.session_id)
-                for session_id in batch_ids:
-                    ensure_resident(session_id)
-                responses = service.rebalance_many(requests)
-                if injector is not None and injector.worker_crashes(
-                    config.index, batch_id
-                ):
-                    # Die *after* the in-memory commit, *before* the
-                    # write-through — the worst-case crash point: the
-                    # round's state exists nowhere durable.  The
-                    # supervisor replays the batch on a fresh worker,
-                    # which recomputes it bit-identically from the
-                    # store's last committed state.
-                    os._exit(_CRASH_EXIT)
-                for session_id in batch_ids:
-                    persist(session_id)
-                evict_overflow()
-                reply = responses
+                batch_id, origin, requests = args
+                if last_commit is not None and last_commit[0] == origin:
+                    # The replay of a batch the predecessor committed
+                    # but died before acknowledging.
+                    reply = [
+                        RebalanceResponse.from_json_dict(r)
+                        for r in last_commit[1]
+                    ]
+                else:
+                    batch_ids: List[str] = []
+                    for request in requests:
+                        if request.session_id not in batch_ids:
+                            batch_ids.append(request.session_id)
+                    for session_id in batch_ids:
+                        ensure_resident(session_id)
+                    responses = service.rebalance_many(requests)
+                    if injector is not None and injector.worker_crashes(
+                        config.index, batch_id
+                    ):
+                        # Die *after* the in-memory commit, *before* the
+                        # journal append — the round's state exists
+                        # nowhere durable.  The supervisor replays the
+                        # batch on a fresh worker, which recomputes it
+                        # bit-identically from the last committed state.
+                        os._exit(_CRASH_EXIT)
+                    store.commit(
+                        origin,
+                        [
+                            service.export_session(session_id, weights=False)
+                            for session_id in batch_ids
+                        ],
+                        [response.to_json_dict() for response in responses],
+                    )
+                    reply = responses
             elif command == "describe":
                 reply = service.describe_sessions()
             elif command == "stats":
@@ -300,10 +328,8 @@ def _worker_main(conn, config: _WorkerConfig) -> None:
                     "blas_threads": blas_threads(),
                 }
             elif command == "drain":
-                session_ids = service.session_ids()
-                for session_id in session_ids:
-                    persist(session_id)
-                conn.send(("ok", {"checkpointed": len(session_ids)}))
+                store.compact()
+                conn.send(("ok", {"checkpointed": len(service.session_ids())}))
                 return  # normal return → exit code 0, the drain contract
             else:
                 raise ValueError(f"unknown worker command {command!r}")
@@ -320,6 +346,10 @@ def _worker_main(conn, config: _WorkerConfig) -> None:
             conn.send(("ok", reply))
         except (BrokenPipeError, OSError):
             return
+        if command in ("create", "rebalance"):
+            evict_overflow()
+            if store.journal_full():
+                store.compact()
 
 
 class _Worker:
@@ -501,6 +531,10 @@ class ServingSupervisor:
                 help="sub-batch replays after a worker crash",
             )
 
+        # Journals left by a supervisor that stopped without draining
+        # (under any worker count) become snapshots before any worker
+        # claims a journal index.
+        self.store.compact_journals()
         methods = mp.get_all_start_methods()
         ctx = mp.get_context("fork") if "fork" in methods else mp.get_context()
         base = _WorkerConfig(
@@ -757,11 +791,16 @@ class ServingSupervisor:
                 except WorkerDied:
                     continue  # the heartbeat heals it; store covers its sessions
         with self._route_lock:
-            routed = dict(self._session_worker)
-        for session_id in routed:
-            if session_id in infos or not self.store.has_session(session_id):
-                continue
-            record = self.store.load_session_record(session_id)
+            missing = [sid for sid in self._session_worker if sid not in infos]
+        # A dead worker's sessions may be newer in its journal than in
+        # their snapshots.
+        journaled = self.store.journaled_records() if missing else {}
+        for session_id in missing:
+            record = journaled.get(session_id)
+            if record is None:
+                if not self.store.has_session(session_id):
+                    continue
+                record = self.store.load_session_record(session_id)
             state = record["state"]
             infos[session_id] = SessionInfo(
                 session_id=session_id,
@@ -856,14 +895,20 @@ class ServingSupervisor:
         obs_on = self._obs.enabled
         with worker.lock:
             attempts = 0
+            # Every replay carries the first attempt's id, so a worker
+            # whose predecessor journaled the batch answers it from the
+            # journal rather than applying it again.
+            origin = None
             while True:
                 batch_id = worker.next_batch_id()
+                if origin is None:
+                    origin = batch_id
                 self.stats.batches_dispatched += 1
                 try:
                     if obs_on:
                         t0 = time.perf_counter()
                     served = worker.request(
-                        ("rebalance", batch_id, list(requests)),
+                        ("rebalance", batch_id, origin, list(requests)),
                         timeout=self.worker_timeout,
                     )
                     if obs_on:
@@ -1008,8 +1053,9 @@ class ServingSupervisor:
     # -- drain ---------------------------------------------------------
     def drain(self, timeout: Optional[float] = None) -> Dict[str, Any]:
         """Graceful stop: refuse new work, flush in-flight batches,
-        persist every session, exit every worker with code 0, then
-        commit the state dir as a checkpoint (``checkpoint.json``).
+        have every worker compact its journal into snapshots and exit
+        with code 0, then commit the state dir as a checkpoint
+        (``checkpoint.json``).
 
         Idempotent — a second call returns the first report.  Raises
         ``TimeoutError`` if in-flight work does not flush within
@@ -1053,9 +1099,9 @@ class ServingSupervisor:
                 worker.close()
                 checkpointed += entry["checkpointed"]
                 workers_report.append(entry)
-        # Every worker has exited, so the store holds each session's
-        # last committed state (a worker that died mid-drain had
-        # already written its sessions through).
+        # Every worker has exited; one that died before it compacted
+        # left its last committed state in its journal.
+        self.store.compact_journals()
         checkpoint = self.store.write_checkpoint(
             self.commission, self.store.market_names(), self.store.session_ids()
         )

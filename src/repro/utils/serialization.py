@@ -104,6 +104,9 @@ def load_json(path: PathLike) -> Dict[str, Any]:
 # Tagged-value codec
 
 _TAGGED_TYPES: Dict[str, Type] = {}
+# Exact types that encode as themselves (subclasses such as numpy
+# scalars take the general path).
+_JSON_SCALARS = frozenset({type(None), bool, int, float, str})
 
 
 def register_tagged_type(cls: Type, name: Optional[str] = None) -> Type:
@@ -134,6 +137,8 @@ def encode_tagged(value: Any) -> Any:
     tuples recurse.  Unknown object types raise ``TypeError`` (callers
     that need "encodable?" as a predicate catch it).
     """
+    if type(value) in _JSON_SCALARS:
+        return value
     for name, cls in _TAGGED_TYPES.items():
         if isinstance(value, cls):
             payload = {

@@ -5,12 +5,15 @@ hash routing, single-worker bit-parity with the in-process service,
 two-worker SDP parity under the per-worker BLAS thread budget,
 crash-mid-batch failover with replay, heartbeat healing of idle deaths,
 graceful drain (zero committed responses lost, store continuity across
-a restart), LRU eviction + lazy rehydration, priority load shedding,
-and the HTTP front's supervisor-aware routes.
+a restart), LRU eviction + lazy rehydration, the group-commit journal's
+recovery paths (a crash after the append, a torn tail, a changed worker
+count) and the rehydration sidecar skip, priority load shedding, and
+the HTTP front's supervisor-aware routes.
 """
 
 import json
 import os
+import shutil
 import threading
 import time
 import urllib.error
@@ -31,6 +34,7 @@ from repro.serving import (
     ServingSupervisor,
     SessionStateStore,
 )
+from repro.serving.store import JOURNAL_SNAPSHOTS, read_checkpoint
 from repro.utils import blas
 from repro.utils.rng import stable_hash
 
@@ -473,6 +477,262 @@ class TestResidency:
             reference.append(service.rebalance("a").to_json_dict())
             reference.append(service.rebalance("b").to_json_dict())
         assert supervised == reference
+
+
+SDP_PARAMS = dict(hidden_sizes=(16, 16), timesteps=3, encoder_pop_size=4,
+                  decoder_pop_size=4, seed=0)
+
+
+def in_process(markets, sessions, risk=None):
+    """A plain service with ``markets`` registered and ``sessions``
+    (``(id, strategy, params, market)``) opened."""
+    service = PortfolioService(risk=risk)
+    for name, data in markets.items():
+        service.register_market(name, data)
+    for session_id, strategy, params, name in sessions:
+        service.create_session(session_id, strategy, params=params, market=name)
+    return service
+
+
+class TestJournal:
+    """Each committed batch is one journal append; compaction turns
+    journals into snapshots.  Every recovery path must serve what an
+    uninterrupted in-process service serves."""
+
+    def open(self, sup, sessions):
+        for session_id, strategy, params, name in sessions:
+            sup.create_session(session_id, strategy, params=params, market=name)
+
+    def test_crash_after_append_answers_replay_from_journal(
+        self, tmp_path, market, monkeypatch
+    ):
+        """A worker that dies after journaling a batch but before
+        replying is replayed; its successor answers from the journal, so
+        the round is applied once and the client sees its decision."""
+        name0, _ = two_market_names()
+        sessions = [("a", "ons", {}, name0), ("b", "ucrp", {}, name0)]
+        requests = [RebalanceRequest("a"), RebalanceRequest("b")]
+
+        def run(root):
+            sup, _, _ = make_supervisor(root, market, workers=1)
+            with sup:
+                self.open(sup, sessions)
+                rounds = json_rounds(sup, requests, rounds=5)
+                return rounds, sup.describe_sessions(), sup.stats.worker_restarts
+
+        healthy = run(tmp_path / "healthy")
+        commit = SessionStateStore.commit
+        fired = tmp_path / "fired"
+
+        def crash_after_append(self, batch, payloads, responses):
+            commit(self, batch, payloads, responses)
+            if batch == 2 and not fired.exists():
+                fired.touch()
+                os._exit(1)
+
+        monkeypatch.setattr(SessionStateStore, "commit", crash_after_append)
+        rounds, infos, restarts = run(tmp_path / "chaos")
+        assert fired.exists() and restarts == 1
+        assert (rounds, infos) == healthy[:2]
+
+    def test_torn_tail_resumes_at_last_acknowledged_round(
+        self, tmp_path, market
+    ):
+        name0, _ = two_market_names()
+        sessions = [("a", "ons", {}, name0), ("b", "ucrp", {}, name0)]
+        requests = [RebalanceRequest("a"), RebalanceRequest("b")]
+        sup, _, _ = make_supervisor(tmp_path, market, workers=1)
+        with sup:
+            self.open(sup, sessions)
+            json_rounds(sup, requests, rounds=3)
+        journal = tmp_path / "state" / "journal" / "0"
+        data = journal.read_bytes()
+        journal.write_bytes(data[: len(data) - 10])  # cut the third append
+
+        reference = json_rounds(
+            in_process({name0: market}, sessions), requests, rounds=4
+        )
+        with ServingSupervisor(tmp_path / "state", workers=1) as resumed:
+            assert [i.decisions for i in resumed.describe_sessions()] == [2, 2]
+            assert json_rounds(resumed, requests, rounds=2) == reference[2:]
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_undrained_dir_resumes_under_another_worker_count(
+        self, tmp_path, market, market2, workers
+    ):
+        name0, name1 = two_market_names()
+        sessions = [
+            ("a", "ons", {}, name0),
+            ("b", "ucrp", {}, name1),
+            ("c", "ons", {}, name1),
+        ]
+        requests = [RebalanceRequest(s) for s, *_ in sessions]
+        sup, _, _ = make_supervisor(tmp_path, market, market2, workers=2)
+        with sup:  # closed without draining: the journals hold the rounds
+            self.open(sup, sessions)
+            before = json_rounds(sup, requests, rounds=3)
+        assert any(p.stat().st_size for p in (tmp_path / "state" / "journal").iterdir())
+
+        reference = json_rounds(
+            in_process({name0: market, name1: market2}, sessions),
+            requests, rounds=6,
+        )
+        assert before == reference[:3]
+        with ServingSupervisor(tmp_path / "state", workers=workers) as resumed:
+            assert json_rounds(resumed, requests, rounds=3) == reference[3:]
+
+    def test_evicted_sessions_describe_like_in_process(self, tmp_path, market):
+        name0, _ = two_market_names()
+        sessions = [
+            (f"s{i}", ("ons", "ucrp")[i % 2], {}, name0) for i in range(5)
+        ]
+        risk = risk_regime_preset("lockout")
+        service = in_process({name0: market}, sessions, risk.build_engine())
+        sup, _, _ = make_supervisor(
+            tmp_path, market, workers=1, max_resident=2,
+            risk=risk.build_engine(),
+        )
+        with sup:
+            self.open(sup, sessions)
+            for round_ in range(6):
+                batch = [
+                    RebalanceRequest(f"s{(2 * round_ + j) % 5}") for j in range(2)
+                ]
+                assert [r.to_json_dict() for r in sup.rebalance_many(batch)] == [
+                    r.to_json_dict() for r in service.rebalance_many(batch)
+                ]
+            assert sup.stats_dict()["workers"][0]["detail"]["evicted"] >= 3
+            assert sup.describe_sessions() == service.describe_sessions()
+
+    def test_dead_worker_sessions_describe_from_its_journal(
+        self, tmp_path, market
+    ):
+        """While a dead worker awaits its restart, its sessions are
+        described from its journal, which is newer than their
+        snapshots."""
+        name0, _ = two_market_names()
+        sessions = [("a", "ons", {}, name0), ("b", "ucrp", {}, name0)]
+        requests = [RebalanceRequest("a"), RebalanceRequest("b")]
+        service = in_process({name0: market}, sessions)
+        json_rounds(service, requests, rounds=3)
+        sup, _, _ = make_supervisor(
+            tmp_path, market, workers=1, heartbeat_interval=60.0
+        )
+        with sup:
+            self.open(sup, sessions)
+            json_rounds(sup, requests, rounds=3)
+            victim = sup._workers[0]
+            victim.process.terminate()
+            victim.process.join(timeout=5.0)
+            assert sup.describe_sessions() == service.describe_sessions()
+
+    def test_drained_dir_has_empty_journal_and_loads(
+        self, tmp_path, market, market2
+    ):
+        name0, name1 = two_market_names()
+        sessions = [("a", "ons", {}, name0), ("b", "ucrp", {}, name1)]
+        requests = [RebalanceRequest("a"), RebalanceRequest("b")]
+        sup, _, _ = make_supervisor(tmp_path, market, market2, workers=2)
+        with sup:
+            self.open(sup, sessions)
+            json_rounds(sup, requests, rounds=3)
+            sup.drain(timeout=30.0)
+        root = tmp_path / "state"
+        assert list((root / "journal").iterdir()) == []
+        _, markets, payloads = read_checkpoint(root)
+        assert sorted(markets) == sorted([name0, name1])
+        assert [p["state"]["decisions"] for p in payloads] == [3, 3]
+        reference = json_rounds(
+            in_process({name0: market, name1: market2}, sessions),
+            requests, rounds=5,
+        )
+        restored = PortfolioService.load_checkpoint(root)
+        assert json_rounds(restored, requests, rounds=2) == reference[3:]
+
+    def test_store_commit_compact_and_torn_tail(self, tmp_path, market):
+        service = in_process({"m": market}, [("a", "ons", {}, "m")])
+        store = SessionStateStore(tmp_path)
+        store.save_session(service.export_session("a"))
+        assert store.open_journal(0) is None
+        for batch in range(3):
+            response = service.rebalance("a")
+            store.commit(
+                batch, [service.export_session("a", weights=False)],
+                [response.to_json_dict()],
+            )
+        assert store.load_session_record("a")["state"]["decisions"] == 0
+        assert store.journaled_records()["a"] == {
+            **service.export_session("a", weights=False), "weights": None
+        }
+        journal = tmp_path / "journal" / "0"
+        journal.write_bytes(journal.read_bytes()[:-1])  # tear batch 2
+
+        # A successor replays what survives: batch 1 is the last commit.
+        successor = SessionStateStore(tmp_path)
+        batch, responses = successor.open_journal(0)
+        assert batch == 1 and responses[0]["t"] == response.t - 1
+        assert store.load_session_record("a")["state"]["decisions"] == 2
+        assert successor.journaled_records() == {}  # only the batch header
+
+        # Compaction is due once the journal outgrows its bound.
+        commits = 0
+        while not successor.journal_full():
+            successor.commit(commits, [service.export_session("a", weights=False)], [])
+            commits += 1
+        assert 0 < commits <= JOURNAL_SNAPSHOTS
+        successor.compact()
+        assert journal.stat().st_size == 0
+        assert store.load_session_record("a")["state"]["decisions"] == 3
+        store.close()
+        successor.close()
+
+
+class TestSidecarSkip:
+    """Rehydration reads ``weights.npz`` only when the worker holds no
+    agent under the session's key."""
+
+    @pytest.mark.parametrize("damage", ["deleted", "torn"])
+    def test_damaged_sidecar_unread_while_agent_resident(
+        self, tmp_path, config, market, damage
+    ):
+        name0, _ = two_market_names()
+        params = dict(observation=config.observation, **SDP_PARAMS)
+        sessions = [("a", "sdp", params, name0), ("b", "sdp", params, name0)]
+        service = in_process({name0: market}, sessions)
+        sup, _, _ = make_supervisor(tmp_path, market, workers=1, max_resident=1)
+        with sup:
+            TestJournal().open(sup, sessions)  # b's create evicts a
+            sidecar = tmp_path / "state" / "sessions" / "a" / "weights.npz"
+            if damage == "deleted":
+                sidecar.unlink()
+            else:
+                sidecar.write_bytes(sidecar.read_bytes()[:100])
+            served, reference = [], []
+            for session_id in ("a", "b", "a"):  # each touch rehydrates
+                served.append(sup.rebalance(session_id).to_json_dict())
+                reference.append(service.rebalance(session_id).to_json_dict())
+            assert sup.stats_dict()["workers"][0]["detail"]["rehydrated"] == 3
+        assert served == reference
+
+    def test_torn_sidecar_without_resident_agent_is_corrupt(
+        self, tmp_path, config, market
+    ):
+        name0, _ = two_market_names()
+        params = dict(observation=config.observation, **SDP_PARAMS)
+        sup, _, _ = make_supervisor(tmp_path, market, workers=1, max_resident=1)
+        with sup:
+            sup.create_session("a", "sdp", params=params, market=name0)
+            sup.create_session("u", "ucrp", market=name0)  # evicts a and its agent
+            sidecar = tmp_path / "state" / "sessions" / "a" / "weights.npz"
+            sidecar.write_bytes(sidecar.read_bytes()[:100])
+            with pytest.raises(CheckpointCorrupt, match="weights.npz"):
+                sup.rebalance("a")
+
+        store = SessionStateStore(tmp_path / "state")
+        key = store.load_session_record("a")["agent_key"]
+        with pytest.raises(CheckpointCorrupt, match=str(sidecar)):
+            store.load_session("a", resident_agents=("another key",))
+        assert store.load_session("a", resident_agents=(key,))["weights"] is None
 
 
 class TestLoadShedding:
