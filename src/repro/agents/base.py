@@ -2,7 +2,8 @@
 
 Every policy — spiking, deep, or classical — implements :class:`Agent`:
 single-step :meth:`~Agent.act` for sequential loops, plus the public
-batched-inference pair :meth:`~Agent.prepare_states` /
+batched-inference methods :meth:`~Agent.prepare_states` (one panel),
+:meth:`~Agent.prepare_rows` (rows drawn from several panels) and
 :meth:`~Agent.decide_batch` that vectorised engines
 (:class:`~repro.envs.backtester.Backtester`,
 :class:`~repro.serving.PortfolioService`) use to evaluate many decision
@@ -14,12 +15,12 @@ backward-compatible entry point; the engine itself lives in
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..data.market import MarketData
-from ..envs.backtester import Backtester, BacktestResult, concat_states
+from ..envs.backtester import Backtester, BacktestResult, concat_states, take_states
 from ..envs.costs import DEFAULT_COMMISSION
 from ..envs.observations import ObservationConfig
 
@@ -36,7 +37,9 @@ class Agent(ABC):
 
     Subclasses must implement :meth:`act`; vectorised policies should
     additionally override :meth:`prepare_states` / :meth:`decide_batch`
-    (the defaults fall back to looping :meth:`act`) and declare
+    (the defaults fall back to looping :meth:`act`), may override
+    :meth:`prepare_rows` (the default calls :meth:`prepare_states` once
+    per distinct panel), and declare
     ``stateless = True`` when inference is a pure function of its
     inputs, which lets engines share one instance across concurrent
     sessions and micro-batch their decisions.
@@ -84,6 +87,41 @@ class Agent(ABC):
                 f"indices, got {w_prev.shape}"
             )
         return [(data, int(t), w_prev[i]) for i, t in enumerate(indices)]
+
+    def prepare_rows(
+        self,
+        panels: Sequence[MarketData],
+        which: np.ndarray,
+        indices: np.ndarray,
+        w_prev: np.ndarray,
+    ) -> object:
+        """Inference states for ``(panel, t, w_prev)`` rows drawn from
+        several panels: row ``k`` is ``panels[which[k]]`` at decision
+        index ``indices[k]`` with previous weights ``w_prev[k]``.
+
+        Rows come back in the caller's order, in the container
+        :meth:`prepare_states` returns.  The default calls
+        :meth:`prepare_states` once per distinct panel and puts the rows
+        back in order; the built-in agents gather every row's features
+        in one vectorised pass.
+        """
+        which = np.asarray(which, dtype=np.int64)
+        indices = np.asarray(indices, dtype=np.int64)
+        w_prev = np.asarray(w_prev, dtype=np.float64)
+        if which.shape != indices.shape or w_prev.shape[:1] != indices.shape:
+            raise ValueError(
+                f"which, indices and w_prev must agree on the batch, got "
+                f"shapes {which.shape}, {indices.shape} and {w_prev.shape}"
+            )
+        distinct = np.unique(which)
+        if len(distinct) == 1:
+            return self.prepare_states(panels[distinct[0]], indices, w_prev)
+        rows = [np.flatnonzero(which == p) for p in distinct]
+        parts = [
+            self.prepare_states(panels[p], indices[r], w_prev[r])
+            for p, r in zip(distinct, rows)
+        ]
+        return take_states(concat_states(parts), np.argsort(np.concatenate(rows)))
 
     def decide_batch(self, states: object) -> np.ndarray:
         """Portfolio weights ``(batch, N)`` for a prepared state batch.

@@ -12,7 +12,7 @@ cash bias, and a softmax over N = M + 1 outputs.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from ..autograd import functional as F
 from ..autograd.functional import _im2col
 from ..autograd.nn import Conv2d, Module, Parameter
 from ..data.market import MarketData
-from ..envs.observations import ObservationConfig, price_tensor_batch
+from ..envs.observations import ObservationConfig, check_w_prev, price_tensor_rows
 from ..snn.decoding import softmax_head_backward, softmax_head_forward
 from ..utils.rng import make_rng
 from .base import Agent
@@ -233,14 +233,27 @@ class JiangDRLAgent(Agent):
         return int(sum(p.size for p in self.network.parameters()))
 
     # ------------------------------------------------------------------
+    def prepare_rows(
+        self,
+        panels: Sequence[MarketData],
+        which: np.ndarray,
+        indices: np.ndarray,
+        w_prev: np.ndarray,
+    ) -> dict:
+        """EIIE input batch over ``(panel, t, w_prev)`` rows: price
+        tensors plus the previous weights."""
+        prices = price_tensor_rows(panels, which, indices, self.observation)
+        return {
+            "prices": prices,
+            "w_prev": check_w_prev(w_prev, len(prices), panels[0].n_assets),
+        }
+
     def prepare_states(
         self, data: MarketData, indices: np.ndarray, w_prev: np.ndarray
     ) -> dict:
-        """EIIE input batch: price tensors plus the previous weights."""
-        return {
-            "prices": price_tensor_batch(data, indices, self.observation),
-            "w_prev": np.asarray(w_prev, dtype=np.float64),
-        }
+        """The one-panel front of :meth:`prepare_rows`."""
+        indices = np.asarray(indices, dtype=np.int64)
+        return self.prepare_rows([data], np.zeros_like(indices), indices, w_prev)
 
     def decide_batch(self, states: dict) -> np.ndarray:
         """One batched CNN forward over a prepared state batch.

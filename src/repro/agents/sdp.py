@@ -15,7 +15,7 @@ Two architectures are provided:
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,9 +23,9 @@ from ..autograd import Tensor
 from ..data.market import MarketData
 from ..envs.observations import (
     ObservationConfig,
-    sdp_asset_features_batch,
-    sdp_state_batch,
+    sdp_asset_features_rows,
     sdp_state_perm_columns,
+    sdp_state_rows,
 )
 from ..snn import (
     ActivityRecord,
@@ -130,13 +130,28 @@ class SDPAgent(Agent):
         return int(sum(p.size for p in self.network.parameters()))
 
     # ------------------------------------------------------------------
+    def prepare_rows(
+        self,
+        panels: Sequence[MarketData],
+        which: np.ndarray,
+        indices: np.ndarray,
+        w_prev: np.ndarray,
+    ) -> np.ndarray:
+        """Architecture-aware state batch (flat or per-asset features)
+        over ``(panel, t, w_prev)`` rows."""
+        if self.architecture == "shared":
+            return sdp_asset_features_rows(
+                panels, which, indices, w_prev, self.observation
+            )
+        return sdp_state_rows(panels, which, indices, w_prev, self.observation)
+
     def prepare_states(
         self, data: MarketData, indices: np.ndarray, w_prev: np.ndarray
     ) -> np.ndarray:
-        """Architecture-aware state batch (flat or per-asset features)."""
-        if self.architecture == "shared":
-            return sdp_asset_features_batch(data, indices, w_prev, self.observation)
-        return sdp_state_batch(data, indices, w_prev, self.observation)
+        """The one-panel front of :meth:`prepare_rows` (what the
+        trainers call)."""
+        indices = np.asarray(indices, dtype=np.int64)
+        return self.prepare_rows([data], np.zeros_like(indices), indices, w_prev)
 
     def permute_states(self, states: np.ndarray, perms: np.ndarray) -> np.ndarray:
         """Apply per-seed asset permutations to a prepared state batch.

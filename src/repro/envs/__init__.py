@@ -20,8 +20,10 @@ from .observations import (
     PRICE_FEATURES,
     price_tensor,
     price_tensor_batch,
+    price_tensor_rows,
     sdp_state,
     sdp_state_batch,
+    sdp_state_rows,
 )
 from .portfolio import PortfolioEnv, StepResult, step_envs
 from .pvm import PortfolioVectorMemory
@@ -45,8 +47,10 @@ __all__ = [
     "normalize_actions",
     "price_tensor",
     "price_tensor_batch",
+    "price_tensor_rows",
     "sdp_state",
     "sdp_state_batch",
+    "sdp_state_rows",
     "step_book",
     "step_envs",
     "transaction_remainder_approx",

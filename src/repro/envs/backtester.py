@@ -8,11 +8,12 @@ commission, initial value) once and drives any object implementing the
 * :meth:`Backtester.run` — the classical sequential loop: one ``act``
   per decision period.  Every agent supports it.
 * :meth:`Backtester.run_many` — back-test one *stateless* agent over
-  several panels in lockstep.  At each step the per-panel states are
-  concatenated and decided with a single ``decide_batch`` call, so the
-  policy network does one batched forward pass per period instead of
-  one per panel, and every live panel's book steps in one vectorized
-  pass (:func:`~repro.envs.portfolio.step_envs`).  Stateful agents
+  several panels in lockstep.  At each step every live panel's decision
+  row is built by one ``prepare_rows`` call and decided by one
+  ``decide_batch`` call, so feature gathering and the policy network
+  each run once per period instead of once per panel, and every live
+  panel's book steps in one vectorized pass
+  (:func:`~repro.envs.portfolio.step_envs`).  Stateful agents
   transparently fall back to sequential per-panel runs.
 
 The lockstep mode is the same mechanism :class:`repro.serving`
@@ -93,6 +94,21 @@ def concat_states(parts: Sequence) -> object:
         return merged
     raise TypeError(
         f"cannot concatenate state batches of type {type(first).__name__}; "
+        "prepare_states must return an ndarray, dict, or list"
+    )
+
+
+def take_states(states: object, order: np.ndarray) -> object:
+    """Rows ``order`` of a prepared state batch, in any container
+    :func:`concat_states` understands."""
+    if isinstance(states, np.ndarray):
+        return states[order]
+    if isinstance(states, dict):
+        return {key: take_states(value, order) for key, value in states.items()}
+    if isinstance(states, list):
+        return [states[i] for i in order]
+    raise TypeError(
+        f"cannot take rows of a state batch of type {type(states).__name__}; "
         "prepare_states must return an ndarray, dict, or list"
     )
 
@@ -219,19 +235,18 @@ class Backtester:
         labels = [f"panel {i}: action" for i in range(len(envs))]
         live = list(range(len(envs)))
         while live:
-            parts = [
-                agent.prepare_states(
-                    panels[i],
-                    np.array([envs[i].t]),
-                    envs[i].previous_weights[None, :],
-                )
-                for i in live
-            ]
+            # One feature gather for every live panel's decision row.
+            states = agent.prepare_rows(
+                panels,
+                np.array(live),
+                np.array([envs[i].t for i in live]),
+                np.stack([envs[i].previous_weights for i in live]),
+            )
             # decide_batch is pure inference on a stateless agent (the
             # stateless contract: no mutable state, no backprop), so
             # graph construction can be disabled outright.
             with no_grad():
-                actions = np.asarray(agent.decide_batch(concat_states(parts)))
+                actions = np.asarray(agent.decide_batch(states))
             if actions.ndim != 2 or actions.shape[0] != len(live):
                 raise ValueError(
                     f"{agent.name}: decide_batch returned shape "

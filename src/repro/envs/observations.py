@@ -20,13 +20,20 @@ The paper defines the state as ``{w_{t−1}, close, high, low, open}``
 
 Both encodings look *only backwards* from the decision period; the
 no-look-ahead property is covered by property-based tests.
+
+Each builder has a rows form (``*_rows``) over ``(panel, t, w_prev)``
+rows drawn from several panels, which a lockstep back-test or a serving
+round calls once per decision period: each row's window is gathered
+from its own panel's cached panels, and the arithmetic runs once over
+the batch.  The single-panel ``*_batch`` functions are its one-panel
+case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,9 +44,10 @@ from ..data.market import MarketData
 def _momentum_scales(
     horizons: Tuple[int, ...], log_scale: float
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Cached per-config horizon index array and ``(1, H, 1)`` scales."""
+    """Cached per-config gather lags ``(0, −h_1, …, −h_H)`` and
+    ``(1, H, 1)`` scales."""
     h = np.asarray(horizons, dtype=np.int64)
-    return h, (log_scale / np.sqrt(h))[None, :, None]
+    return np.concatenate([[0], -h]), (log_scale / np.sqrt(h))[None, :, None]
 
 #: Feature order of the price tensor (open is appended when requested).
 PRICE_FEATURES = ("close", "high", "low")
@@ -122,9 +130,85 @@ class ObservationConfig:
         return max(self.lookback_periods - 1, self.max_momentum_lookback())
 
 
-def _feature_panel(data: MarketData, include_open: bool) -> np.ndarray:
-    """Stack OHLC features into shape (features, periods, assets)."""
-    return data.feature_panel(include_open)
+def _check_rows(
+    panels: Sequence[MarketData],
+    which: np.ndarray,
+    indices: np.ndarray,
+    first: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Validate a batch of ``(panel, t)`` rows once for the whole batch.
+
+    Row ``k`` is ``panels[which[k]]`` at decision index ``indices[k]``;
+    every index must lie in ``[first, n_periods)`` of its *own* panel,
+    and the panels must share one asset count.  Returns ``(which,
+    indices)`` as int64 arrays.
+    """
+    which = np.asarray(which, dtype=np.int64)
+    indices = np.asarray(indices, dtype=np.int64)
+    if indices.ndim != 1 or which.shape != indices.shape:
+        raise ValueError(
+            f"which and indices must be matching 1-D arrays, got shapes "
+            f"{which.shape} and {indices.shape}"
+        )
+    n = len(panels)
+    if which.any() if n == 1 else ((which < 0) | (which >= n)).any():
+        raise IndexError(f"panel numbers out of range for {n} panels")
+    if n == 1:
+        ends = panels[0].n_periods
+    else:
+        if len({p.n_assets for p in panels}) != 1:
+            raise ValueError("panels disagree on the number of assets")
+        ends = np.array([p.n_periods for p in panels])[which]
+    if ((indices < first) | (indices >= ends)).any():
+        raise IndexError("row indices out of range for the lookback")
+    return which, indices
+
+
+def check_w_prev(w_prev: np.ndarray, batch: int, n_assets: int) -> np.ndarray:
+    """``w_prev`` as a float64 ``(batch, n_assets + 1)`` array, or
+    :class:`ValueError`."""
+    w_prev = np.asarray(w_prev, dtype=np.float64)
+    if w_prev.shape != (batch, n_assets + 1):
+        raise ValueError(
+            f"w_prev must have shape ({batch}, {n_assets + 1}), "
+            f"got {w_prev.shape}"
+        )
+    return w_prev
+
+
+def _gather_rows(
+    panels: Sequence[MarketData],
+    which: np.ndarray,
+    gathers: Sequence[Tuple[Callable[[MarketData], np.ndarray], np.ndarray]],
+) -> List[np.ndarray]:
+    """For each ``(source, sel)`` in ``gathers``, the batch whose row
+    ``k`` is ``source(panels[which[k]])[sel[k]]``.
+
+    ``source`` returns a panel's cached time-first array and ``sel``
+    holds each row's period indices.  Rows are ranked by panel once;
+    each distinct panel then takes one fancy-index gather per source,
+    and one take restores the caller's order.  Work scales with the
+    rows, never with the length of a panel.
+    """
+    if len(panels) == 1 or len(which) == 0:
+        return [source(panels[0])[sel] for source, sel in gathers]
+    order = np.argsort(which, kind="stable")
+    ranked = which[order]
+    starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+    spans = list(
+        zip(
+            ranked[starts].tolist(),
+            starts.tolist(),
+            starts[1:].tolist() + [len(order)],
+        )
+    )
+    restore = np.argsort(order)
+    out = []
+    for source, sel in gathers:
+        sel = sel[order]
+        parts = [source(panels[p])[sel[lo:hi]] for p, lo, hi in spans]
+        out.append(np.concatenate(parts)[restore])
+    return out
 
 
 def price_tensor(
@@ -148,16 +232,33 @@ def price_tensor_batch(
     Returns shape ``(batch, features, assets, window)``.
     """
     indices = np.asarray(indices, dtype=np.int64)
-    first = config.first_decision_index()
-    if np.any(indices < first) or np.any(indices >= data.n_periods):
-        raise IndexError("batch indices out of range for the window")
-    panel = _feature_panel(data, config.include_open)  # (F, N, A)
+    return price_tensor_rows([data], np.zeros_like(indices), indices, config)
+
+
+def price_tensor_rows(
+    panels: Sequence[MarketData],
+    which: np.ndarray,
+    indices: np.ndarray,
+    config: ObservationConfig,
+) -> np.ndarray:
+    """:func:`price_tensor_batch` over ``(panel, t)`` rows: row ``k`` is
+    ``panels[which[k]]`` at ``indices[k]``, in the caller's order."""
+    which, indices = _check_rows(
+        panels, which, indices, config.first_decision_index()
+    )
     offsets = np.arange(-(config.window - 1), 1) * config.stride
-    gather = indices[:, None] + offsets[None, :]  # (B, W)
-    win = panel[:, gather, :]  # (F, B, W, A)
-    latest_close = data.close[indices, :]  # (B, A)
-    win = win / latest_close[None, :, None, :]
-    return np.ascontiguousarray(win.transpose(1, 0, 3, 2))
+    (win,) = _gather_rows(
+        panels,
+        which,
+        [(
+            # (periods, features, assets) view of the cached feature panel.
+            lambda d: d.feature_panel(config.include_open).transpose(1, 0, 2),
+            indices[:, None] + offsets[None, :],
+        )],
+    )  # (B, W, F, A)
+    latest_close = win[:, -1, 0, :]  # close (feature 0) at t: (B, A)
+    win = win / latest_close[:, None, None, :]
+    return np.ascontiguousarray(win.transpose(0, 2, 3, 1))
 
 
 def sdp_state(
@@ -178,6 +279,39 @@ def sdp_state(
     return sdp_state_batch(data, np.array([t]), w_prev[None, :], config)[0]
 
 
+def _sdp_blocks(
+    panels: Sequence[MarketData],
+    which: np.ndarray,
+    indices: np.ndarray,
+    w_prev: np.ndarray,
+    config: ObservationConfig,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The SDP feature formula, written once for both layouts.
+
+    Returns the clipped momentum ``(B, H, A)``, the clipped candle
+    shape ``(B, A, 3)`` and the mapped weights ``2·w − 1`` ``(B, A+1)``.
+    Each row's windows come from its own panel's cached log panels;
+    the arithmetic then runs once over the whole batch.
+    """
+    which, indices = _check_rows(
+        panels, which, indices, config.first_decision_index()
+    )
+    w_prev = check_w_prev(w_prev, len(indices), panels[0].n_assets)
+    lags, scale = _momentum_scales(config.momentum_horizons, config.log_scale)
+    log_close, candle = _gather_rows(
+        panels,
+        which,
+        [
+            # (B, 1 + H, A): ln close at t, then at t − h per horizon.
+            (MarketData.log_close_panel, indices[:, None] + lags[None, :]),
+            (MarketData.log_candle_panel, indices),  # (B, A, 3)
+        ],
+    )
+    momentum = np.clip(scale * (log_close[:, :1] - log_close[:, 1:]), -1.0, 1.0)
+    candle = np.clip(config.log_scale * candle, -1.0, 1.0)
+    return momentum, candle, 2.0 * w_prev - 1.0
+
+
 def sdp_asset_features_batch(
     data: MarketData,
     indices: np.ndarray,
@@ -194,40 +328,28 @@ def sdp_asset_features_batch(
     ``d == config.sdp_asset_feature_dim()``.
     """
     indices = np.asarray(indices, dtype=np.int64)
-    first = config.first_decision_index()
-    if np.any(indices < first) or np.any(indices >= data.n_periods):
-        raise IndexError("batch indices out of range for the lookback")
-    batch = indices.shape[0]
-    w_prev = np.asarray(w_prev, dtype=np.float64)
-    if w_prev.shape != (batch, data.n_assets + 1):
-        raise ValueError(
-            f"w_prev must have shape ({batch}, {data.n_assets + 1}), "
-            f"got {w_prev.shape}"
-        )
+    return sdp_asset_features_rows(
+        [data], np.zeros_like(indices), indices, w_prev, config
+    )
 
-    # Fully vectorised over batch, horizon, and asset, gathering from
-    # panels of logs cached on the MarketData (the seed re-logged the
-    # whole close panel on every call).  Elementwise ops on the same
-    # values — bit-identical features to the seed's per-column loop.
-    horizons, scale = _momentum_scales(config.momentum_horizons, config.log_scale)
-    n_h = horizons.shape[0]
-    log_close = data.log_close_panel()
-    ret = (
-        log_close[indices][:, None, :]
-        - log_close[indices[:, None] - horizons[None, :]]
-    )  # (B, H, A)
-    momentum = np.clip(scale * ret, -1.0, 1.0)
 
-    candle = np.clip(
-        config.log_scale * data.log_candle_panel()[indices], -1.0, 1.0
-    )  # (B, A, 3)
-
-    out = np.empty((batch, data.n_assets, n_h + 5))
+def sdp_asset_features_rows(
+    panels: Sequence[MarketData],
+    which: np.ndarray,
+    indices: np.ndarray,
+    w_prev: np.ndarray,
+    config: ObservationConfig,
+) -> np.ndarray:
+    """:func:`sdp_asset_features_batch` over ``(panel, t, w_prev)``
+    rows: row ``k`` is ``panels[which[k]]`` at ``indices[k]``."""
+    momentum, candle, weights = _sdp_blocks(panels, which, indices, w_prev, config)
+    batch, n_h, n_assets = momentum.shape
+    out = np.empty((batch, n_assets, n_h + 5))
     out[:, :, :n_h] = np.swapaxes(momentum, 1, 2)
     out[:, :, n_h : n_h + 3] = candle
-    out[:, :, n_h + 3] = 2.0 * w_prev[:, 1:] - 1.0  # own previous weight
+    out[:, :, n_h + 3] = weights[:, 1:]  # own previous weight
     # Previous cash weight (same for every asset).
-    out[:, :, n_h + 4] = 2.0 * w_prev[:, :1] - 1.0
+    out[:, :, n_h + 4] = weights[:, :1]
     return out
 
 
@@ -239,33 +361,23 @@ def sdp_state_batch(
 ) -> np.ndarray:
     """Vectorised :func:`sdp_state`; ``w_prev`` has shape (batch, A+1)."""
     indices = np.asarray(indices, dtype=np.int64)
-    first = config.first_decision_index()
-    if np.any(indices < first) or np.any(indices >= data.n_periods):
-        raise IndexError("batch indices out of range for the lookback")
-    batch = indices.shape[0]
-    w_prev = np.asarray(w_prev, dtype=np.float64)
-    if w_prev.shape != (batch, data.n_assets + 1):
-        raise ValueError(
-            f"w_prev must have shape ({batch}, {data.n_assets + 1}), "
-            f"got {w_prev.shape}"
-        )
+    return sdp_state_rows([data], np.zeros_like(indices), indices, w_prev, config)
 
-    # Vectorised over batch × horizon × asset, gathering from cached
-    # log panels (bit-identical to per-horizon np.log over the full
-    # panel — the log runs once per panel instead of once per call).
-    horizons, scale = _momentum_scales(config.momentum_horizons, config.log_scale)
-    log_close = data.log_close_panel()
-    ret = (
-        log_close[indices][:, None, :]
-        - log_close[indices[:, None] - horizons[None, :]]
-    )  # (B, H, A)
-    blocks = [np.clip(scale * ret, -1.0, 1.0).reshape(batch, -1)]
-    candle = data.log_candle_panel()[indices]  # (B, A, 3)
-    blocks.append(
-        np.clip(config.log_scale * candle, -1.0, 1.0).reshape(batch, -1)
+
+def sdp_state_rows(
+    panels: Sequence[MarketData],
+    which: np.ndarray,
+    indices: np.ndarray,
+    w_prev: np.ndarray,
+    config: ObservationConfig,
+) -> np.ndarray:
+    """:func:`sdp_state_batch` over ``(panel, t, w_prev)`` rows: row
+    ``k`` is ``panels[which[k]]`` at ``indices[k]``."""
+    momentum, candle, weights = _sdp_blocks(panels, which, indices, w_prev, config)
+    batch = len(weights)
+    return np.concatenate(
+        [momentum.reshape(batch, -1), candle.reshape(batch, -1), weights], axis=1
     )
-    blocks.append(2.0 * w_prev - 1.0)
-    return np.concatenate(blocks, axis=1)
 
 
 def sdp_state_perm_columns(

@@ -5,7 +5,7 @@ loop: each *session* is one live portfolio (a market panel, a strategy
 spec, the previous target weights, and a decision cursor), and a
 rebalance request asks "given everything up to period ``t``, what are
 the next target weights?".  Decisions are produced through the public
-Strategy protocol (:meth:`~repro.agents.base.Agent.prepare_states` /
+Strategy protocol (:meth:`~repro.agents.base.Agent.prepare_rows` /
 :meth:`~repro.agents.base.Agent.decide_batch`), so concurrent requests
 against stateless strategies collapse into one batched network forward
 — the same mechanism :class:`~repro.envs.backtester.Backtester` uses in
@@ -51,7 +51,7 @@ from typing import (
 
 import numpy as np
 
-from ..agents.base import Agent, concat_states
+from ..agents.base import Agent
 from ..autograd import no_grad
 from ..obs import get_obs
 from ..data.market import MarketData
@@ -1041,27 +1041,22 @@ class PortfolioService:
 
         for group in groups.values():
             agent = group[0][1].agent
-            # Sub-group the round's sessions by shared panel: one
-            # prepare_states call per panel with stacked indices and
-            # weights vectorises feature construction too, not just the
-            # network forward (sessions serving the same market panel
-            # are the common case at scale).
-            panel_items: Dict[int, List[Tuple[int, _Session, int]]] = {}
-            for item in group:
-                panel_items.setdefault(id(item[1].data), []).append(item)
-            ordered: List[Tuple[int, _Session, int]] = []
-            parts = []
-            for panel_group in panel_items.values():
-                indices = np.array([t for _, _, t in panel_group], dtype=np.int64)
-                w_prev = np.stack(
-                    [staged[s.session_id].w_prev for _, s, _ in panel_group]
-                )
-                parts.append(
-                    agent.prepare_states(panel_group[0][1].data, indices, w_prev)
-                )
-                ordered.extend(panel_group)
+            # One prepare_rows call builds every session's features:
+            # sessions serving the same market panel share its gathers
+            # (the common case at scale), and rows stay in group order.
+            slots: Dict[int, int] = {}
+            panels: List[MarketData] = []
+            which: List[int] = []
+            for _, s, _ in group:
+                if id(s.data) not in slots:
+                    slots[id(s.data)] = len(panels)
+                    panels.append(s.data)
+                which.append(slots[id(s.data)])
+            indices = np.array([t for _, _, t in group], dtype=np.int64)
+            w_prev = np.stack([staged[s.session_id].w_prev for _, s, _ in group])
+            states = agent.prepare_rows(panels, np.array(which), indices, w_prev)
             with no_grad():
-                weights = np.asarray(agent.decide_batch(concat_states(parts)))
+                weights = np.asarray(agent.decide_batch(states))
             if weights.ndim != 2 or weights.shape[0] != len(group):
                 raise InvalidStrategyOutput(
                     f"strategy {group[0][1].spec['strategy']!r}: decide_batch "
@@ -1073,15 +1068,12 @@ class PortfolioService:
                 stats.largest_batch = max(stats.largest_batch, len(group))
             else:
                 stats.single_decisions += 1
-            infos: List[Optional[Dict[str, float]]] = [None] * len(ordered)
+            infos: List[Optional[Dict[str, float]]] = [None] * len(group)
             if self._execution is not None:
                 # One vectorized estimate for the whole round's group —
                 # the batched API the engine exposes for exactly this.
-                w_prev = np.stack(
-                    [staged[s.session_id].w_prev for _, s, _ in ordered]
-                )
-                infos = self._estimate_execution(ordered, w_prev, weights)
-            self._stage_decisions(staged, ordered, weights, infos, responses)
+                infos = self._estimate_execution(group, w_prev, weights)
+            self._stage_decisions(staged, group, weights, infos, responses)
 
         # Stateful strategies keep the ambient grad mode: act() is a
         # user extension point that may legitimately adapt online

@@ -3,9 +3,9 @@
 ``ServingSupervisor`` runs N worker processes, each owning a private
 :class:`~repro.serving.PortfolioService` shard.  Sessions are routed to
 workers by **market panel** (a stable hash of the market name), so every
-session sharing a panel lands on one worker and the one-
-``prepare_states``-per-panel micro-batching win survives the process
-split.  The supervisor's front is duck-compatible with the in-process
+session sharing a panel lands on one worker, where its rows share that
+panel's feature gathers inside the round's one ``prepare_rows`` call:
+the micro-batching win survives the process split.  The supervisor's front is duck-compatible with the in-process
 service (``rebalance`` / ``rebalance_many`` / ``create_session`` /
 ``describe_sessions`` / ``stats`` …), which is how the HTTP layer and
 :class:`~repro.serving.MicroBatcher` serve through it unchanged.

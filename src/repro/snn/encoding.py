@@ -208,7 +208,9 @@ class PopulationEncoder:
             np.add(voltage, drive, out=voltage)
             np.greater(voltage, threshold, out=fired)
             spikes[t] = fired
-            np.subtract(voltage, threshold, out=voltage, where=fired)
+            # Unmasked soft reset: voltage ≥ 0 and threshold · 0.0 is
+            # 0.0, so the same bits as subtracting where fired.
+            np.subtract(voltage, threshold * spikes[t], out=voltage)
         return spikes
 
     def _encode_probabilistic(self, drive: np.ndarray, timesteps: int) -> np.ndarray:

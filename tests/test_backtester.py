@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.agents import SDPAgent, JiangDRLAgent, concat_states, run_backtest
+from repro.agents import Agent, SDPAgent, JiangDRLAgent, concat_states, run_backtest
 from repro.baselines import Anticor, UCRP
 from repro.data import MarketGenerator
 from repro.envs import Backtester, ObservationConfig
@@ -136,6 +136,106 @@ class TestBatchedProtocol:
         assert batched < sequential, (
             f"batched {batched:.4f}s not faster than sequential {sequential:.4f}s"
         )
+
+
+class _SoftmaxUser(Agent):
+    """A stateless user strategy that keeps the default list container
+    (``prepare_states`` / ``prepare_rows`` are inherited)."""
+
+    name = "SoftmaxUser"
+    stateless = True
+
+    def act(self, data, t, w_prev):
+        z = np.concatenate([[0.0], 30.0 * np.log(data.close[t] / data.close[t - 2])])
+        e = np.exp(z + w_prev - z.max())
+        return e / e.sum()
+
+
+ROW_AGENTS = {
+    "sdp_shared": small_sdp,
+    "sdp_monolithic": lambda: SDPAgent(
+        4, observation=CFG, architecture="monolithic", hidden_sizes=(16,),
+        encoder_pop_size=4, decoder_pop_size=4, seed=3,
+    ),
+    "jiang": lambda: JiangDRLAgent(4, observation=CFG, seed=5),
+    "user": _SoftmaxUser,
+}
+
+
+def _same_states(a, b):
+    assert type(a) is type(b)
+    if isinstance(a, dict):
+        assert a.keys() == b.keys()
+        for key in a:
+            _same_states(a[key], b[key])
+    elif isinstance(a, list):
+        assert len(a) == len(b)
+        for (da, ta, wa), (db, tb, wb) in zip(a, b):
+            assert da is db and ta == tb and np.array_equal(wa, wb)
+    else:
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+class TestPrepareRows:
+    """``prepare_rows`` over rows from several panels equals one
+    ``prepare_states`` per row followed by ``concat_states``."""
+
+    @pytest.fixture(scope="class")
+    def panels(self, panel, panel2):
+        short = MarketGenerator(seed=41).generate(
+            "2019/01/01", "2019/01/09", 7200
+        ).select_assets([0, 1, 2, 3])
+        lengths = {p.n_periods for p in (panel, panel2, short)}
+        assert len(lengths) == 3
+        return [panel, panel2, short]
+
+    @staticmethod
+    def _rows(panels):
+        # Repeated panels, out of order, each index inside its own panel.
+        which = np.array([2, 0, 2, 1, 0, 2, 1, 0])
+        indices = np.array([
+            panels[2].n_periods - 1, 40, 6, panels[1].n_periods - 1,
+            panels[0].n_periods - 1, 50, 7, 6,
+        ])
+        w_prev = np.random.default_rng(7).dirichlet(np.ones(5), size=len(which))
+        return which, indices, w_prev
+
+    @pytest.mark.parametrize("kind", ROW_AGENTS)
+    def test_matches_per_row_prepare_states(self, panels, kind):
+        agent = ROW_AGENTS[kind]()
+        which, indices, w_prev = self._rows(panels)
+        rows = agent.prepare_rows(panels, which, indices, w_prev)
+        per_row = concat_states([
+            agent.prepare_states(panels[p], np.array([t]), w[None, :])
+            for p, t, w in zip(which, indices, w_prev)
+        ])
+        _same_states(rows, per_row)
+        assert np.array_equal(agent.decide_batch(rows), agent.decide_batch(per_row))
+
+    @pytest.mark.parametrize("kind", ("sdp_shared", "sdp_monolithic", "jiang"))
+    def test_out_of_range_rows_raise(self, panels, kind):
+        agent = ROW_AGENTS[kind]()
+        which, indices, w_prev = self._rows(panels)
+        first = CFG.first_decision_index()
+        early = indices.copy()
+        early[3] = first - 1
+        with pytest.raises(IndexError):
+            agent.prepare_rows(panels, which, early, w_prev)
+        # In range for the longest panel, one past the short row's own end.
+        late = indices.copy()
+        late[0] = panels[2].n_periods
+        assert late[0] < panels[0].n_periods
+        with pytest.raises(IndexError):
+            agent.prepare_rows(panels, which, late, w_prev)
+
+    @pytest.mark.parametrize("kind", ROW_AGENTS)
+    def test_w_prev_shape_mismatch_raises(self, panels, kind):
+        agent = ROW_AGENTS[kind]()
+        which, indices, w_prev = self._rows(panels)
+        bad = w_prev[:-1] if kind == "user" else w_prev[:, 1:]
+        with pytest.raises(ValueError, match="w_prev"):
+            agent.prepare_rows(panels, which, indices, bad)
 
 
 class TestConcatStates:

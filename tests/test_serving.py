@@ -807,10 +807,10 @@ class TestPanelGroupedPrepare:
             period_seconds=market.period_seconds,
         )
 
-    def test_one_prepare_call_per_panel(self, config, market, sdp_params):
+    def test_one_prepare_rows_call_per_round(self, config, market, sdp_params):
         service = make_service(config, market)
         service.register_market("m2", self._twin_panel(market))
-        for sid, m in [("a", "m"), ("b", "m"), ("c", "m"), ("d", "m2"), ("e", "m2")]:
+        for sid, m in [("a", "m"), ("b", "m2"), ("c", "m"), ("d", "m2"), ("e", "m")]:
             service.create_session(sid, "sdp", params=sdp_params, market=m)
 
         agent = service._sessions["a"].agent
@@ -819,23 +819,27 @@ class TestPanelGroupedPrepare:
         ), "identical specs must share one agent"
 
         calls = []
-        orig = agent.prepare_states
+        orig_rows, orig_states = agent.prepare_rows, agent.prepare_states
 
-        def counting(data, indices, w_prev):
-            calls.append((id(data), len(np.atleast_1d(indices))))
-            return orig(data, indices, w_prev)
+        def counting(panels, which, indices, w_prev):
+            calls.append(([id(p) for p in panels], list(which), len(indices)))
+            return orig_rows(panels, which, indices, w_prev)
 
-        agent.prepare_states = counting
+        def per_panel(data, indices, w_prev):
+            raise AssertionError("a round must not build states per panel")
+
+        agent.prepare_rows, agent.prepare_states = counting, per_panel
         try:
             responses = service.rebalance_many(
                 [RebalanceRequest(s) for s in "abcde"]
             )
         finally:
-            agent.prepare_states = orig
+            agent.prepare_rows, agent.prepare_states = orig_rows, orig_states
 
-        # One stacked call per distinct panel, not one per session.
-        assert len(calls) == 2
-        assert sorted(n for _, n in calls) == [2, 3]
+        # One call for the whole group: each distinct panel listed once,
+        # rows in request order.
+        m, m2 = service._sessions["a"].data, service._sessions["b"].data
+        assert calls == [([id(m), id(m2)], [0, 1, 0, 1, 0], 5)]
         assert service.stats.largest_batch == 5
         assert [r.session_id for r in responses] == list("abcde")
 
@@ -856,6 +860,47 @@ class TestPanelGroupedPrepare:
             for x, y in zip(batched, solo):
                 assert x.t == y.t
                 assert np.array_equal(x.weights, y.weights)
+
+    def test_interleaved_markets_with_execution_match_one_by_one(
+        self, config, market, sdp_params
+    ):
+        """Sessions of one shared agent over three markets of different
+        data and length, interleaved in each round, with an execution
+        engine: micro-batched rounds equal one-by-one calls bit for bit,
+        advisory estimates included."""
+        from repro.execution import ExecutionEngine, LinearImpact
+
+        markets = {
+            "m0": market,
+            "m1": market.slice_time(int(market.timestamps[7])),
+            "m2": market.slice_time(int(market.timestamps[19])),
+        }
+        sessions = {f"s{i}": f"m{i % 3}" for i in range(7)}
+
+        def build():
+            service = PortfolioService(
+                commission=config.commission,
+                execution=ExecutionEngine(
+                    LinearImpact(25.0), portfolio_notional=1e6
+                ),
+            )
+            for name, panel in markets.items():
+                service.register_market(name, panel)
+            for sid, name in sessions.items():
+                service.create_session(sid, "sdp", params=sdp_params, market=name)
+            return service
+
+        grouped, single = build(), build()
+        assert len({id(s.agent) for s in grouped._sessions.values()}) == 1
+        requests = [RebalanceRequest(sid) for sid in sessions]
+        for _ in range(4):
+            batched = grouped.rebalance_many(requests)
+            solo = [single.rebalance(sid) for sid in sessions]
+            for x, y in zip(batched, solo):
+                assert (x.session_id, x.t) == (y.session_id, y.t)
+                assert np.array_equal(x.weights, y.weights)
+                assert x.execution is not None
+                assert x.execution == y.execution
 
     def test_microbatched_rounds_match_one_by_one_at_bench_scale(
         self, bench_panels, bench_sdp_params
