@@ -100,18 +100,18 @@ def check_resume_manifest(manifest: dict) -> List[str]:
     return failures
 
 
-def check_stores_identical(vec_root: Path, ref_root: Path) -> List[str]:
-    """A seed-vectorized (then resumed) 3-seed sweep store equals a
-    serial one: the same complete manifest of 3 shards, and per shard
-    the same metrics and weights."""
-    vec = json.loads((vec_root / "manifest.json").read_text())
+def check_stores_identical(root: Path, ref_root: Path) -> List[str]:
+    """An interrupted then resumed 3-seed sweep store equals an
+    uninterrupted one of the same spec: the same complete manifest of 3
+    shards, and per shard the same metrics and weights."""
+    resumed = json.loads((root / "manifest.json").read_text())
     ref = json.loads((ref_root / "manifest.json").read_text())
-    failures = check_manifests_equal(vec, ref)
-    if len(vec.get("shards", [])) != 3:
+    failures = check_manifests_equal(resumed, ref)
+    if len(resumed.get("shards", [])) != 3:
         failures.append("expected a manifest of 3 shards")
-    store_vec, store_ref = ArtifactStore(vec_root), ArtifactStore(ref_root)
+    store, store_ref = ArtifactStore(root), ArtifactStore(ref_root)
     for shard_dir in sorted((ref_root / "shards").iterdir()):
-        a = store_vec.load_shard(shard_dir.name)
+        a = store.load_shard(shard_dir.name)
         b = store_ref.load_shard(shard_dir.name)
         if a.metrics != b.metrics:
             failures.append(f"{shard_dir.name}: metrics diverged")
@@ -147,7 +147,7 @@ def check_observed_sweep(obs_dir: Path) -> List[str]:
 
 def check_manifests_equal(manifest: dict, reference: dict) -> List[str]:
     """A complete sweep manifest (one recovered from injected faults, or
-    one vectorized then resumed) equals the reference run's."""
+    one interrupted then resumed) equals the reference run's."""
     failures = []
     if manifest != reference:
         failures.append("manifest diverged from the reference")
@@ -198,7 +198,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("resume-manifest", help="check the mini-sweep manifest")
     p.add_argument("manifest")
     p = sub.add_parser("stores-identical", help="compare two sweep stores")
-    p.add_argument("vec_root", type=Path)
+    p.add_argument("root", type=Path)
     p.add_argument("ref_root", type=Path)
     p = sub.add_parser("observed-sweep", help="check an observed sweep's files")
     p.add_argument("obs_dir", type=Path)
@@ -219,7 +219,7 @@ def main(argv=None) -> int:
     elif args.command == "resume-manifest":
         failures = check_resume_manifest(_read_json(args.manifest))
     elif args.command == "stores-identical":
-        failures = check_stores_identical(args.vec_root, args.ref_root)
+        failures = check_stores_identical(args.root, args.ref_root)
     elif args.command == "observed-sweep":
         failures = check_observed_sweep(args.obs_dir)
     elif args.command == "manifests-equal":

@@ -246,12 +246,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         execution_regimes=_parse_executions(args.executions),
         risk_regimes=_parse_risks(args.risks),
         overrides=tuple(_overrides(args).items()),
+        backend=args.backend,
     )
     obs = _configure_obs(args)
     runner = SweepRunner(
         spec, args.store, max_workers=args.workers,
         retry=retry, fault_plan=fault_plan,
-        vectorize_seeds=args.vectorize_seeds, backend=args.backend,
         obs_dir=args.obs_dir, obs_level=args.obs_level,
     )
     result = runner.run(
@@ -491,16 +491,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="backoff before the first per-shard retry, seconds",
     )
     p_sweep.add_argument(
-        "--vectorize-seeds", action="store_true",
-        help="train same-config seed shards as one stacked multi-seed "
-        "run (bit-identical per-shard artifacts on the reference "
-        "backend); resume works with or without the flag",
-    )
-    p_sweep.add_argument(
         "--backend", default=None, choices=("reference", "fast"),
-        help="numeric backend for vectorized groups (default: "
+        help="numeric backend the learned shards train on (default: "
         "reference, the bit-identical float64 tier; fast = float32 "
-        "tapes, tolerance-level deviations)",
+        "tapes, tolerance-level deviations, SDP only: other strategies "
+        "keep reference)",
     )
     _add_obs(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)

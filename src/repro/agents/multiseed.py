@@ -50,8 +50,9 @@ either is the graph op on a contiguous per-seed slice (same BLAS call,
 same reduction order) or an elementwise op over identical values; the
 parity suite (``tests/test_multiseed.py``) enforces the end-to-end
 guarantee.  The ``fast`` backend (float32 tapes + float32-cast weight
-banks) is a documented-tolerance approximation and is rejected by
-every parity gate; see :mod:`repro.backend`.
+banks) is a documented-tolerance approximation of the reference and
+is rejected by every parity gate; see :mod:`repro.backend`.  Within
+the fast tier, too, a seed trained alone equals its stacked slice.
 """
 
 from __future__ import annotations
@@ -379,9 +380,11 @@ class MultiSeedTrainer:
 
         # -- executor over the policy kind -----------------------------
         self._seed_banked = isinstance(first, SDPAgent)
-        if not self.backend.is_reference and not self._seed_banked:
+        if not self.backend.is_reference and not (
+            self._seed_banked and self.use_fused
+        ):
             raise ValueError(
-                "the fast backend runs the SDP seed banks only; train "
+                "the fast backend runs the fused SDP seed banks only; train "
                 f"{type(first).__name__} policies on the reference backend"
             )
         self._bank = self._opt_exec = None

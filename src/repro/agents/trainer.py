@@ -11,12 +11,13 @@ states what the loop needs from a policy (:class:`TrainablePolicy`,
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Protocol
+from typing import Callable, Dict, Optional, Protocol, Union
 
 import numpy as np
 
 from ..autograd import Tensor
 from ..autograd.optim import Optimizer
+from ..backend import Backend
 from ..data.market import MarketData
 from ..envs.observations import ObservationConfig
 from ..envs.pvm import PortfolioVectorMemory
@@ -105,6 +106,8 @@ class PolicyTrainer(MultiSeedTrainer):
     always use it).  Both paths read their batches from the same
     prologue, so they consume the same RNG streams: sampler
     ``make_rng(seed)``, permutations ``make_rng(seed + 1)``.
+    ``backend`` selects the numeric tier, as for the multi-seed trainer
+    (``"fast"`` needs the fused SDP path).
     """
 
     def __init__(
@@ -116,6 +119,7 @@ class PolicyTrainer(MultiSeedTrainer):
         config: Optional[TrainConfig] = None,
         seed: int = 0,
         use_fused: Optional[bool] = None,
+        backend: Union[None, str, Backend] = None,
     ):
         supports_fused = bool(getattr(policy, "supports_fused_training", False))
         if use_fused is None:
@@ -128,7 +132,8 @@ class PolicyTrainer(MultiSeedTrainer):
             )
         self.use_fused = use_fused
         super().__init__(
-            [policy], data, [optimizer], observation, config, seeds=[seed]
+            [policy], data, [optimizer], observation, config, seeds=[seed],
+            backend=backend,
         )
 
     @property

@@ -23,7 +23,8 @@ plain numpy, which gives two natural execution tiers:
 
 Backends are selected per trainer construction, never via global
 state, so a fast training run and a reference parity check can coexist
-in one process.
+in one process.  A sweep selects one per spec (``ExperimentSpec.backend``),
+and each shard carries it into its trainer.
 """
 
 from __future__ import annotations

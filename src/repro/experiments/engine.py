@@ -13,15 +13,13 @@ artifacts are already committed (checkpoint/resume), run the rest
 serially or on a :class:`~concurrent.futures.ProcessPoolExecutor`, and
 write the sweep manifest.
 
-Seed vectorization (PR 9): with ``vectorize_seeds`` on, trainable
-shards that differ only in the seed axis coalesce into
-:func:`run_shard_group` calls — one stacked
-:class:`~repro.agents.MultiSeedTrainer` run over all seeds at once —
-and then commit ordinary per-shard artifacts.  On the reference
-backend the grouped artifacts are bit-identical to serial ones, so
-manifests, resume, and every store consumer are unchanged; the only
-observable difference is wall-clock, which
-:meth:`SweepResult.timing_summary` reports.
+The numeric backend is a property of the shard (``ShardSpec.backend``,
+from the spec's ``backend``), so a fast-tier shard takes the same pool,
+retry, quarantine and fault-seam path as a reference one, and its id
+keeps the two tiers' artifacts apart in one store.  Seeds train one
+shard at a time: a seed's weights are bit-identical whether it trains
+alone or stacked with others, on either tier, so stacking them into one
+:class:`~repro.agents.MultiSeedTrainer` would only give up the pool.
 
 Fault tolerance (PR 7): each pending shard gets up to
 ``RetryPolicy.max_attempts`` tries with capped exponential backoff and
@@ -65,7 +63,7 @@ from .artifacts import (
     execution_metrics_from_summary,
     risk_metrics_from_summary,
 )
-from .runner import build_experiment_data, make_multiseed_trainer, make_trainer
+from .runner import build_experiment_data, make_trainer
 from .spec import ExperimentSpec, ShardSpec
 
 # One failed attempt is usually a transient (preempted worker, flaky
@@ -186,38 +184,13 @@ def _run_shard_observed(
     if is_trainable(shard.strategy):
         with obs.span("shard.train", shard=shard_id, attempt=attempt):
             history = _history_to_dict(
-                make_trainer(agent, data.train, config).train()
+                make_trainer(
+                    agent, data.train, config, backend=shard.backend
+                ).train()
             )
         weights_state = agent.network.state_dict()
 
-    return _backtest_and_commit(
-        store, shard, config, data, agent, params, history, weights_state
-    )
-
-
-def _backtest_and_commit(
-    store: ArtifactStore,
-    shard: ShardSpec,
-    config,
-    data,
-    agent,
-    params: Dict[str, object],
-    history: Optional[Dict[str, object]],
-    weights_state,
-) -> Dict[str, object]:
-    """Back-test a (possibly trained) agent and commit its artifact.
-
-    The post-training half of :func:`run_shard`, shared with
-    :func:`run_shard_group` so a shard trained inside a stacked seed
-    group commits byte-for-byte the artifact its serial run would have.
-
-    Reads the process-global obs handle (the per-shard one inside
-    :func:`run_shard`): the back-test runs in a span and, when enabled,
-    the handle's snapshot is committed as ``extra["obs"]`` and echoed
-    in the summary.  Disabled obs leaves artifact bytes unchanged.
-    """
-    obs = get_obs()
-    with obs.span("shard.backtest", shard=shard.shard_id):
+    with obs.span("shard.backtest", shard=shard_id):
         result = run_backtest(
             agent,
             data.test,
@@ -256,120 +229,16 @@ def _backtest_and_commit(
         history=history,
         extra=extra,
     )
-    with obs.span("shard.commit", shard=shard.shard_id):
+    with obs.span("shard.commit", shard=shard_id):
         store.save_shard(artifact)
     summary: Dict[str, object] = {
-        "shard_id": shard.shard_id,
+        "shard_id": shard_id,
         "status": "ran",
         "metrics": metrics,
     }
     if obs_snapshot is not None:
         summary["obs"] = obs_snapshot
     return summary
-
-
-def run_shard_group(
-    shards: List[ShardSpec],
-    store_root: str,
-    backend=None,
-    obs_dir: Optional[str] = None,
-    obs_level: str = "info",
-) -> List[Dict[str, object]]:
-    """Execute a same-config seed group through one stacked trainer.
-
-    ``shards`` must be cells of one grid row that differ only in
-    ``seed`` and name a trainable strategy — the grouping
-    :class:`SweepRunner` performs under ``vectorize_seeds``.  Training
-    runs once through :class:`~repro.agents.MultiSeedTrainer` with the
-    seed axis stacked; each shard is then back-tested and committed
-    individually through the exact code path of :func:`run_shard`, so
-    the per-shard artifact layout (and, on the default reference
-    backend, every byte of it) is unchanged — manifests, resume, and
-    ``load_agent`` cannot tell a grouped shard from a serial one.
-
-    Already-committed shards are skipped and only the remainder is
-    stacked, so a group interrupted mid-sweep resumes cleanly (with or
-    without vectorization).  Returns one summary per shard, in input
-    order.  Module-level and picklable for the same reason
-    :func:`run_shard` is.
-    """
-    shards = list(shards)
-    if not shards:
-        return []
-    if not is_trainable(shards[0].strategy):
-        raise ValueError(
-            f"run_shard_group needs a trainable strategy, got "
-            f"{shards[0].strategy!r}"
-        )
-    store = ArtifactStore(store_root)
-    summaries: Dict[str, Dict[str, object]] = {}
-    pending: List[ShardSpec] = []
-    for shard in shards:
-        if store.has_shard(shard.shard_id):
-            summary: Dict[str, object] = {
-                "shard_id": shard.shard_id,
-                "status": "skipped",
-                "metrics": store.load_shard_metrics(shard.shard_id),
-            }
-            snap = store.load_shard_obs(shard.shard_id)
-            if snap is not None:
-                summary["obs"] = snap
-            summaries[shard.shard_id] = summary
-        else:
-            pending.append(shard)
-
-    if pending:
-        configs = [shard.config() for shard in pending]
-        label = pending[0].shard_id
-        # Stacked training is group-wide work, so it gets a group-level
-        # obs handle; each member's back-test + commit then runs under
-        # its own per-shard handle (same snapshot discipline as
-        # run_shard).
-        group_obs = _shard_obs(f"group-{label}", obs_dir, obs_level)
-        try:
-            with use_obs(group_obs):
-                # Same grid row ⇒ same market seed/window: one panel
-                # serves the whole group.
-                data = build_experiment_data(configs[0])
-                agents = []
-                params_list = []
-                for shard, config in zip(pending, configs):
-                    params = strategy_params_from_config(
-                        shard.strategy, config, n_assets=len(data.assets)
-                    )
-                    params_list.append(params)
-                    agents.append(
-                        DEFAULT_REGISTRY.create(shard.strategy, **params)
-                    )
-                with group_obs.span(
-                    "group.train", group=label, size=len(pending)
-                ):
-                    histories = make_multiseed_trainer(
-                        agents, data.train, configs, backend=backend
-                    ).train()
-        finally:
-            group_obs.close()
-        for shard, config, agent, params, history in zip(
-            pending, configs, agents, params_list, histories
-        ):
-            shard_obs = _shard_obs(
-                f"shard-{shard.shard_id}", obs_dir, obs_level
-            )
-            try:
-                with use_obs(shard_obs):
-                    summaries[shard.shard_id] = _backtest_and_commit(
-                        store,
-                        shard,
-                        config,
-                        data,
-                        agent,
-                        params,
-                        _history_to_dict(history),
-                        agent.network.state_dict(),
-                    )
-            finally:
-                shard_obs.close()
-    return [summaries[shard.shard_id] for shard in shards]
 
 
 def _guarded_run_shard(
@@ -409,50 +278,14 @@ def _guarded_run_shard(
         }
 
 
-def _seed_groups(
-    shards: List[ShardSpec],
-) -> Tuple[List[List[ShardSpec]], List[ShardSpec]]:
-    """Partition shards into same-config seed groups and leftovers.
-
-    A group is ≥2 trainable shards agreeing on every grid axis except
-    ``seed`` — exactly the cells whose training differs only in the
-    per-seed RNG streams, which is what :func:`run_shard_group` stacks.
-    Everything else (baselines, singleton seeds) stays per-shard.
-    Groups come back in first-member input order; leftovers keep their
-    input order.
-    """
-    keyed: Dict[Tuple, List[ShardSpec]] = {}
-    for shard in shards:
-        if not is_trainable(shard.strategy):
-            continue
-        key = (
-            shard.sweep,
-            shard.profile,
-            shard.experiment,
-            shard.strategy,
-            shard.cost,
-            shard.execution,
-            shard.risk,
-            shard.overrides,
-        )
-        keyed.setdefault(key, []).append(shard)
-    groups = [members for members in keyed.values() if len(members) >= 2]
-    grouped_ids = {s.shard_id for members in groups for s in members}
-    singles = [s for s in shards if s.shard_id not in grouped_ids]
-    return groups, singles
-
-
 @dataclass
 class ShardOutcome:
     """One shard's fate in a sweep run.
 
     ``attempts`` counts tries actually made (1 on the healthy path);
     ``error`` carries the final attempt's traceback text when the shard
-    was quarantined.  ``elapsed``/``group_size``/``group`` record how
-    the shard executed — ``group_size > 1`` means it trained inside a
-    seed-vectorized group (``group`` names it, ``elapsed`` is the whole
-    group's wall-clock); serial shards carry their own wall-clock and
-    the defaults otherwise, so pre-vectorization callers see no change.
+    was quarantined.  ``elapsed`` is the shard's wall-clock on the
+    serial path (0 for pooled and skipped shards).
     """
 
     shard: ShardSpec
@@ -461,8 +294,6 @@ class ShardOutcome:
     attempts: int = 1
     error: Optional[str] = None
     elapsed: float = 0.0
-    group_size: int = 1
-    group: Optional[str] = None
 
     @property
     def shard_id(self) -> str:
@@ -493,42 +324,6 @@ class SweepResult:
     @property
     def complete(self) -> bool:
         return not self.pending and not self.quarantined
-
-    def timing_summary(self) -> Optional[Dict[str, object]]:
-        """Wall-clock per seed-vectorized group vs per serial shard.
-
-        ``None`` unless at least one shard ran inside a vectorized
-        group this call — sweeps that never opt in render exactly as
-        before.  Group wall-clock counts each group once (every member
-        outcome carries the group total); the per-shard side only sums
-        shards that were actually timed (the serial execution path).
-        """
-        grouped = [
-            o for o in self.outcomes if o.status == "ran" and o.group_size > 1
-        ]
-        if not grouped:
-            return None
-        per_group: Dict[str, float] = {}
-        for outcome in grouped:
-            per_group[str(outcome.group)] = outcome.elapsed
-        group_wall = sum(per_group.values())
-        summary: Dict[str, object] = {
-            "vectorized_shards": len(grouped),
-            "groups": len(per_group),
-            "group_wall_s": round(group_wall, 4),
-            "sec_per_shard_grouped": round(group_wall / len(grouped), 4),
-        }
-        solo = [
-            o
-            for o in self.outcomes
-            if o.status == "ran" and o.group_size == 1 and o.elapsed > 0
-        ]
-        if solo:
-            solo_wall = sum(o.elapsed for o in solo)
-            summary["serial_shards"] = len(solo)
-            summary["serial_wall_s"] = round(solo_wall, 4)
-            summary["sec_per_shard_serial"] = round(solo_wall / len(solo), 4)
-        return summary
 
     def aggregate(self) -> List[Dict[str, object]]:
         """Across-seed mean±std per (experiment, strategy, cost,
@@ -590,6 +385,9 @@ class SweepResult:
 class SweepRunner:
     """Expands a spec into shards and executes them with resume.
 
+    Every shard runs through :func:`run_shard`, on the backend its
+    spec names, serially or on the process pool.
+
     Parameters
     ----------
     spec:
@@ -606,19 +404,6 @@ class SweepRunner:
         Optional :class:`~repro.resilience.FaultPlan` arming the
         engine's chaos seams.  ``None`` (or an empty plan) leaves every
         shard on the unhardened code path.
-    vectorize_seeds:
-        Coalesce trainable shards that differ only in the seed axis
-        into stacked :func:`run_shard_group` calls (bit-identical
-        per-shard artifacts on the reference backend).  Groups run
-        in-process; a group that fails for any reason falls back to
-        the ordinary per-shard retry path, and an armed fault plan
-        disables grouping outright (the chaos seams key on per-shard
-        attempts).
-    backend:
-        Numeric backend for vectorized groups (name or
-        :class:`~repro.backend.Backend`; ``None`` = the bit-identical
-        reference tier).  Only consulted when ``vectorize_seeds`` is
-        on.
     sleep:
         Injectable sleeper for backoff waits (tests pass a no-op).
     obs_dir / obs_level:
@@ -638,8 +423,6 @@ class SweepRunner:
         max_workers: Optional[int] = None,
         retry: Optional[RetryPolicy] = None,
         fault_plan: Optional[FaultPlan] = None,
-        vectorize_seeds: bool = False,
-        backend=None,
         sleep: Callable[[float], None] = time.sleep,
         obs_dir: Optional[PathLike] = None,
         obs_level: str = "info",
@@ -652,8 +435,6 @@ class SweepRunner:
         if plan is not None and plan.is_empty():
             plan = None  # empty plan ≡ no plan, everywhere
         self.fault_plan = plan
-        self.vectorize_seeds = bool(vectorize_seeds)
-        self.backend = backend
         self._sleep = sleep
         self.obs_dir = str(obs_dir) if obs_dir is not None else None
         self.obs_level = obs_level
@@ -711,8 +492,6 @@ class SweepRunner:
             summary: Dict[str, object],
             attempts: int,
             elapsed: float = 0.0,
-            group_size: int = 1,
-            group: Optional[str] = None,
         ) -> None:
             if summary["status"] == "error":
                 outcome = ShardOutcome(
@@ -729,8 +508,6 @@ class SweepRunner:
                     dict(summary["metrics"]),
                     attempts=attempts,
                     elapsed=elapsed,
-                    group_size=group_size,
-                    group=group,
                 )
             outcomes.append(outcome)
             if obs.enabled:
@@ -744,49 +521,6 @@ class SweepRunner:
                 )
             if progress is not None:
                 progress(shard.shard_id, outcome.status)
-
-        if self.vectorize_seeds and self.fault_plan is None:
-            # Coalesce same-config seed runs into stacked groups; the
-            # leftovers (baselines, singleton seeds, and — because the
-            # max_shards cut above can split a group mid-seed-axis —
-            # the tail of an interrupted group) keep the ordinary
-            # per-shard path.  Chaos runs never group: the fault seams
-            # key on per-shard attempt draws.
-            groups, to_run = _seed_groups(to_run)
-            for group_shards in groups:
-                label = group_shards[0].shard_id
-                # The span is the timer (ShardOutcome.elapsed must work
-                # with obs disabled too, hence the perf_counter shadow).
-                t0 = time.perf_counter()
-                try:
-                    with obs.span(
-                        "sweep.group", group=label, size=len(group_shards)
-                    ):
-                        summaries = run_shard_group(
-                            group_shards,
-                            root,
-                            backend=self.backend,
-                            obs_dir=self.obs_dir,
-                            obs_level=self.obs_level,
-                        )
-                except (KeyboardInterrupt, SystemExit):
-                    raise
-                except Exception:
-                    # Fall back: the group rejoins the per-shard retry
-                    # path (run_shard is idempotent, so members already
-                    # committed before the failure are skipped there).
-                    to_run.extend(group_shards)
-                    continue
-                elapsed = time.perf_counter() - t0
-                for shard, summary in zip(group_shards, summaries):
-                    collect(
-                        shard,
-                        summary,
-                        attempts=1,
-                        elapsed=elapsed,
-                        group_size=len(group_shards),
-                        group=label,
-                    )
 
         if parallel and len(to_run) > 1:
             workers = self.max_workers or min(len(to_run), 4)
@@ -839,7 +573,8 @@ class SweepRunner:
         else:
             for shard in to_run:
                 position = positions[shard.shard_id]
-                # Span shadows the functional timer (see the group loop).
+                # The span is the timer (ShardOutcome.elapsed must work
+                # with obs disabled too, hence the perf_counter shadow).
                 t0 = time.perf_counter()
                 for attempt in range(max_attempts):
                     try:

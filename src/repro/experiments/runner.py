@@ -19,7 +19,6 @@ from ..agents import (
     Agent,
     BacktestResult,
     JiangDRLAgent,
-    MultiSeedTrainer,
     PolicyTrainer,
     SDPAgent,
     TrainConfig,
@@ -98,15 +97,18 @@ def make_trainer(
     config: ExperimentConfig,
     optimizer=None,
     seed: Optional[int] = None,
+    backend=None,
 ) -> PolicyTrainer:
     """The experiment harness's trainer wiring, in one place.
 
     Adam at the config's learning rate (unless an ``optimizer`` is
     carried in, e.g. across walk-forward folds), the paper's minibatch
     settings, permute-assets augmentation, and the config's agent seed
-    (overridable for per-fold streams).  ``run_experiment``, the sweep
-    engine's shards, and walk-forward fine-tuning all train through
-    this — change it here and every path trains identically.
+    (overridable for per-fold streams).  ``backend`` selects the
+    numeric tier (``None`` = reference; see :mod:`repro.backend`).
+    ``run_experiment``, the sweep engine's shards, and walk-forward
+    fine-tuning all train through this — change it here and every path
+    trains identically.
     """
     if optimizer is None:
         optimizer = Adam(agent.parameters(), config.learning_rate)
@@ -122,43 +124,6 @@ def make_trainer(
             permute_assets=True,
         ),
         seed=config.agent_seed if seed is None else seed,
-    )
-
-
-def make_multiseed_trainer(
-    agents: List[Agent],
-    panel: MarketData,
-    configs: List[ExperimentConfig],
-    backend=None,
-) -> MultiSeedTrainer:
-    """:func:`make_trainer`'s wiring for a same-config seed group.
-
-    ``configs`` differ only in ``agent_seed`` (one per agent); every
-    other field — steps, batch size, commission, learning rate — must
-    be identical, which the caller guarantees by grouping shards on
-    everything except the seed axis.  Each agent gets its own Adam at
-    the shared learning rate, and the per-seed RNG streams come from
-    each config's ``agent_seed`` — exactly what a serial
-    :func:`make_trainer` run with that seed would consume, which is
-    what keeps the stacked run bit-identical per seed.
-    """
-    if len(agents) != len(configs):
-        raise ValueError(
-            f"got {len(agents)} agents for {len(configs)} configs"
-        )
-    config = configs[0]
-    return MultiSeedTrainer(
-        agents,
-        panel,
-        [Adam(agent.parameters(), config.learning_rate) for agent in agents],
-        observation=config.observation,
-        config=TrainConfig(
-            steps=config.train_steps,
-            batch_size=config.batch_size,
-            commission=config.commission,
-            permute_assets=True,
-        ),
-        seeds=[c.agent_seed for c in configs],
         backend=backend,
     )
 

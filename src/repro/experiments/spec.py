@@ -17,10 +17,11 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Tuple
 
+from ..backend import REFERENCE, resolve_backend
 from ..data.splits import ExperimentWindow
 from ..envs.costs import DEFAULT_COMMISSION
 from ..envs.observations import ObservationConfig
-from ..registry import is_trainable
+from ..registry import is_trainable, strategy_backend
 from ..snn.neurons import LIFParameters
 from ..utils.rng import stable_hash
 from ..utils.serialization import (
@@ -308,7 +309,8 @@ class ShardSpec:
 
     ``overrides`` are :func:`~repro.experiments.config.make_config`
     keyword overrides, stored as a sorted tuple of pairs so shards stay
-    hashable and their fingerprints canonical.
+    hashable and their fingerprints canonical.  ``backend`` names the
+    numeric tier the shard trains on (:mod:`repro.backend`).
     """
 
     sweep: str
@@ -320,6 +322,7 @@ class ShardSpec:
     execution: ExecutionRegime = ZERO_EXECUTION
     risk: RiskRegime = NO_RISK
     overrides: Tuple[Tuple[str, Any], ...] = ()
+    backend: str = REFERENCE.name
 
     @property
     def overrides_dict(self) -> Dict[str, Any]:
@@ -333,10 +336,11 @@ class ShardSpec:
         covers *everything* (profile, overrides, commission value,
         execution parameters), so two shards differing only in an
         override never collide in a store.  The default (ideal)
-        execution and (none) risk regimes contribute nothing to the id
-        — those shards compute exactly what pre-subsystem shards
-        computed, so resuming an old store keeps skipping its committed
-        work.
+        execution and (none) risk regimes and the reference backend
+        contribute nothing to the id — those shards compute exactly
+        what pre-subsystem shards computed, so resuming an old store
+        keeps skipping its committed work, and a fast-tier shard never
+        passes for a reference one.
         """
         payload = {
             "profile": self.profile,
@@ -353,6 +357,9 @@ class ShardSpec:
         if self.risk != NO_RISK:
             payload["risk"] = self.risk
             suffix += f"-{self.risk.name}"
+        if self.backend != REFERENCE.name:
+            payload["backend"] = self.backend
+            suffix += f"-{self.backend}"
         digest = stable_hash(_canonical_json(payload), modulus=16 ** 8)
         return (
             f"exp{self.experiment}-{self.strategy}-s{self.seed}"
@@ -385,7 +392,7 @@ class ShardSpec:
         )
 
     def to_json_dict(self) -> Dict[str, Any]:
-        return {
+        payload = {
             "sweep": self.sweep,
             "profile": self.profile,
             "experiment": self.experiment,
@@ -396,6 +403,7 @@ class ShardSpec:
             "risk": encode_tagged(self.risk),
             "overrides": encode_tagged(dict(self.overrides)),
         }
+        return _with_backend(payload, self.backend)
 
     @classmethod
     def from_json_dict(cls, payload: Mapping[str, Any]) -> "ShardSpec":
@@ -421,7 +429,16 @@ class ShardSpec:
                 else NO_RISK
             ),
             overrides=_freeze_overrides(overrides),
+            backend=str(payload.get("backend", REFERENCE.name)),
         )
+
+
+def _with_backend(payload: Dict[str, Any], backend: str) -> Dict[str, Any]:
+    """``payload`` plus a non-reference ``backend`` — reference specs
+    serialise exactly as they did before specs carried a backend."""
+    if backend != REFERENCE.name:
+        payload["backend"] = backend
+    return payload
 
 
 def _freeze_overrides(overrides: Mapping[str, Any]) -> Tuple[Tuple[str, Any], ...]:
@@ -436,7 +453,14 @@ def _freeze_overrides(overrides: Mapping[str, Any]) -> Tuple[Tuple[str, Any], ..
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """The grid: seeds × strategies × windows × costs × execution × risk."""
+    """The grid: seeds × strategies × windows × costs × execution × risk.
+
+    ``backend`` is the numeric tier learned strategies train on
+    (``"reference"`` float64, or ``"fast"`` float32; an unknown name
+    raises ``ValueError``).  Each shard takes it through
+    :func:`~repro.registry.strategy_backend`, so strategies the fast
+    tier cannot train keep the reference tier.
+    """
 
     name: str
     profile: str = "standard"
@@ -447,6 +471,7 @@ class ExperimentSpec:
     execution_regimes: Tuple[ExecutionRegime, ...] = DEFAULT_EXECUTION_REGIMES
     risk_regimes: Tuple[RiskRegime, ...] = DEFAULT_RISK_REGIMES
     overrides: Tuple[Tuple[str, Any], ...] = ()
+    backend: str = REFERENCE.name
 
     def __post_init__(self):
         for label, values in (
@@ -475,6 +500,7 @@ class ExperimentSpec:
         object.__setattr__(
             self, "overrides", _freeze_overrides(dict(self.overrides))
         )
+        object.__setattr__(self, "backend", resolve_backend(self.backend).name)
 
     @property
     def num_shards(self) -> int:
@@ -508,12 +534,15 @@ class ExperimentSpec:
                                         execution=execution,
                                         risk=risk,
                                         overrides=self.overrides,
+                                        backend=strategy_backend(
+                                            strategy, self.backend
+                                        ),
                                     )
                                 )
         return shards
 
     def to_json_dict(self) -> Dict[str, Any]:
-        return {
+        payload = {
             "name": self.name,
             "profile": self.profile,
             "experiments": list(self.experiments),
@@ -524,6 +553,7 @@ class ExperimentSpec:
             "risk_regimes": encode_tagged(list(self.risk_regimes)),
             "overrides": encode_tagged(dict(self.overrides)),
         }
+        return _with_backend(payload, self.backend)
 
     @classmethod
     def from_json_dict(cls, payload: Mapping[str, Any]) -> "ExperimentSpec":
@@ -545,6 +575,7 @@ class ExperimentSpec:
                 else DEFAULT_RISK_REGIMES
             ),
             overrides=_freeze_overrides(decode_tagged(payload["overrides"])),
+            backend=str(payload.get("backend", REFERENCE.name)),
         )
 
 

@@ -195,30 +195,9 @@ def render_sweep_table(sweep, with_paper: bool = True) -> str:
             )
             cells.append(ref[1] if ref else "-")
         rows.append(cells)
-    table = format_table(
+    return format_table(
         headers, rows, title="Sweep aggregates (mean±std across seeds)"
     )
-    # Wall-clock attribution, only when this run actually vectorized a
-    # seed group — plain sweeps (and plain aggregate-row inputs) render
-    # exactly as before.
-    timing = (
-        sweep.timing_summary() if hasattr(sweep, "timing_summary") else None
-    )
-    if timing:
-        line = (
-            f"\nWall-clock: {timing['vectorized_shards']} seed-vectorized "
-            f"shard(s) in {timing['groups']} group(s): "
-            f"{timing['group_wall_s']} s "
-            f"({timing['sec_per_shard_grouped']} s/shard)"
-        )
-        if "serial_shards" in timing:
-            line += (
-                f"; {timing['serial_shards']} per-shard: "
-                f"{timing['serial_wall_s']} s "
-                f"({timing['sec_per_shard_serial']} s/shard)"
-            )
-        table += line
-    return table
 
 
 def render_walkforward_table(report) -> str:

@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, Mapping, Option
 from .agents.base import Agent
 from .agents.jiang import JiangDRLAgent
 from .agents.sdp import SDPAgent
+from .backend import REFERENCE
 from .baselines import CRP, M0, ONS, UBAH, UCRP, Anticor, BestStock, FollowTheWinner
 
 if TYPE_CHECKING:
@@ -37,6 +38,7 @@ StrategyFactory = Callable[..., Agent]
 
 __all__ = [
     "DEFAULT_REGISTRY",
+    "FAST_TRAINABLE_STRATEGIES",
     "StrategyRegistry",
     "TRAINABLE_STRATEGIES",
     "available_strategies",
@@ -44,6 +46,7 @@ __all__ = [
     "create",
     "is_trainable",
     "register",
+    "strategy_backend",
     "strategy_from_config",
     "strategy_params_from_config",
 ]
@@ -191,9 +194,27 @@ def available_strategies() -> Tuple[str, ...]:
 TRAINABLE_STRATEGIES: Tuple[str, ...] = ("sdp", "jiang")
 
 
+#: The strategies the float32 ``fast`` backend can train: it runs the
+#: SDP seed banks only (see :class:`~repro.agents.MultiSeedTrainer`).
+FAST_TRAINABLE_STRATEGIES: Tuple[str, ...] = ("sdp",)
+
+
 def is_trainable(name: str) -> bool:
     """True when ``name`` denotes a learned (trainable) strategy."""
     return _normalize(name) in TRAINABLE_STRATEGIES
+
+
+def strategy_backend(name: str, backend: str) -> str:
+    """The backend a ``name`` shard trains on when its sweep asks for
+    ``backend``.
+
+    A strategy the fast tier cannot train (Jiang, and the baselines,
+    which never train) keeps the reference tier, so its shards equal
+    those of a reference sweep.
+    """
+    if _normalize(name) in FAST_TRAINABLE_STRATEGIES:
+        return backend
+    return REFERENCE.name
 
 
 def strategy_params_from_config(

@@ -126,27 +126,27 @@ def test_resume_manifest_check_on_a_real_regime_grid(tmp_path):
 def test_stores_identical_check(tmp_path):
     spec = ExperimentSpec(
         name="ci", profile="quick", experiments=(1,), strategies=("sdp",),
-        seeds=(1, 2, 3), overrides=(("train_steps", 2),),
+        seeds=(1, 2, 3), overrides=(("train_steps", 2),), backend="fast",
     )
     SweepRunner(spec, tmp_path / "ref").run(parallel=False)
-    shutil.copytree(tmp_path / "ref", tmp_path / "vec")
-    vec, ref = tmp_path / "vec", tmp_path / "ref"
-    assert checks.check_stores_identical(vec, ref) == []
+    shutil.copytree(tmp_path / "ref", tmp_path / "resumed")
+    resumed, ref = tmp_path / "resumed", tmp_path / "ref"
+    assert checks.check_stores_identical(resumed, ref) == []
 
-    store = ArtifactStore(vec)
+    store = ArtifactStore(resumed)
     shard_id = store.list_shards()[0]
     artifact = store.load_shard(shard_id)
     key = sorted(artifact.weights_state)[0]
     artifact.weights_state[key] = artifact.weights_state[key] + 1.0
     store.save_shard(artifact)
-    assert checks.check_stores_identical(vec, ref) == [
+    assert checks.check_stores_identical(resumed, ref) == [
         f"{shard_id}: weights {key} diverged"
     ]
 
     manifest = json.loads((ref / "manifest.json").read_text())
     manifest["shards"].pop()
-    (vec / "manifest.json").write_text(json.dumps(manifest))
-    assert checks.check_stores_identical(vec, ref)[:2] == [
+    (resumed / "manifest.json").write_text(json.dumps(manifest))
+    assert checks.check_stores_identical(resumed, ref)[:2] == [
         "manifest diverged from the reference",
         "expected a manifest of 3 shards",
     ]

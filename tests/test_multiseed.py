@@ -6,9 +6,10 @@ bit-identical weights/PVM/histories after full ``train()`` runs for both
 SDP architectures and the EIIE network (and, at S in {1, 4, 10}, against
 serial fused runs of a (32, 32) network on a year-long panel), resume from ``state_dict``, the
 float32 fast tier's documented tolerance (and its exclusion from every
-exactness check), seed-group coalescing in the sweep engine
-(artifact/manifest byte-stability, mid-group interrupt and resume), and
-the wall-clock attribution surfaced in sweep tables.
+exactness check), and the fast tier per sweep shard: a seed trained
+alone equals its stacked slice, the backend is part of a shard's
+identity, and a fast sweep pools, resumes and retries like a reference
+one.
 """
 
 import json
@@ -17,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.__main__ import main as cli_main
 from repro.agents import (
     JiangDRLAgent,
     MultiSeedTrainer,
@@ -36,8 +38,12 @@ from repro.experiments import (
     NO_RISK,
     SweepRunner,
     ZERO_EXECUTION,
-    render_sweep_table,
+    build_experiment_data,
+    make_config,
+    make_trainer,
 )
+from repro.registry import strategy_from_config
+from repro.resilience import FaultPlan, SweepFaults
 from repro.utils.rng import make_rng
 
 CFG = ObservationConfig(window=6, stride=1, momentum_horizons=(1, 3, 6))
@@ -426,7 +432,60 @@ def test_multiseed_validation(panel):
 
 
 # ----------------------------------------------------------------------
-# Sweep engine: seed-group coalescing
+# Fast tier per shard: one seed alone equals its stacked slice
+# ----------------------------------------------------------------------
+def test_fast_tier_seed_alone_matches_its_stacked_slice():
+    """A seed trained by ``make_trainer(..., backend="fast")`` has the
+    weights, history and PVM of its slice of a stacked fast trainer, so
+    sweeping one seed per shard loses nothing against stacking."""
+    seeds = (1, 2, 3)
+    configs = [make_config(1, "quick", agent_seed=s) for s in seeds]
+    config = configs[0]
+    data = build_experiment_data(config)
+    n_assets = len(data.assets)
+    agents = [strategy_from_config("sdp", c, n_assets=n_assets) for c in configs]
+    stacked = MultiSeedTrainer(
+        agents,
+        data.train,
+        [Adam(agent.parameters(), config.learning_rate) for agent in agents],
+        observation=config.observation,
+        config=TrainConfig(
+            steps=config.train_steps,
+            batch_size=config.batch_size,
+            commission=config.commission,
+            permute_assets=True,
+        ),
+        seeds=seeds,
+        backend="fast",
+    )
+    histories = stacked.train()
+    for i, c in enumerate(configs):
+        agent = strategy_from_config("sdp", c, n_assets=n_assets)
+        trainer = make_trainer(agent, data.train, c, backend="fast")
+        assert trainer.backend is FAST
+        history = trainer.train()
+        _assert_states_equal(
+            agent.network.state_dict(),
+            agents[i].network.state_dict(),
+            f"seed {seeds[i]}",
+        )
+        assert history == histories[i], f"seed {seeds[i]} history"
+        assert np.array_equal(
+            trainer.pvm.snapshot(), stacked.pvms[i].snapshot()
+        ), f"seed {seeds[i]} PVM"
+
+
+def test_fast_backend_rejects_graph_path(panel):
+    agent = _sdp(SEEDS[0])
+    with pytest.raises(ValueError, match="fast backend"):
+        PolicyTrainer(
+            agent, panel, SGD(agent.parameters(), 1e-4), observation=CFG,
+            config=TRAIN, use_fused=False, backend="fast",
+        )
+
+
+# ----------------------------------------------------------------------
+# Sweep engine: the backend is a property of the shard
 # ----------------------------------------------------------------------
 SWEEP_KW = dict(
     profile="quick",
@@ -436,6 +495,7 @@ SWEEP_KW = dict(
     risk_regimes=(NO_RISK,),
     overrides=(("train_steps", 12),),
 )
+FAST_SPEC = ExperimentSpec(name="fast", seeds=(1, 2), backend="fast", **SWEEP_KW)
 
 
 def _store_states(root):
@@ -451,75 +511,119 @@ def _store_states(root):
     return out
 
 
-def test_vectorized_sweep_matches_serial_store(tmp_path):
-    spec = ExperimentSpec(name="vec", seeds=(1, 2), **SWEEP_KW)
-    serial = SweepRunner(spec, tmp_path / "serial").run()
-    vector = SweepRunner(spec, tmp_path / "vector", vectorize_seeds=True).run()
-    assert len(serial.ran) == len(vector.ran) == 2
-
-    manifest_a = json.loads((tmp_path / "serial" / "manifest.json").read_text())
-    manifest_b = json.loads((tmp_path / "vector" / "manifest.json").read_text())
-    assert manifest_a == manifest_b
-
-    states_a = _store_states(tmp_path / "serial")
-    states_b = _store_states(tmp_path / "vector")
+def _assert_stores_equal(root, reference):
+    """Same manifest, and per shard the same weights, metrics and
+    history."""
+    assert json.loads(Path(root, "manifest.json").read_text()) == json.loads(
+        Path(reference, "manifest.json").read_text()
+    )
+    states_a, states_b = _store_states(root), _store_states(reference)
     assert set(states_a) == set(states_b)
     for sid in states_a:
         weights_a, metrics_a, history_a = states_a[sid]
         weights_b, metrics_b, history_b = states_b[sid]
         _assert_states_equal(weights_a, weights_b, sid)
-        assert metrics_a == metrics_b
-        assert history_a == history_b
-
-    # Timing attribution: both shards ran in one vectorized group.
-    timing = vector.timing_summary()
-    assert timing["vectorized_shards"] == 2
-    assert timing["groups"] == 1
-    assert timing["group_wall_s"] > 0
-    for outcome in vector.ran:
-        assert outcome.group_size == 2
-        assert outcome.elapsed > 0
-        assert outcome.group == vector.ran[0].shard.shard_id
-    assert serial.timing_summary() is None
-    assert "Wall-clock" in render_sweep_table(vector)
-    assert "Wall-clock" not in render_sweep_table(serial)
+        assert metrics_a == metrics_b, sid
+        assert history_a == history_b, sid
 
 
-def test_vectorized_sweep_interrupt_and_resume(tmp_path):
-    """max_shards cuts a seed group mid-way; resuming *without* the
-    flag must converge to the same manifest and artifacts as a sweep
-    that never vectorized."""
-    spec = ExperimentSpec(name="vec", seeds=(1, 2, 3), **SWEEP_KW)
+@pytest.fixture(scope="module")
+def fast_store(tmp_path_factory):
+    """An uninterrupted, fault-free, serial fast-tier sweep."""
+    root = tmp_path_factory.mktemp("fast") / "serial"
+    result = SweepRunner(FAST_SPEC, root).run()
+    assert len(result.ran) == 2 and result.complete
+    assert all(o.shard.backend == "fast" for o in result.ran)
+    assert all("-fast-" in o.shard_id for o in result.ran)
+    return root
 
-    first = SweepRunner(
-        spec, tmp_path / "vector", vectorize_seeds=True
-    ).run(max_shards=2)
-    assert len(first.ran) == 2 and len(first.pending) == 1
-    assert all(o.group_size == 2 for o in first.ran)
 
-    resumed = SweepRunner(spec, tmp_path / "vector").run()
-    assert len(resumed.ran) == 1 and len(resumed.skipped) == 2
+def test_fast_sweep_pooled_matches_serial(tmp_path, fast_store):
+    pooled = SweepRunner(FAST_SPEC, tmp_path / "pooled", max_workers=2).run(
+        parallel=True
+    )
+    assert len(pooled.ran) == 2 and pooled.complete
+    _assert_stores_equal(tmp_path / "pooled", fast_store)
+
+
+def test_fast_sweep_interrupt_and_resume(tmp_path, fast_store):
+    first = SweepRunner(FAST_SPEC, tmp_path / "store").run(max_shards=1)
+    assert len(first.ran) == 1 and len(first.pending) == 1
+    resumed = SweepRunner(FAST_SPEC, tmp_path / "store").run()
+    assert len(resumed.ran) == 1 and len(resumed.skipped) == 1
     assert resumed.complete
-
-    reference = SweepRunner(spec, tmp_path / "serial").run()
-    assert json.loads(
-        (tmp_path / "vector" / "manifest.json").read_text()
-    ) == json.loads((tmp_path / "serial" / "manifest.json").read_text())
-    states_a = _store_states(tmp_path / "serial")
-    states_b = _store_states(tmp_path / "vector")
-    assert set(states_a) == set(states_b)
-    for sid in states_a:
-        _assert_states_equal(states_a[sid][0], states_b[sid][0], sid)
+    _assert_stores_equal(tmp_path / "store", fast_store)
 
 
-def test_vectorized_sweep_skips_committed_members(tmp_path):
-    """A group whose members are partly committed re-runs only the
-    pending ones and reports the rest as skipped."""
-    spec = ExperimentSpec(name="vec", seeds=(1, 2, 3), **SWEEP_KW)
-    SweepRunner(spec, tmp_path / "store").run(max_shards=1)
-    second = SweepRunner(
-        spec, tmp_path / "store", vectorize_seeds=True
+def test_fast_sweep_retries_transient_faults(tmp_path, fast_store):
+    plan = FaultPlan(
+        seed=1, sweep=SweepFaults(transient_rate=1.0, transient_attempts=1)
+    )
+    result = SweepRunner(
+        FAST_SPEC, tmp_path / "armed", fault_plan=plan, sleep=lambda _: None
     ).run()
-    assert len(second.skipped) == 1
-    assert len(second.ran) == 2
-    assert second.complete
+    assert result.complete
+    assert [o.attempts for o in result.ran] == [2, 2]
+    _assert_stores_equal(tmp_path / "armed", fast_store)
+
+
+def test_backend_is_part_of_shard_identity(tmp_path):
+    """A reference resume into a store a fast run began re-runs every
+    SDP shard instead of reusing the float32 artifacts."""
+    root = tmp_path / "store"
+    first = SweepRunner(FAST_SPEC, root).run(max_shards=1)
+    assert len(first.ran) == 1
+    reference_spec = ExperimentSpec(name="fast", seeds=(1, 2), **SWEEP_KW)
+    resumed = SweepRunner(reference_spec, root).run()
+    assert len(resumed.ran) == 2 and not resumed.skipped
+    assert all(o.shard.backend == "reference" for o in resumed.ran)
+    manifest = json.loads((root / "manifest.json").read_text())
+    assert "backend" not in manifest["spec"]
+
+    store = ArtifactStore(root)
+    fast = store.load_shard(first.ran[0].shard_id)
+    reference = store.load_shard(resumed.ran[0].shard_id)
+    assert fast.shard.seed == reference.shard.seed
+    assert fast.shard.backend == "fast"
+    assert any(
+        not np.array_equal(fast.weights_state[k], reference.weights_state[k])
+        for k in reference.weights_state
+    )
+
+
+def test_fast_sweep_keeps_other_strategies_on_reference(tmp_path):
+    """Under ``--backend fast`` only SDP trains on the fast tier; Jiang
+    and the baselines run the reference shards a reference sweep runs."""
+    common = [
+        "sweep", "--profile", "quick", "--seeds", "1", "--train-steps", "12",
+        "--serial",
+    ]
+    assert cli_main(
+        common + ["--store", str(tmp_path / "fast"),
+                  "--strategies", "sdp", "jiang", "ucrp", "--backend", "fast"]
+    ) == 0
+    assert cli_main(
+        common + ["--store", str(tmp_path / "ref"),
+                  "--strategies", "jiang", "ucrp"]
+    ) == 0
+    fast_states = _store_states(tmp_path / "fast")
+    ref_states = _store_states(tmp_path / "ref")
+    fast_ids = sorted(fast_states)
+    assert [sid.split("-")[1] for sid in fast_ids] == ["jiang", "sdp", "ucrp"]
+    assert "-fast-" in fast_ids[1]
+    assert sorted(ref_states) == [fast_ids[0], fast_ids[2]]
+    for sid, (weights, metrics, history) in ref_states.items():
+        if weights is not None:
+            _assert_states_equal(fast_states[sid][0], weights, sid)
+        assert fast_states[sid][1:] == (metrics, history), sid
+
+
+def test_unknown_backend_rejected(tmp_path):
+    with pytest.raises(ValueError, match="unknown backend"):
+        ExperimentSpec(name="bad", backend="float16", **SWEEP_KW)
+    with pytest.raises(SystemExit):
+        cli_main([
+            "sweep", "--store", str(tmp_path / "bad"), "--profile", "quick",
+            "--backend", "float16",
+        ])
+    assert not (tmp_path / "bad").exists()
