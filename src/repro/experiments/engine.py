@@ -256,11 +256,13 @@ def _guarded_run_shard(
     traceback, so the orchestrator would only ever see the repr.  This
     wrapper formats the traceback *inside* the worker and ships it home
     in the summary, where retry/quarantine logic (and ultimately the
-    manifest) can use it.  ``KeyboardInterrupt``/``SystemExit`` still
+    manifest) can use it, beside the attempt's wall-clock
+    (``elapsed``).  ``KeyboardInterrupt``/``SystemExit`` still
     propagate — an interrupted sweep must stop, not quarantine.
     """
+    t0 = time.perf_counter()
     try:
-        return run_shard(
+        summary = run_shard(
             shard,
             store_root,
             fault_plan=fault_plan,
@@ -270,12 +272,14 @@ def _guarded_run_shard(
             obs_level=obs_level,
         )
     except Exception as exc:
-        return {
+        summary = {
             "shard_id": shard.shard_id,
             "status": "error",
             "error": repr(exc),
             "traceback": traceback.format_exc(),
         }
+    summary["elapsed"] = time.perf_counter() - t0
+    return summary
 
 
 @dataclass
@@ -284,8 +288,10 @@ class ShardOutcome:
 
     ``attempts`` counts tries actually made (1 on the healthy path);
     ``error`` carries the final attempt's traceback text when the shard
-    was quarantined.  ``elapsed`` is the shard's wall-clock on the
-    serial path (0 for pooled and skipped shards).
+    was quarantined.  ``elapsed`` is the shard's wall-clock over its
+    attempts: on the serial path it includes retry back-off, on the
+    pooled path it is the sum of the attempts timed in the worker (0
+    for skipped shards).
     """
 
     shard: ShardSpec
@@ -500,6 +506,7 @@ class SweepRunner:
                     {},
                     attempts=attempts,
                     error=str(summary.get("traceback") or summary.get("error")),
+                    elapsed=elapsed,
                 )
             else:
                 outcome = ShardOutcome(
@@ -537,6 +544,7 @@ class SweepRunner:
                 # Failures come back as data (_guarded_run_shard), so
                 # one bad shard never poisons pool.map for the others.
                 wave = list(to_run)
+                spent = {shard.shard_id: 0.0 for shard in wave}
                 for attempt in range(max_attempts):
                     n = len(wave)
                     with obs.span("sweep.wave", attempt=attempt, shards=n):
@@ -554,13 +562,19 @@ class SweepRunner:
                         )
                     failed: List[ShardSpec] = []
                     for shard, summary in zip(wave, summaries):
+                        spent[shard.shard_id] += summary["elapsed"]
                         if (
                             summary["status"] == "error"
                             and attempt + 1 < max_attempts
                         ):
                             failed.append(shard)
                         else:
-                            collect(shard, summary, attempts=attempt + 1)
+                            collect(
+                                shard,
+                                summary,
+                                attempts=attempt + 1,
+                                elapsed=spent[shard.shard_id],
+                            )
                     if not failed:
                         break
                     self._sleep(

@@ -10,17 +10,19 @@ journal (:meth:`SessionStateStore.commit`) before it replies: the
 batch's session records (``state.json`` payloads without weights) and
 its responses.  *Compaction* (:meth:`SessionStateStore.compact`) writes
 the journaled records out as snapshots and then truncates the journal.
-A worker compacts on eviction (before it drops a session, so every
-non-resident session's ``state.json`` is current), on drain, at start
-(replaying a crashed predecessor's journal), and when its journal
-outgrows ``JOURNAL_SNAPSHOTS`` times the snapshot bytes of the sessions
-it journals.  The supervisor compacts every journal in the directory
-(:meth:`SessionStateStore.compact_journals`) when it opens, so a
-changed worker count resumes correctly, and after a drain, for a
-worker that died before it compacted.  A worker crash therefore loses only a batch it never
-journaled, and the replay of a batch it journaled but did not
-acknowledge is answered from the journal instead of being applied
-twice.
+A worker compacts on drain, at start (replaying a crashed predecessor's
+journal), and when its journal outgrows ``JOURNAL_SNAPSHOTS`` times the
+snapshot bytes of the sessions it journals — never on eviction.  Until
+the next compaction a session's newest record may live only in the
+journal: the instance that appends to it keeps an in-memory index of
+each journaled session's latest record line, and reads a session from
+there before its ``state.json``.  The supervisor compacts every
+journal in the directory (:meth:`SessionStateStore.compact_journals`)
+when it opens, so a changed worker count resumes correctly, and after
+a drain, for a worker that died before it compacted.  A worker crash
+therefore loses only a batch it never journaled, and the replay of a
+batch it journaled but did not acknowledge is answered from the
+journal instead of being applied twice.
 
 A service checkpoint is the same directory plus a commit mark:
 :meth:`~repro.serving.PortfolioService.save_checkpoint` writes every
@@ -68,9 +70,9 @@ resident (rehydration then never reads it).
 The store also tracks *residency* (which sessions a worker holds in
 memory) as an LRU: :meth:`touch` bumps a session and
 :meth:`overflow` returns the ids beyond ``max_resident``, which the
-worker compacts and then evicts from its service, rehydrating them
-lazily if touched again.  Corrupt files surface as
-:class:`CheckpointCorrupt` naming the file.
+worker evicts from its service, rehydrating them lazily (from the
+journal index or the snapshot) if touched again.  Corrupt files
+surface as :class:`CheckpointCorrupt` naming the file.
 """
 
 from __future__ import annotations
@@ -243,9 +245,10 @@ class SessionStateStore:
     Thread-safe: one instance is shared by a worker's serve loop and
     its drain path, and the supervisor opens its own instance over the
     same root (the on-disk layout, not the object, is the interface —
-    every read re-opens files, every snapshot write is atomic).  Only
-    the instance that :meth:`open_journal` claimed a journal with
-    appends to it.
+    every snapshot write is atomic).  Only the instance that
+    :meth:`open_journal` claimed a journal with appends to it, and
+    only that instance reads the sessions it journaled from memory;
+    every other read re-opens files.
     """
 
     def __init__(self, root: PathLike, max_resident: Optional[int] = None):
@@ -262,11 +265,12 @@ class SessionStateStore:
         self._sidecars: Dict[str, Optional[str]] = {}
         # The journal this instance appends to, once claimed: its file
         # descriptor and length, and each journaled session's latest
-        # record with that record's encoded size.
+        # record line — newer than its snapshot, until a compaction
+        # writes it out.
         self._journal_fd: Optional[int] = None
         self._journal_closer: Optional[weakref.finalize] = None
         self._journal_bytes = 0
-        self._journaled: Dict[str, Tuple[Dict[str, Any], int]] = {}
+        self._journaled: Dict[str, bytes] = {}
         self._journaled_bytes = 0
 
     # -- markets -------------------------------------------------------
@@ -337,8 +341,20 @@ class SessionStateStore:
         self._sidecars[session_id] = record.get("weights")
 
     def load_session_record(self, session_id: str) -> Dict[str, Any]:
-        """The JSON half of a stored session (weights left as the
-        sidecar's filename) — enough to route or describe it."""
+        """The JSON half of a session's newest committed state (weights
+        left as the sidecar's filename) — enough to route, describe or
+        rehydrate it.
+
+        On the instance that claimed a journal, a session journaled
+        since the last compaction comes from the journal index: a fresh
+        decode of its latest record line, the JSON text compaction
+        would write as its snapshot.  Its ``state.json`` may be older.
+        Every other session, and every session on an instance that
+        claimed no journal, is read from ``state.json``.
+        """
+        line = self._journaled.get(session_id)
+        if line is not None:
+            return json.loads(line)
         path = self._session_dir(session_id) / "state.json"
         if not path.exists():
             raise KeyError(f"session {session_id!r} is not in the store")
@@ -436,9 +452,9 @@ class SessionStateStore:
             raise OSError(f"short journal append ({written} of {len(frame)} bytes)")
         self._journal_bytes += len(frame)
         for record, line in zip(records, lines):
-            previous = self._journaled.get(record["session_id"])
-            self._journaled_bytes += len(line) - (previous[1] if previous else 0)
-            self._journaled[record["session_id"]] = (record, len(line))
+            previous = self._journaled.get(record["session_id"], b"")
+            self._journaled_bytes += len(line) - len(previous)
+            self._journaled[record["session_id"]] = line
 
     def journal_full(self) -> bool:
         """Whether the journal has outgrown ``JOURNAL_SNAPSHOTS`` times
@@ -452,8 +468,8 @@ class SessionStateStore:
         snapshot, then truncate the journal."""
         if not self._journaled:
             return
-        for record, _ in self._journaled.values():
-            self.save_session(record)
+        for line in self._journaled.values():
+            self.save_session(json.loads(line))
         os.ftruncate(self._journal_fd, 0)
         self._journal_bytes = 0
         self._journaled.clear()

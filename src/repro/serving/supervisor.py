@@ -17,10 +17,13 @@ makes one append to its journal in the
 :class:`~repro.serving.SessionStateStore` (``journal/<worker-index>``):
 the batch's session records and responses, before it replies.
 Compaction turns journaled records into per-session ``state.json``
-snapshots on eviction, at worker start, when the journal outgrows a
-fixed multiple of its sessions' snapshot bytes, and over every journal
-when a supervisor opens (so a changed worker count resumes correctly)
-and on drain.  A worker crash therefore loses **at most the
+snapshots at worker start, when the journal outgrows a fixed multiple
+of its sessions' snapshot bytes, and over every journal when a
+supervisor opens (so a changed worker count resumes correctly) and on
+drain — never on eviction.  So an evicted session's newest record may
+live only in its worker's journal: the worker rehydrates it from its
+store's in-memory journal index, and :meth:`describe_sessions` reads
+the journals.  A worker crash therefore loses **at most the
 round in flight** — and not observably.  A batch that died before its
 append never committed anywhere: the supervisor replays it against a
 restarted worker, which rehydrates each session lazily from the store
@@ -249,13 +252,10 @@ def _worker_main(conn, config: _WorkerConfig) -> None:
         rehydrated += 1
 
     def evict_overflow() -> None:
+        # An evicted session's newest record may live only in the
+        # journal; rehydration reads it from the store's journal index.
         nonlocal evicted_count
-        evicted = store.overflow()
-        if evicted:
-            # Snapshots first: rehydration and the supervisor's
-            # describe fallback read evicted sessions' state.json.
-            store.compact()
-        for session_id in evicted:
+        for session_id in store.overflow():
             service.close_session(session_id)
             evicted_count += 1
 

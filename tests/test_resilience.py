@@ -418,6 +418,7 @@ class TestSweepChaos:
         # real frames, not a bare pickled exception.
         assert "InjectedFault" in bad.error
         assert "run_shard" in bad.error
+        assert bad.elapsed > 0  # both attempts, timed in the worker
         assert len(result.ran) == len(STRATEGIES) - 1
 
     def test_interrupt_mid_pool_then_resume(self, tmp_path, baseline_manifest):

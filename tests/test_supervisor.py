@@ -478,6 +478,71 @@ class TestResidency:
             reference.append(service.rebalance("b").to_json_dict())
         assert supervised == reference
 
+    def test_crash_after_eviction_replays_from_the_journal(
+        self, tmp_path, market
+    ):
+        """Eviction writes no snapshot, so an evicted session's newest
+        state may exist only in the journal.  A worker killed then (mid
+        batch, before its append) is succeeded by one that replays the
+        journal; every session still answers like the in-process
+        service."""
+        risk = risk_regime_preset("lockout")
+        order = ["a", "b"] * 4
+        plan = FaultPlan(
+            seed=0, serving=ServingFaults(worker_crash_batches=((0, 2),))
+        )
+        sup, name0, _ = make_supervisor(
+            tmp_path, market, workers=1, max_resident=1,
+            risk=risk.build_engine(), faults=plan,
+        )
+        reader = SessionStateStore(tmp_path / "state")
+        with sup:
+            sup.create_session("a", "ons", market=name0)
+            sup.create_session("b", "ons", market=name0)
+            supervised = [sup.rebalance(sid).to_json_dict() for sid in order[:2]]
+            # Batch 2 rehydrates a, evicted after batch 1 with its round
+            # journaled but never snapshotted.
+            assert reader.load_session_record("a")["state"]["decisions"] == 0
+            assert reader.journaled_records()["a"]["state"]["decisions"] == 1
+            supervised += [sup.rebalance(sid).to_json_dict() for sid in order[2:]]
+            assert sup.stats.worker_restarts == 1
+
+        service = in_process(
+            {name0: market},
+            [("a", "ons", {}, name0), ("b", "ons", {}, name0)],
+            risk.build_engine(),
+        )
+        assert supervised == [
+            service.rebalance(sid).to_json_dict() for sid in order
+        ]
+
+    def test_eviction_writes_no_snapshot(self, tmp_path, market):
+        """An evicted session's ``state.json`` keeps its create-time
+        bytes across evict, rehydrate and serve cycles; ``drain()``
+        writes out its last journaled record."""
+        sup, name0, _ = make_supervisor(
+            tmp_path, market, workers=1, max_resident=1
+        )
+        root = tmp_path / "state"
+        snapshots = {sid: root / "sessions" / sid / "state.json" for sid in "ab"}
+        with sup:
+            sup.create_session("a", "ons", market=name0)
+            sup.create_session("b", "ucrp", market=name0)
+            created = {sid: path.read_bytes() for sid, path in snapshots.items()}
+            for _ in range(4):
+                for sid in "ab":
+                    sup.rebalance(sid)
+                    assert {
+                        s: path.read_bytes() for s, path in snapshots.items()
+                    } == created
+            detail = sup.stats_dict()["workers"][0]["detail"]
+            assert detail["evicted"] >= 8 and detail["rehydrated"] >= 7
+            journaled = SessionStateStore(root).journaled_records()
+            assert [journaled[sid]["state"]["decisions"] for sid in "ab"] == [4, 4]
+            sup.drain(timeout=30.0)
+        for sid, path in snapshots.items():
+            assert json.loads(path.read_bytes()) == journaled[sid]
+
 
 SDP_PARAMS = dict(hidden_sizes=(16, 16), timesteps=3, encoder_pop_size=4,
                   decoder_pop_size=4, seed=0)
@@ -660,10 +725,14 @@ class TestJournal:
                 batch, [service.export_session("a", weights=False)],
                 [response.to_json_dict()],
             )
-        assert store.load_session_record("a")["state"]["decisions"] == 0
-        assert store.journaled_records()["a"] == {
-            **service.export_session("a", weights=False), "weights": None
-        }
+        # The snapshot is still the create's; the journal-owning store
+        # reads the newest record from its journal index.
+        reader = SessionStateStore(tmp_path)
+        assert reader.load_session_record("a")["state"]["decisions"] == 0
+        newest = {**service.export_session("a", weights=False), "weights": None}
+        assert store.load_session_record("a") == newest
+        assert store.load_session_record("a")["state"]["decisions"] == 3
+        assert store.journaled_records()["a"] == newest
         journal = tmp_path / "journal" / "0"
         journal.write_bytes(journal.read_bytes()[:-1])  # tear batch 2
 
@@ -671,7 +740,7 @@ class TestJournal:
         successor = SessionStateStore(tmp_path)
         batch, responses = successor.open_journal(0)
         assert batch == 1 and responses[0]["t"] == response.t - 1
-        assert store.load_session_record("a")["state"]["decisions"] == 2
+        assert reader.load_session_record("a")["state"]["decisions"] == 2
         assert successor.journaled_records() == {}  # only the batch header
 
         # Compaction is due once the journal outgrows its bound.
@@ -682,9 +751,64 @@ class TestJournal:
         assert 0 < commits <= JOURNAL_SNAPSHOTS
         successor.compact()
         assert journal.stat().st_size == 0
-        assert store.load_session_record("a")["state"]["decisions"] == 3
+        assert reader.load_session_record("a")["state"]["decisions"] == 3
         store.close()
         successor.close()
+
+    def test_journal_stays_bounded_without_eviction_compaction(
+        self, tmp_path, market
+    ):
+        """Commits cycling over more sessions than ``max_resident``,
+        evicting as a worker does but never compacting for it: the
+        journal stays within ``JOURNAL_SNAPSHOTS`` times its journaled
+        bytes plus one frame, ``journal_full`` compacts it, and the
+        compaction writes exactly the index's records."""
+        ids = [f"s{i}" for i in range(5)]
+        service = in_process({"m": market}, [(sid, "ucrp", {}, "m") for sid in ids])
+        store = SessionStateStore(tmp_path, max_resident=2)
+        for sid in ids:
+            store.save_session(service.export_session(sid))
+        store.open_journal(0)
+        reader = SessionStateStore(tmp_path)
+        journal = tmp_path / "journal" / "0"
+
+        def encoded(record):
+            return len(json.dumps(record, sort_keys=True, separators=(",", ":")))
+
+        compactions = evicted = 0
+        for batch in range(200):
+            batch_ids = [ids[(2 * batch + j) % len(ids)] for j in range(2)]
+            responses = service.rebalance_many(
+                [RebalanceRequest(sid) for sid in batch_ids]
+            )
+            for sid in batch_ids:
+                store.touch(sid)
+            before = journal.stat().st_size
+            store.commit(
+                batch,
+                [service.export_session(sid, weights=False) for sid in batch_ids],
+                [r.to_json_dict() for r in responses],
+            )
+            frame = journal.stat().st_size - before
+            journaled = sorted(reader.journaled_records())
+            index = {sid: store.load_session_record(sid) for sid in journaled}
+            assert journal.stat().st_size <= JOURNAL_SNAPSHOTS * sum(
+                encoded(record) for record in index.values()
+            ) + frame
+            evicted += len(store.overflow())  # dropped, never compacted
+            if store.journal_full():
+                store.compact()
+                compactions += 1
+                assert journal.stat().st_size == 0
+                assert {sid: reader.load_session_record(sid) for sid in ids} == index
+                if compactions == 2:
+                    break
+        assert compactions == 2 and evicted > batch
+        for sid in ids:
+            assert store.load_session_record(sid) == {
+                **service.export_session(sid, weights=False), "weights": None
+            }
+        store.close()
 
 
 class TestSidecarSkip:

@@ -211,6 +211,12 @@ class TestSweepEngine:
         assert result.complete
         assert read_back == [blas.worker_budget(2)]
 
+    def test_pooled_shards_record_their_wall_clock(self, tmp_path):
+        spec = make_spec(strategies=("ucrp", "bah"), seeds=(1,))
+        result = SweepRunner(spec, tmp_path, max_workers=2).run(parallel=True)
+        assert [o.status for o in result.outcomes] == ["ran", "ran"]
+        assert all(o.elapsed > 0 for o in result.outcomes)
+
     def test_shard_determinism_standalone(self, serial_sweep, tmp_path):
         # Same shard re-run in a fresh store, outside any sweep context,
         # lands bit-identical artifacts: nothing depends on run order.
