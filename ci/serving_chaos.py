@@ -8,6 +8,8 @@ sessions, and serves five batched rounds.  Then:
 * ``/health`` reports one restart and one failover, both on the owning
   worker, every worker alive and every session intact;
 * ``/stats`` reports the failover with a round in flight;
+* ``/metrics`` agrees with ``/health``: ``repro_failovers_total`` and
+  ``repro_worker_restarts_total`` read 1 there too;
 * SIGTERM drains cleanly: every session checkpointed, both workers at
   exit code 0, the process at exit code 0.
 
@@ -58,6 +60,28 @@ def check_failover(health: dict, stats: dict, owner: int, sessions: int) -> List
     return failures
 
 
+def check_metrics(health: dict, page: str) -> List[str]:
+    """The ``/metrics`` page carries the restart and failover counters,
+    each reading 1 as ``/health`` does."""
+    samples = {}
+    for line in page.splitlines():
+        if line and not line.startswith("#") and "{" not in line:
+            name, _, value = line.rpartition(" ")
+            samples[name] = float(value)
+    failures = []
+    for series, key in (
+        ("repro_failovers_total", "failovers"),
+        ("repro_worker_restarts_total", "worker_restarts"),
+    ):
+        value = samples.get(series)
+        if value != 1 or value != health[key]:
+            failures.append(
+                f"/metrics {series} reads {value}, /health {key} reads "
+                f"{health[key]}, expected 1 and 1"
+            )
+    return failures
+
+
 def check_drain(output: str, returncode: int, sessions: int) -> List[str]:
     """The server drained every session across both workers, both
     workers exited 0, and so did the server."""
@@ -96,10 +120,13 @@ def main(argv=None) -> int:
     )
     base = f"http://127.0.0.1:{args.port}"
 
-    def req(path, payload=None):
+    def fetch(path, payload=None):
         data = None if payload is None else json.dumps(payload).encode()
         with urllib.request.urlopen(base + path, data=data) as r:
-            return json.loads(r.read())
+            return r.read()
+
+    def req(path, payload=None):
+        return json.loads(fetch(path, payload))
 
     try:
         for _ in range(120):  # demo panel generation takes a moment
@@ -123,9 +150,14 @@ def main(argv=None) -> int:
                 failures.append(f"a round served {len(served)} sessions")
 
         health, stats = req("/health"), req("/stats")
+        metrics = fetch("/metrics").decode("utf-8")
         failures += check_failover(health, stats, owner, SESSIONS)
+        failures += check_metrics(health, metrics)
         with open(args.out, "w") as fh:
-            json.dump({"health": health, "stats": stats}, fh, indent=2)
+            json.dump(
+                {"health": health, "stats": stats, "metrics": metrics},
+                fh, indent=2,
+            )
 
         server.send_signal(signal.SIGTERM)  # graceful drain
         out, _ = server.communicate(timeout=60)

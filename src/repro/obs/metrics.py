@@ -95,6 +95,11 @@ class Gauge:
         with self._lock:
             self._value += delta
 
+    def set_max(self, value: float) -> None:
+        """Raise the gauge to ``value`` if it is higher (a high-water mark)."""
+        with self._lock:
+            self._value = max(self._value, float(value))
+
     @property
     def value(self) -> float:
         return self._value

@@ -12,8 +12,8 @@ Routes
 ``GET  /health``             liveness + stats + backpressure/degradation detail
                              (per-worker status when serving a supervisor)
 ``GET  /stats``              service/supervisor counters (failovers, shedding)
-``GET  /metrics``            Prometheus text: obs registry series plus every
-                             scalar service/supervisor counter as a gauge
+``GET  /metrics``            Prometheus text: the backend's metrics registry,
+                             whose counters ``/stats`` reads
 ``GET  /strategies``         names servable through the registry
 ``GET  /sessions``           live session descriptions
 ``POST /sessions``           ``{"session_id", "strategy", "params"?, "market"}``
@@ -43,7 +43,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional
 
 from .. import __version__
-from ..obs import Obs, get_obs, render_prometheus
+from ..obs import Obs, render_prometheus
 from .service import (
     DeadlineExceeded,
     InvalidStrategyOutput,
@@ -89,39 +89,11 @@ class ServiceHTTPServer(ThreadingHTTPServer):
             else None
         )
         self.quiet = quiet
-        self.started = time.monotonic()
-        # /metrics needs a live registry even when the backend runs
-        # dark: prefer the backend's handle (one registry, one page),
-        # then the process-global one, else a private front-only Obs.
-        backend_obs = getattr(service, "obs", None)
-        if backend_obs is not None and backend_obs.enabled:
-            self.obs = backend_obs
-        else:
-            global_obs = get_obs()
-            self.obs = global_obs if global_obs.enabled else Obs()
-
-    def uptime_seconds(self) -> float:
-        """Prefer the backend's construction anchor (it predates the
-        front and survives re-binds); fall back to the server's own."""
-        backend = getattr(self.service, "uptime_seconds", None)
-        if callable(backend):
-            return backend()
-        return time.monotonic() - self.started
-
-
-def _flatten_scalars(prefix: str, value: Any, out: Dict[str, float]) -> None:
-    """Collect numeric leaves of a nested stats dict as ``a_b_c`` keys.
-
-    Lists (worker detail, failover reports) are skipped — they carry
-    unbounded per-incident detail, not counters."""
-    if isinstance(value, bool):
-        return
-    if isinstance(value, (int, float)):
-        out[prefix] = float(value)
-    elif isinstance(value, dict):
-        for key, item in value.items():
-            sub = f"{prefix}_{key}" if prefix else str(key)
-            _flatten_scalars(sub, item, out)
+        # The front records into the backend's registry, so /metrics is
+        # one page; a dark backend gets a front-only event log beside it.
+        self.obs = (
+            service.obs if service.obs.enabled else Obs(metrics=service.metrics)
+        )
 
 
 class ServingHandler(BaseHTTPRequestHandler):
@@ -138,23 +110,26 @@ class ServingHandler(BaseHTTPRequestHandler):
         # lands in the structured event log at debug level (dropped
         # there only if the log's threshold says so), and stderr output
         # remains opt-in via quiet=False.
-        obs = getattr(self.server, "obs", None)
-        if obs is not None and obs.enabled:
-            obs.event(
-                "http_log",
-                level="debug",
-                client=self.address_string(),
-                message=format % args,
-            )
+        self.server.obs.event(
+            "http_log",
+            level="debug",
+            client=self.address_string(),
+            message=format % args,
+        )
         if not getattr(self.server, "quiet", True):
             super().log_message(format, *args)
+
+    def _begin(self) -> None:
+        """Start the clock; dispatch and the route label read ``_path``."""
+        self._t0 = time.perf_counter()
+        self._path = self.path.split("?", 1)[0]
 
     def _route(self) -> str:
         """The path normalised for metric labels: known routes pass
         through, anything else (unknown paths, future id-suffixed
         routes) collapses to its first segment + ``/*`` so label
         cardinality stays bounded."""
-        path = self.path.split("?", 1)[0]
+        path = self._path
         known = {
             "/healthz", "/health", "/stats", "/metrics", "/strategies",
             "/sessions", "/rebalance", "/rebalance/batch",
@@ -211,31 +186,14 @@ class ServingHandler(BaseHTTPRequestHandler):
         self._write_json(status, {"error": message})
 
     def _write_metrics(self) -> None:
-        """``GET /metrics``: Prometheus text exposition.
+        """``GET /metrics``: the backend registry in Prometheus text.
 
-        The page is the obs registry's render, with every scalar from
-        the backend's stats mirrored in as ``repro_stats_*`` gauges
-        first — so failover/shed/degraded counters are always present
-        even when the backend itself runs with observability off.
-        """
-        service = self.server.service
+        Every counter ``/stats`` reports is a series there, recorded
+        whether or not the backend's observability is on."""
         obs = self.server.obs
-        if hasattr(service, "stats_dict"):
-            stats: Dict[str, Any] = service.stats_dict()
-        else:
-            stats = {"service": service.stats.to_json_dict()}
-            batcher = self.server.batcher
-            if batcher is not None:
-                stats["batcher"] = batcher.stats.to_json_dict()
-        flat: Dict[str, float] = {}
-        _flatten_scalars("", stats, flat)
-        for key in sorted(flat):
-            obs.gauge(
-                f"repro_stats_{key}", help="mirrored backend stats scalar"
-            ).set(flat[key])
         obs.gauge(
             "repro_uptime_seconds", help="seconds since backend construction"
-        ).set(self.server.uptime_seconds())
+        ).set(self.server.service.uptime_seconds())
         self._send(
             200,
             "text/plain; version=0.0.4; charset=utf-8",
@@ -244,7 +202,7 @@ class ServingHandler(BaseHTTPRequestHandler):
 
     # -- routes --------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802
-        self._t0 = time.perf_counter()
+        self._begin()
         try:
             self._do_get()
         except (KeyError, ValueError) as exc:
@@ -255,73 +213,55 @@ class ServingHandler(BaseHTTPRequestHandler):
 
     def _do_get(self) -> None:
         service = self.server.service
-        if self.path == "/healthz":
-            self._write_json(
-                200,
-                {
-                    "status": "ok",
-                    "sessions": len(service.session_ids()),
-                    "uptime_seconds": self.server.uptime_seconds(),
-                    "version": __version__,
-                    "stats": service.stats.to_json_dict(),
-                },
-            )
-        elif self.path == "/health":
-            # The resilience-aware sibling of /healthz: same liveness
-            # signal plus the counters an operator watches under load —
-            # degraded serving and admission-queue backpressure.  A
-            # supervisor additionally reports per-worker liveness and
-            # whether a drain is underway.
-            batcher = self.server.batcher
+        path = self._path
+        batcher = self.server.batcher
+        batcher_stats = None if batcher is None else batcher.stats.to_json_dict()
+        if path in ("/healthz", "/health"):
+            stats = service.stats
             payload: Dict[str, Any] = {
                 "status": "ok",
                 "sessions": len(service.session_ids()),
-                "uptime_seconds": self.server.uptime_seconds(),
+                "uptime_seconds": service.uptime_seconds(),
                 "version": __version__,
-                "stats": service.stats.to_json_dict(),
-                "batcher": (
-                    batcher.stats.to_json_dict()
-                    if batcher is not None
-                    else None
-                ),
+                "stats": stats.to_json_dict(),
             }
-            stats = service.stats
-            if hasattr(stats, "degraded_responses"):
-                payload["degraded_responses"] = stats.degraded_responses
-                payload["breaker_trips"] = stats.breaker_trips
-            if hasattr(service, "worker_health"):
-                workers = [h.to_json_dict() for h in service.worker_health()]
-                payload["workers"] = workers
-                payload["worker_restarts"] = stats.worker_restarts
-                payload["failovers"] = stats.failovers
-                if getattr(service, "_draining", False):
-                    payload["status"] = "draining"
-                elif not all(w["alive"] for w in workers):
-                    # A dead worker between heartbeats: still serving
-                    # (dispatch heals on touch), but say so.
-                    payload["status"] = "degraded"
+            if path == "/health":
+                # The resilience-aware sibling of /healthz: the counters
+                # an operator watches under load — degraded serving and
+                # admission-queue backpressure.  A supervisor adds
+                # per-worker liveness and whether a drain is underway.
+                payload["batcher"] = batcher_stats
+                if hasattr(stats, "degraded_responses"):
+                    payload["degraded_responses"] = stats.degraded_responses
+                    payload["breaker_trips"] = stats.breaker_trips
+                if hasattr(service, "worker_health"):
+                    workers = [h.to_json_dict() for h in service.worker_health()]
+                    payload["workers"] = workers
+                    payload["worker_restarts"] = stats.worker_restarts
+                    payload["failovers"] = stats.failovers
+                    if getattr(service, "_draining", False):
+                        payload["status"] = "draining"
+                    elif not all(w["alive"] for w in workers):
+                        # A dead worker between heartbeats: still
+                        # serving (dispatch heals on touch), but say so.
+                        payload["status"] = "degraded"
             self._write_json(200, payload)
-        elif self.path == "/stats":
+        elif path == "/stats":
             if hasattr(service, "stats_dict"):
                 payload = dict(service.stats_dict())
             else:
-                batcher = self.server.batcher
                 payload = {
                     "service": service.stats.to_json_dict(),
-                    "batcher": (
-                        batcher.stats.to_json_dict()
-                        if batcher is not None
-                        else None
-                    ),
+                    "batcher": batcher_stats,
                 }
-            payload["uptime_seconds"] = self.server.uptime_seconds()
+            payload["uptime_seconds"] = service.uptime_seconds()
             payload["version"] = __version__
             self._write_json(200, payload)
-        elif self.path == "/metrics":
+        elif path == "/metrics":
             self._write_metrics()
-        elif self.path == "/strategies":
+        elif path == "/strategies":
             self._write_json(200, {"strategies": list(service.registry.names())})
-        elif self.path == "/sessions":
+        elif path == "/sessions":
             self._write_json(
                 200,
                 {
@@ -335,18 +275,18 @@ class ServingHandler(BaseHTTPRequestHandler):
             self._error(404, f"unknown path {self.path!r}")
 
     def do_POST(self) -> None:  # noqa: N802
-        self._t0 = time.perf_counter()
+        self._begin()
         try:
             payload = self._read_json()
         except (ValueError, json.JSONDecodeError) as exc:
             self._error(400, f"invalid JSON body: {exc}")
             return
         try:
-            if self.path == "/sessions":
+            if self._path == "/sessions":
                 self._create_session(payload)
-            elif self.path == "/rebalance":
+            elif self._path == "/rebalance":
                 self._rebalance(payload)
-            elif self.path == "/rebalance/batch":
+            elif self._path == "/rebalance/batch":
                 self._rebalance_batch(payload)
             else:
                 self._error(404, f"unknown path {self.path!r}")
@@ -442,9 +382,8 @@ class ServingHandler(BaseHTTPRequestHandler):
         )
 
     def _observe_rebalance(self, t0: float) -> None:
-        # Observed into the front's obs unconditionally so the
-        # acceptance-critical rebalance latency summary is on /metrics
-        # even when the backend runs dark.
+        # Observed unconditionally so the rebalance latency summary is
+        # on /metrics even when the backend runs dark.
         self.server.obs.histogram(
             "repro_rebalance_latency_seconds",
             help="rebalance_many wall-clock per call",

@@ -35,7 +35,7 @@ import inspect
 import json
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import (
     Any,
@@ -53,7 +53,7 @@ import numpy as np
 
 from ..agents.base import Agent
 from ..autograd import no_grad
-from ..obs import get_obs
+from ..obs import MetricsRegistry, get_obs
 from ..data.market import MarketData
 from ..envs.book import InvalidAction, normalize_actions, step_book
 from ..envs.costs import DEFAULT_COMMISSION
@@ -256,17 +256,53 @@ class SessionInfo:
         return asdict(self)
 
 
-@dataclass
-class ServiceStats:
-    """Counters for observing micro-batching effectiveness."""
+def counting_registry(obs) -> MetricsRegistry:
+    """Where a serving component keeps its counters: its obs handle's
+    registry when the handle is enabled, else a private one."""
+    return obs.metrics if obs.enabled else MetricsRegistry()
 
-    requests_served: int = 0
-    batched_forwards: int = 0
-    single_decisions: int = 0
-    largest_batch: int = 0
-    sessions_created: int = 0
-    degraded_responses: int = 0
-    breaker_trips: int = 0
+
+def stat(series: str, help: str, kind: str = "counter"):
+    """A stats field whose one home is the registry series ``series``."""
+    return field(default=0, metadata={"series": series, "help": help, "kind": kind})
+
+
+class StatsSeries:
+    """A stats dataclass bound to a registry: one attribute per field
+    holds its Counter or Gauge, and :meth:`read` is the snapshot."""
+
+    def __init__(self, cls, registry: MetricsRegistry):
+        self._cls = cls
+        for f in fields(cls):
+            make = getattr(registry, f.metadata["kind"])
+            setattr(self, f.name, make(f.metadata["series"], help=f.metadata["help"]))
+
+    def read(self):
+        return self._cls(**{
+            f.name: int(getattr(self, f.name).value) for f in fields(self._cls)
+        })
+
+
+@dataclass(frozen=True)
+class ServiceStats:
+    """Counters for observing micro-batching effectiveness: a snapshot
+    read from :attr:`PortfolioService.metrics`."""
+
+    requests_served: int = stat("repro_requests_total", "rebalance requests served")
+    batched_forwards: int = stat(
+        "repro_batched_forwards_total", "decide_batch forwards shared by 2+ sessions"
+    )
+    single_decisions: int = stat(
+        "repro_single_decisions_total", "decisions made for one session alone"
+    )
+    largest_batch: int = stat(
+        "repro_largest_batch", "most sessions in one forward", "gauge"
+    )
+    sessions_created: int = stat("repro_sessions_created_total", "sessions created")
+    degraded_responses: int = stat(
+        "repro_degraded_responses_total", "circuit-broken hold responses"
+    )
+    breaker_trips: int = stat("repro_breaker_trips_total", "session breaker trips")
 
     def to_json_dict(self) -> Dict[str, int]:
         return asdict(self)
@@ -392,7 +428,6 @@ class PortfolioService:
         # Same discipline: a null risk engine is dropped outright so the
         # hot path never pays for an empty projection.
         self._risk = risk if risk is not None and not risk.is_null else None
-        self.stats = ServiceStats()
         self._sessions: Dict[str, _Session] = {}
         self._markets: Dict[str, MarketData] = {}
         self._shared_agents: Dict[str, Agent] = {}
@@ -403,27 +438,29 @@ class PortfolioService:
         self._lock = threading.RLock()
         self._started = time.monotonic()
         self._obs = obs if obs is not None else get_obs()
+        self._metrics = counting_registry(self._obs)
+        self._counts = StatsSeries(ServiceStats, self._metrics)
         if self._obs.enabled:
             self._m_latency = self._obs.histogram(
                 "repro_rebalance_latency_seconds",
                 help="rebalance_many wall-clock per call",
                 component="service",
             )
-            self._m_requests = self._obs.counter(
-                "repro_requests_total", help="rebalance requests served"
-            )
-            self._m_degraded = self._obs.counter(
-                "repro_degraded_responses_total",
-                help="circuit-broken hold responses",
-            )
-            self._m_breaker = self._obs.counter(
-                "repro_breaker_trips_total", help="session breaker trips"
-            )
 
     @property
     def obs(self):
         """The observability handle this service records into."""
         return self._obs
+
+    @property
+    def metrics(self) -> MetricsRegistry:
+        """The registry holding this service's counters."""
+        return self._metrics
+
+    @property
+    def stats(self) -> ServiceStats:
+        """The counters in :attr:`metrics`, read as one snapshot."""
+        return self._counts.read()
 
     def uptime_seconds(self) -> float:
         """Seconds since this service instance was constructed."""
@@ -567,7 +604,7 @@ class PortfolioService:
             if not shared:
                 agent.begin_backtest(panel)
             self._sessions[session_id] = session
-            self.stats.sessions_created += 1
+            self._counts.sessions_created.inc()
             return self._info(session)
 
     def create_session_from_artifact(
@@ -789,7 +826,6 @@ class PortfolioService:
             responses = self._rebalance_resilient(requests)
         if obs_on:
             self._m_latency.observe(time.perf_counter() - t0)
-            self._m_requests.inc(len(requests))
         return responses
 
     def _rebalance_resilient(
@@ -873,10 +909,9 @@ class PortfolioService:
         session.decisions += 1
         if session.breaker_cooldown > 0:
             session.breaker_cooldown -= 1
-        self.stats.requests_served += 1
-        self.stats.degraded_responses += 1
+        self._counts.requests_served.inc()
+        self._counts.degraded_responses.inc()
         if self._obs.enabled:
-            self._m_degraded.inc()
             self._obs.event(
                 "serving_degraded",
                 level="warn",
@@ -906,9 +941,8 @@ class PortfolioService:
             # probe after the cooldown reopens on a single failure,
             # while a success resets the counter to zero.
             session.breaker_failures = self._resilience.failure_threshold - 1
-            self.stats.breaker_trips += 1
+            self._counts.breaker_trips.inc()
             if self._obs.enabled:
-                self._m_breaker.inc()
                 self._obs.event(
                     "breaker_trip",
                     level="warn",
@@ -965,7 +999,7 @@ class PortfolioService:
                     backups[session.session_id] = copy.deepcopy(session.agent)
 
             responses: List[Optional[RebalanceResponse]] = [None] * len(requests)
-            stats = ServiceStats()
+            tally = {"batched_forwards": 0, "single_decisions": 0, "largest_batch": 0}
             pending = resolved
             try:
                 while pending:
@@ -978,14 +1012,14 @@ class PortfolioService:
                         else:
                             seen_sessions.add(item[1].session_id)
                             this_round.append(item)
-                    self._serve_round(this_round, staged, responses, stats)
+                    self._serve_round(this_round, staged, responses, tally)
                     pending = deferred
             except BaseException:
                 for session_id, agent in backups.items():
                     self._sessions[session_id].agent = agent
                 raise
 
-            # Everything decided cleanly: commit sessions and stats.
+            # Everything decided cleanly: commit sessions and counts.
             for session_id, state in staged.items():
                 session = self._sessions[session_id]
                 session.w_prev = state.w_prev
@@ -1001,12 +1035,10 @@ class PortfolioService:
                     # re-anchors stateful strategies here.
                     session.start = state.first_t
                 session.decisions += state.decisions
-            self.stats.requests_served += len(requests)
-            self.stats.batched_forwards += stats.batched_forwards
-            self.stats.single_decisions += stats.single_decisions
-            self.stats.largest_batch = max(
-                self.stats.largest_batch, stats.largest_batch
-            )
+            self._counts.requests_served.inc(len(requests))
+            self._counts.batched_forwards.inc(tally["batched_forwards"])
+            self._counts.single_decisions.inc(tally["single_decisions"])
+            self._counts.largest_batch.set_max(tally["largest_batch"])
             return responses  # type: ignore[return-value]
 
     def _serve_round(
@@ -1014,7 +1046,7 @@ class PortfolioService:
         items: List[Tuple[int, _Session, int]],
         staged: Dict[str, "_StagedState"],
         responses: List[Optional[RebalanceResponse]],
-        stats: ServiceStats,
+        tally: Dict[str, int],
     ) -> None:
         """Decide one round of requests over pairwise-distinct sessions,
         reading and writing only the staged state."""
@@ -1064,10 +1096,10 @@ class PortfolioService:
                     f"{len(group)} states"
                 )
             if len(group) > 1:
-                stats.batched_forwards += 1
-                stats.largest_batch = max(stats.largest_batch, len(group))
+                tally["batched_forwards"] += 1
+                tally["largest_batch"] = max(tally["largest_batch"], len(group))
             else:
-                stats.single_decisions += 1
+                tally["single_decisions"] += 1
             infos: List[Optional[Dict[str, float]]] = [None] * len(group)
             if self._execution is not None:
                 # One vectorized estimate for the whole round's group —
@@ -1084,7 +1116,7 @@ class PortfolioService:
                     session.data, t, staged[session.session_id].w_prev
                 )
             )
-            stats.single_decisions += 1
+            tally["single_decisions"] += 1
             info = None
             if self._execution is not None:
                 info = self._estimate_execution(
@@ -1447,14 +1479,23 @@ class _Slot:
         self.done = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class BatcherStats:
-    """Backpressure counters for the micro-batcher's admission queue."""
+    """Backpressure counters for the micro-batcher's admission queue:
+    a snapshot read from :attr:`MicroBatcher.metrics`."""
 
-    submitted: int = 0
-    queue_rejections: int = 0      # QueueFull raised at admission
-    deadline_expirations: int = 0  # DeadlineExceeded raised in queue
-    max_queue_depth: int = 0       # high-water mark of pending requests
+    submitted: int = stat(
+        "repro_batcher_submitted_total", "requests admitted to the queue"
+    )
+    queue_rejections: int = stat(
+        "repro_batcher_rejections_total", "requests shed at admission (QueueFull)"
+    )
+    deadline_expirations: int = stat(
+        "repro_batcher_deadline_expirations_total", "requests expired waiting in queue"
+    )
+    max_queue_depth: int = stat(
+        "repro_batcher_max_queue_depth", "high-water mark of pending requests", "gauge"
+    )
 
     def to_json_dict(self) -> Dict[str, int]:
         return asdict(self)
@@ -1501,26 +1542,30 @@ class MicroBatcher:
         self.request_timeout = (
             None if request_timeout is None else float(request_timeout)
         )
-        self.stats = BatcherStats()
         self._cond = threading.Condition()
         self._pending: List[Tuple[RebalanceRequest, _Slot]] = []
         self._leader_active = False
-        # Share the service's obs handle so batcher series land in the
-        # same registry (and the same /metrics page).
+        # Share the service's obs handle and registry so batcher series
+        # land on the same /metrics page as the service's.
         svc_obs = getattr(service, "obs", None)
         self._obs = svc_obs if svc_obs is not None else get_obs()
-        if self._obs.enabled:
-            self._m_depth = self._obs.gauge(
-                "repro_batcher_queue_depth", help="pending requests in queue"
-            )
-            self._m_rejections = self._obs.counter(
-                "repro_batcher_rejections_total",
-                help="requests shed at admission (QueueFull)",
-            )
-            self._m_expirations = self._obs.counter(
-                "repro_batcher_deadline_expirations_total",
-                help="requests expired waiting in queue",
-            )
+        self._metrics = (
+            getattr(service, "metrics", None) or counting_registry(self._obs)
+        )
+        self._counts = StatsSeries(BatcherStats, self._metrics)
+        self._m_depth = self._metrics.gauge(
+            "repro_batcher_queue_depth", help="pending requests in queue"
+        )
+
+    @property
+    def metrics(self) -> MetricsRegistry:
+        """The registry holding this batcher's counters (its service's)."""
+        return self._metrics
+
+    @property
+    def stats(self) -> BatcherStats:
+        """The counters in :attr:`metrics`, read as one snapshot."""
+        return self._counts.read()
 
     def submit(self, request: RebalanceRequest) -> RebalanceResponse:
         """Enqueue ``request`` and block until its decision is served.
@@ -1540,9 +1585,8 @@ class MicroBatcher:
                 self.max_queue is not None
                 and len(self._pending) >= self.max_queue
             ):
-                self.stats.queue_rejections += 1
+                self._counts.queue_rejections.inc()
                 if self._obs.enabled:
-                    self._m_rejections.inc()
                     self._obs.event(
                         "batcher_shed",
                         level="warn",
@@ -1554,12 +1598,9 @@ class MicroBatcher:
                     f"max_queue={self.max_queue})"
                 )
             self._pending.append((request, slot))
-            self.stats.submitted += 1
-            self.stats.max_queue_depth = max(
-                self.stats.max_queue_depth, len(self._pending)
-            )
-            if self._obs.enabled:
-                self._m_depth.set(len(self._pending))
+            self._counts.submitted.inc()
+            self._counts.max_queue_depth.set_max(len(self._pending))
+            self._m_depth.set(len(self._pending))
             self._cond.notify_all()
         deadline = (
             None
@@ -1586,10 +1627,8 @@ class MicroBatcher:
                             withdrawn = True
                             break
                     if withdrawn:
-                        self.stats.deadline_expirations += 1
-                        if self._obs.enabled:
-                            self._m_expirations.inc()
-                            self._m_depth.set(len(self._pending))
+                        self._counts.deadline_expirations.inc()
+                        self._m_depth.set(len(self._pending))
                         raise DeadlineExceeded(
                             f"request for session "
                             f"{request.session_id!r} spent more than "
@@ -1662,6 +1701,5 @@ class MicroBatcher:
             self._cond.wait(remaining)
         batch = self._pending[: self.max_batch]
         self._pending = self._pending[self.max_batch :]
-        if self._obs.enabled:
-            self._m_depth.set(len(self._pending))
+        self._m_depth.set(len(self._pending))
         return batch

@@ -86,7 +86,7 @@ from dataclasses import asdict, dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..envs.costs import DEFAULT_COMMISSION
-from ..obs import get_obs
+from ..obs import MetricsRegistry, Obs, get_obs
 from ..registry import DEFAULT_REGISTRY
 from ..resilience import injector_from
 from ..utils.blas import blas_threads, set_blas_threads, worker_budget
@@ -99,6 +99,9 @@ from .service import (
     RebalanceResponse,
     ServingResilience,
     SessionInfo,
+    StatsSeries,
+    counting_registry,
+    stat,
 )
 from .store import SessionStateStore
 
@@ -135,16 +138,25 @@ class WorkerDied(RuntimeError):
     it triggers restart + replay instead."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SupervisorStats:
-    """Front-side counters; per-worker service stats live in the
-    workers and are aggregated by :meth:`ServingSupervisor.stats_dict`."""
+    """Front-side counters: a snapshot read from
+    :attr:`ServingSupervisor.metrics`.  Workers count in their own
+    processes; :meth:`ServingSupervisor.stats_dict` asks each one."""
 
-    requests_served: int = 0
-    batches_dispatched: int = 0   # sub-batches sent to workers
-    worker_restarts: int = 0      # crashes healed (dispatch or heartbeat)
-    failovers: int = 0            # restarts that also replayed a batch
-    shed_requests: int = 0        # requests refused by priority shedding
+    requests_served: int = stat("repro_requests_total", "rebalance requests served")
+    batches_dispatched: int = stat(
+        "repro_batches_dispatched_total", "sub-batches sent to workers"
+    )
+    worker_restarts: int = stat(
+        "repro_worker_restarts_total", "crashes healed (dispatch or heartbeat)"
+    )
+    failovers: int = stat(
+        "repro_failovers_total", "restarts that also replayed a batch"
+    )
+    shed_requests: int = stat(
+        "repro_shed_requests_total", "requests refused by priority shedding"
+    )
 
     def to_json_dict(self) -> Dict[str, int]:
         return asdict(self)
@@ -223,6 +235,10 @@ def _worker_main(conn, config: _WorkerConfig) -> None:
     # replays it, the journal answers instead of applying it twice.
     last_commit = store.open_journal(config.index)
     injector = injector_from(config.fault_plan)
+    # A forked worker inherits the parent's handle, counts included: a
+    # fresh registry beside the inherited event log keeps this worker's
+    # stats to its own work while its events still reach the log.
+    parent_obs = get_obs()
     service = PortfolioService(
         registry=config.registry,
         commission=config.commission,
@@ -230,6 +246,7 @@ def _worker_main(conn, config: _WorkerConfig) -> None:
         risk=config.risk,
         resilience=config.resilience,
         faults=injector,
+        obs=Obs(events=parent_obs.events) if parent_obs.enabled else parent_obs,
     )
     rehydrated = 0
     evicted_count = 0
@@ -500,35 +517,27 @@ class ServingSupervisor:
         self.worker_timeout = worker_timeout
         self.crash_retries = int(crash_retries)
         self.heartbeat_interval = float(heartbeat_interval)
-        self.stats = SupervisorStats()
         self._started = time.monotonic()
         self._obs = obs if obs is not None else get_obs()
+        self._metrics = counting_registry(self._obs)
+        self._counts = StatsSeries(SupervisorStats, self._metrics)
+        m = self._metrics
+        self._m_retries = m.counter(
+            "repro_dispatch_retries_total",
+            help="sub-batch replays after a worker crash",
+        )
+        self._m_inflight = m.gauge(
+            "repro_supervisor_inflight", help="front in-flight requests"
+        )
+        self._m_workers = m.gauge(
+            "repro_supervisor_workers", help="worker processes supervised"
+        )
+        self._m_workers.set(workers)
         if self._obs.enabled:
             self._m_dispatch = self._obs.histogram(
                 "repro_rebalance_latency_seconds",
                 help="rebalance_many wall-clock per call",
                 component="supervisor",
-            )
-            self._m_requests = self._obs.counter(
-                "repro_requests_total", help="rebalance requests served"
-            )
-            self._m_inflight = self._obs.gauge(
-                "repro_supervisor_inflight", help="front in-flight requests"
-            )
-            self._m_shed = self._obs.counter(
-                "repro_shed_requests_total",
-                help="requests shed by priority admission",
-            )
-            self._m_restarts = self._obs.counter(
-                "repro_worker_restarts_total", help="worker crashes healed"
-            )
-            self._m_failovers = self._obs.counter(
-                "repro_failovers_total",
-                help="restarts that also replayed a batch",
-            )
-            self._m_retries = self._obs.counter(
-                "repro_dispatch_retries_total",
-                help="sub-batch replays after a worker crash",
             )
 
         # Journals left by a supervisor that stopped without draining
@@ -634,9 +643,8 @@ class ServingSupervisor:
         worker.close()
         worker.spawn()
         worker.restarts += 1
-        self.stats.worker_restarts += 1
+        self._counts.worker_restarts.inc()
         if self._obs.enabled:
-            self._m_restarts.inc()
             self._obs.event(
                 "worker_restart",
                 level="warn",
@@ -658,9 +666,8 @@ class ServingSupervisor:
                 if index == worker.index
             )
         self._restart(worker)
-        self.stats.failovers += 1
+        self._counts.failovers.inc()
         if self._obs.enabled:
-            self._m_failovers.inc()
             self._obs.event(
                 "failover",
                 level="warn",
@@ -880,10 +887,9 @@ class ServingSupervisor:
                     thread.join()
             if errors:
                 raise errors[0]
-            self.stats.requests_served += len(requests)
+            self._counts.requests_served.inc(len(requests))
             if obs_on:
                 self._m_dispatch.observe(time.perf_counter() - t0)
-                self._m_requests.inc(len(requests))
             return responses  # type: ignore[return-value]
         finally:
             self._release(token)
@@ -903,7 +909,7 @@ class ServingSupervisor:
                 batch_id = worker.next_batch_id()
                 if origin is None:
                     origin = batch_id
-                self.stats.batches_dispatched += 1
+                self._counts.batches_dispatched.inc()
                 try:
                     if obs_on:
                         t0 = time.perf_counter()
@@ -920,8 +926,7 @@ class ServingSupervisor:
                     return served
                 except WorkerDied:
                     attempts += 1
-                    if obs_on:
-                        self._m_retries.inc()
+                    self._m_retries.inc()
                     self._note_failover(worker, requests)
                     if attempts >= self.crash_retries:
                         raise RuntimeError(
@@ -951,9 +956,8 @@ class ServingSupervisor:
                 # batch outranks the work already admitted.  (An idle
                 # front always admits — even an oversized batch — so
                 # shedding can never deadlock the system.)
-                self.stats.shed_requests += count
+                self._counts.shed_requests.inc(count)
                 if self._obs.enabled:
-                    self._m_shed.inc(count)
                     self._obs.event(
                         "load_shed",
                         level="warn",
@@ -969,8 +973,7 @@ class ServingSupervisor:
                 )
             self._inflight += count
             self._inflight_priorities.append(priority)
-            if self._obs.enabled:
-                self._m_inflight.set(self._inflight)
+            self._m_inflight.set(self._inflight)
             return (count, priority)
 
     def _release(self, token: Tuple[int, int]) -> None:
@@ -978,8 +981,7 @@ class ServingSupervisor:
         with self._cond:
             self._inflight -= count
             self._inflight_priorities.remove(priority)
-            if self._obs.enabled:
-                self._m_inflight.set(self._inflight)
+            self._m_inflight.set(self._inflight)
             self._cond.notify_all()
 
     @property
@@ -991,6 +993,16 @@ class ServingSupervisor:
     def obs(self):
         """The observability handle this supervisor records into."""
         return self._obs
+
+    @property
+    def metrics(self) -> MetricsRegistry:
+        """The registry holding this supervisor's front counters."""
+        return self._metrics
+
+    @property
+    def stats(self) -> SupervisorStats:
+        """The counters in :attr:`metrics`, read as one snapshot."""
+        return self._counts.read()
 
     def uptime_seconds(self) -> float:
         """Seconds since this supervisor was constructed."""
@@ -1041,8 +1053,8 @@ class ServingSupervisor:
             front = {
                 **self.stats.to_json_dict(),
                 "draining": self._draining,
-                "inflight": self._inflight,
-                "workers": len(self._workers),
+                "inflight": int(self._m_inflight.value),
+                "workers": int(self._m_workers.value),
             }
         return {
             "supervisor": front,

@@ -231,6 +231,23 @@ def test_failover_check():
     assert len(serving_chaos.check_failover(health, stats, owner=1, sessions=6)) == 3
 
 
+def test_metrics_check():
+    health, _ = _failover_payloads(owner=1)
+    page = (
+        "# TYPE repro_failovers_total counter\n"
+        "repro_failovers_total 1\n"
+        'repro_http_requests_total{method="GET",route="/health"} 1\n'
+        "repro_worker_restarts_total 1\n"
+    )
+    assert serving_chaos.check_metrics(health, page) == []
+    # A page without either counter: a dark supervisor's page while its
+    # counters were stats gauges under other names.
+    missing = "repro_uptime_seconds 3.5\n"
+    assert len(serving_chaos.check_metrics(health, missing)) == 2
+    zero = page.replace("repro_failovers_total 1", "repro_failovers_total 0")
+    assert len(serving_chaos.check_metrics(health, zero)) == 1
+
+
 def test_drain_check():
     out = "drained: 6 sessions checkpointed across 2 workers (exit codes [0, 0])"
     assert serving_chaos.check_drain(out, 0, sessions=6) == []

@@ -551,7 +551,7 @@ class TestHTTPFront:
         assert ctype.startswith("text/plain")
         assert "# TYPE repro_rebalance_latency_seconds summary" in body
         assert 'repro_rebalance_latency_seconds{component="http",quantile="0.5"}' in body
-        assert "repro_stats_service_requests_served 1" in body
+        assert "repro_requests_total 1" in body
         assert "repro_uptime_seconds" in body
         assert 'repro_http_requests_total{method="POST",route="/rebalance"} 1' in body
 
@@ -592,8 +592,8 @@ class TestHTTPFront:
         assert lines and not malformed, malformed
         for family in (
             "repro_rebalance_latency_seconds",
-            "repro_stats_supervisor_failovers",
-            "repro_stats_supervisor_shed_requests",
+            "repro_failovers_total",
+            "repro_shed_requests_total",
             "repro_uptime_seconds",
         ):
             assert family in page, family
