@@ -11,7 +11,7 @@ per inference from the event-driven model.
 import numpy as np
 from conftest import record
 
-from repro.experiments import build_experiment_data, make_config, train_sdp_agent
+from repro.experiments import make_config, run_experiment
 from repro.loihi import LoihiDeviceModel
 from repro.utils import format_table
 
@@ -21,10 +21,10 @@ REFERENCE_T = 40
 
 def sweep_timesteps():
     cfg = make_config(1, profile="standard", train_steps=150)
-    data = build_experiment_data(cfg)
-    agent, _ = train_sdp_agent(cfg, data)
+    result = run_experiment(cfg, strategies=("sdp",))
+    agent = result.sdp_agent
 
-    test = data.test
+    test = result.test_data
     first = cfg.observation.first_decision_index()
     indices = np.linspace(first, test.n_periods - 2, num=32, dtype=np.int64)
     uniform = np.full((32, test.n_assets + 1), 1.0 / (test.n_assets + 1))

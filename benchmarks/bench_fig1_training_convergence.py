@@ -10,15 +10,13 @@ illustrates and §I claims DNN-based policies lack).
 import numpy as np
 from conftest import record
 
-from repro.experiments import build_experiment_data, make_config, train_sdp_agent
+from repro.experiments import make_config, run_experiment
 from repro.utils import format_table
 
 
 def train():
     cfg = make_config(1, profile="standard", train_steps=400)
-    data = build_experiment_data(cfg)
-    _, history = train_sdp_agent(cfg, data)
-    return history
+    return run_experiment(cfg, strategies=("sdp",)).sdp_history
 
 
 def test_fig1_training_convergence(benchmark):

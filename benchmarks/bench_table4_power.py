@@ -21,7 +21,7 @@ def run_all_experiments():
     comparisons = {}
     for exp in (1, 2, 3):
         cfg = make_config(exp, profile="standard", train_steps=150)
-        result = run_experiment(cfg, include_baselines=False)
+        result = run_experiment(cfg, strategies=("sdp", "jiang"))
         comparisons[exp] = run_power_comparison(result)
     return comparisons
 

@@ -13,7 +13,7 @@ Run:  python examples/loihi_deployment.py
 
 import numpy as np
 
-from repro.experiments import build_experiment_data, make_config, train_sdp_agent
+from repro.experiments import make_config, run_experiment
 from repro.loihi import (
     deploy,
     energy_reduction_ratio,
@@ -25,9 +25,9 @@ from repro.utils import format_table
 
 def main() -> None:
     config = make_config(1, profile="quick", train_steps=100)
-    data = build_experiment_data(config)
     print("Training SDP...")
-    agent, _ = train_sdp_agent(config, data)
+    result = run_experiment(config, strategies=("sdp",))
+    agent = result.sdp_agent
 
     print("Quantizing to the Loihi grid (eq. (14)) and placing on cores...")
     deployment = deploy(agent.network)
@@ -39,7 +39,7 @@ def main() -> None:
           f"{deployment.placement.cores_used} core(s)\n")
 
     # Representative back-test states.
-    test = data.test
+    test = result.test_data
     first = config.observation.first_decision_index()
     indices = np.linspace(first, test.n_periods - 2, num=64, dtype=np.int64)
     uniform = np.full((64, test.n_assets + 1), 1.0 / (test.n_assets + 1))

@@ -8,13 +8,7 @@ UCRP benchmark.
 Run:  python examples/quickstart.py
 """
 
-from repro.agents import run_backtest
-from repro.baselines import UCRP
-from repro.experiments import (
-    build_experiment_data,
-    make_config,
-    train_sdp_agent,
-)
+from repro.experiments import build_experiment_data, make_config, run_experiment
 from repro.metrics import turnover
 from repro.utils import format_table
 
@@ -30,23 +24,20 @@ def main() -> None:
     print(f"Training panel:  {data.train}")
     print(f"Back-test panel: {data.test}\n")
 
-    print("Training the spiking deterministic policy (STBP, eq. (1))...")
-    agent, history = train_sdp_agent(config, data)
-    print(f"  final batch reward: {history.reward[-1]:+.5f} "
-          f"({agent.num_parameters()} parameters)\n")
+    print("Training the spiking deterministic policy (STBP, eq. (1)) "
+          "and back-testing it beside UCRP...")
+    result = run_experiment(config, strategies=("sdp", "ucrp"))
+    print(f"  final batch reward: {result.sdp_history.reward[-1]:+.5f} "
+          f"({result.sdp_agent.num_parameters()} parameters)\n")
 
     rows = []
-    for strategy in (agent, UCRP()):
-        result = run_backtest(
-            strategy, data.test, observation=config.observation,
-            commission=config.commission,
-        )
+    for name, backtest in result.backtests.items():
         rows.append((
-            strategy.name,
-            f"{result.fapv:.3f}",
-            f"{result.mdd:.3f}",
-            f"{result.sharpe:+.4f}",
-            f"{turnover(result.weights):.3f}",
+            name,
+            f"{backtest.fapv:.3f}",
+            f"{backtest.mdd:.3f}",
+            f"{backtest.sharpe:+.4f}",
+            f"{turnover(backtest.weights):.3f}",
         ))
     print(format_table(
         ["Strategy", "fAPV", "MDD", "Sharpe", "Turnover"],

@@ -10,38 +10,25 @@ Run:  python examples/strategy_comparison.py [experiment]
 
 import sys
 
-from repro.agents import run_backtest
-from repro.baselines import UBAH, table3_baselines
-from repro.experiments import (
-    build_experiment_data,
-    make_config,
-    train_drl_agent,
-    train_sdp_agent,
-)
+from repro.experiments import TABLE3_STRATEGIES, make_config, run_experiment
 from repro.metrics import turnover
 from repro.utils import format_table
 
 
 def main(experiment: int = 1) -> None:
     config = make_config(experiment, profile="quick", train_steps=120)
-    data = build_experiment_data(config)
+    print("Training SDP (spiking, STBP) and DRL[Jiang] (EIIE CNN), then "
+          "back-testing every strategy...")
+    result = run_experiment(config, strategies=TABLE3_STRATEGIES + ("bah",))
     print(f"Experiment {experiment}: back-test "
           f"{config.window.test_start} -> {config.window.test_end} on "
-          f"{len(data.assets)} assets\n")
+          f"{len(result.assets)} assets\n")
 
-    print("Training SDP (spiking, STBP)...")
-    sdp, _ = train_sdp_agent(config, data)
-    print("Training DRL[Jiang] (EIIE CNN)...")
-    drl, _ = train_drl_agent(config, data)
-
-    strategies = [sdp, drl] + table3_baselines() + [UBAH()]
     rows = []
-    for strategy in strategies:
-        r = run_backtest(strategy, data.test, observation=config.observation,
-                         commission=config.commission)
+    for name, r in result.backtests.items():
         m = r.metrics
         rows.append((
-            strategy.name, f"{m.mdd:.3f}", f"{m.fapv:.3f}",
+            name, f"{m.mdd:.3f}", f"{m.fapv:.3f}",
             f"{m.sharpe:+.4f}", f"{m.sortino:+.3f}" if m.sortino != float("inf") else "inf",
             f"{m.hit_rate:.3f}", f"{turnover(r.weights):.3f}",
         ))

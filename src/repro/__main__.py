@@ -2,7 +2,11 @@
 
 Thin argparse over the experiment engine and the existing entry points:
 
-* ``run``          — one Table 3 experiment end to end (+ tables)
+* ``run``          — one Table 3 experiment end to end (+ tables): the
+  one-seed front of the sweep engine, so ``--store`` names a sweep
+  artifact store (its shards can be resumed by ``sweep`` and served by
+  ``serve --artifact-store``) and ``--workers N`` runs the shards on a
+  pool of N processes; shard ids are the keys, so there is no ``--key``
 * ``sweep``        — a seeds × strategies × windows × costs × execution
   × risk grid on the sharded engine, with checkpoint/resume into an
   artifact store
@@ -94,7 +98,7 @@ def _finish_obs(obs, args: argparse.Namespace) -> None:
 # ----------------------------------------------------------------------
 def _cmd_run(args: argparse.Namespace) -> int:
     from .experiments import (
-        ArtifactStore,
+        TABLE3_STRATEGIES,
         make_config,
         render_table3,
         render_table4,
@@ -105,17 +109,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     obs = _configure_obs(args)
     config = make_config(args.experiment, args.profile, **_overrides(args))
-    result = run_experiment(config, include_baselines=not args.no_baselines)
+    result = run_experiment(
+        config,
+        strategies=("sdp", "jiang") if args.no_baselines else TABLE3_STRATEGIES,
+        store=args.store,
+        workers=args.workers,
+        obs_dir=args.obs_dir,
+        obs_level=args.obs_level,
+    )
     print(render_table3(result))
     for line in summarize_shape_check(result):
         print(line)
     if args.power:
         print(render_table4(run_power_comparison(result)))
     if args.store is not None:
-        store = ArtifactStore(args.store)
-        key = args.key or config.label
-        directory = store.save_experiment(key, result)
-        print(f"saved experiment to {directory}")
+        print(f"shards committed to {args.store}")
     _finish_obs(obs, args)
     return 0
 
@@ -443,10 +451,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="one Table 3 experiment end to end")
     p_run.add_argument("--experiment", type=int, default=1, choices=(1, 2, 3))
     _add_overrides(p_run)
-    p_run.add_argument("--no-baselines", action="store_true")
+    p_run.add_argument(
+        "--no-baselines", action="store_true",
+        help="run only SDP and DRL[Jiang], not the classical strategies",
+    )
     p_run.add_argument("--power", action="store_true", help="also print Table 4")
-    p_run.add_argument("--store", default=None, help="artifact store root to save into")
-    p_run.add_argument("--key", default=None, help="experiment key in the store")
+    p_run.add_argument(
+        "--store", default=None,
+        help="sweep artifact store to run the shards into; committed "
+        "shards there are reused (default: a temporary directory)",
+    )
+    p_run.add_argument(
+        "--workers", type=int, default=None,
+        help="run the shards on a process pool of N workers "
+        "(default: serially, in this process)",
+    )
     _add_obs(p_run)
     p_run.set_defaults(func=_cmd_run)
 

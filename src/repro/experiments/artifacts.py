@@ -1,8 +1,9 @@
 """Unified on-disk artifact store for experiment outputs.
 
-One layout, one API, three consumers: sweep shards write through it,
-table rendering and benches read metrics back through it, and
-:mod:`repro.serving` loads trained strategies from it.  Everything is
+One layout, one API: sweep shards write through it, and everything
+else reads shards back through it — table rendering and benches their
+metrics, :func:`~repro.experiments.runner.run_experiment` a whole
+experiment, and :mod:`repro.serving` trained strategies.  Everything is
 plain ``npz`` + ``json`` (via :mod:`repro.utils.serialization`), so a
 store survives refactors of the in-memory classes.
 
@@ -15,11 +16,6 @@ Layout::
         series.npz                      # back-test trajectories
         weights.npz                     # network state dict (learned strategies)
         trainer.npz                     # resumable trainer counters (history)
-      experiments/<key>/
-        experiment.json                 # config + per-strategy metrics
-        market.npz                      # the back-test panel
-        backtest_<i>.npz                # per-strategy trajectories
-        agent_<name>.npz                # learned agents' weights
 
 ``shard.json`` is written *last* with ``"complete": true`` — the commit
 point.  A shard directory without it (a killed worker) is treated as
@@ -40,7 +36,6 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 import numpy as np
 
-from ..data.market import MarketData, market_from_state, market_to_state
 from ..envs.backtester import BacktestResult
 from ..metrics import BacktestMetrics
 from ..registry import DEFAULT_REGISTRY, StrategyRegistry
@@ -53,11 +48,10 @@ from ..utils.serialization import (
     save_json,
     save_state_dict,
 )
-from .spec import ShardSpec, decode_experiment_config, encode_experiment_config
+from .spec import ShardSpec
 
 if TYPE_CHECKING:
     from ..agents.base import Agent
-    from .runner import ExperimentResult
 
 _SERIES_KEYS = ("values", "weights", "rewards", "mus")
 
@@ -139,19 +133,6 @@ def _result_to_series(result: BacktestResult) -> Dict[str, np.ndarray]:
     }
 
 
-def _result_from_parts(
-    agent_name: str, series: Dict[str, np.ndarray], metrics: BacktestMetrics
-) -> BacktestResult:
-    return BacktestResult(
-        agent_name=agent_name,
-        values=series["values"],
-        weights=series["weights"],
-        rewards=series["rewards"],
-        mus=series["mus"],
-        metrics=metrics,
-    )
-
-
 @dataclass
 class ShardArtifact:
     """Everything one executed shard persists.
@@ -176,13 +157,18 @@ class ShardArtifact:
 
     def to_backtest_result(self) -> BacktestResult:
         """The shard's back-test as a live :class:`BacktestResult`."""
-        return _result_from_parts(
-            self.strategy_spec["strategy"], self.series, self.metrics
+        return BacktestResult(
+            agent_name=self.strategy_spec["strategy"],
+            values=self.series["values"],
+            weights=self.series["weights"],
+            rewards=self.series["rewards"],
+            mus=self.series["mus"],
+            metrics=self.metrics,
         )
 
 
 class ArtifactStore:
-    """Directory-backed store for sweep shards and experiment results."""
+    """Directory-backed store for sweep shards."""
 
     def __init__(self, root: PathLike):
         self.root = Path(root)
@@ -190,9 +176,6 @@ class ArtifactStore:
     # -- layout --------------------------------------------------------
     def shard_dir(self, shard_id: str) -> Path:
         return self.root / "shards" / shard_id
-
-    def experiment_dir(self, key: str) -> Path:
-        return self.root / "experiments" / key
 
     @property
     def manifest_path(self) -> Path:
@@ -387,95 +370,8 @@ class ArtifactStore:
     def read_manifest(self) -> Dict[str, Any]:
         return load_json(self.manifest_path)
 
-    # -- ExperimentResult round-trip ----------------------------------
-    def save_experiment(self, key: str, result: "ExperimentResult") -> Path:
-        """Persist a full :class:`ExperimentResult` under ``key``."""
-        directory = self.experiment_dir(key)
-        directory.mkdir(parents=True, exist_ok=True)
-        names = sorted(result.backtests)
-        backtests_payload = []
-        for i, name in enumerate(names):
-            bt = result.backtests[name]
-            save_state_dict(directory / f"backtest_{i}.npz", _result_to_series(bt))
-            backtests_payload.append(
-                {
-                    "name": name,
-                    "file": f"backtest_{i}.npz",
-                    "metrics": _metrics_to_dict(bt.metrics),
-                }
-            )
-        agents_payload = {}
-        for label, agent in (("sdp", result.sdp_agent), ("drl", result.drl_agent)):
-            if agent is None:
-                continue
-            save_state_dict(
-                directory / f"agent_{label}.npz", agent.network.state_dict()
-            )
-            agents_payload[label] = f"agent_{label}.npz"
-        if result.test_data is not None:
-            save_state_dict(directory / "market.npz", market_to_state(result.test_data))
-        save_json(
-            directory / "experiment.json",
-            {
-                "version": 1,
-                "config": encode_experiment_config(result.config),
-                "assets": list(result.assets),
-                "backtests": backtests_payload,
-                "agents": agents_payload,
-                "has_test_data": result.test_data is not None,
-                "sdp_history": _history_to_dict(result.sdp_history),
-                "drl_history": _history_to_dict(result.drl_history),
-                "complete": True,
-            },
-        )
-        return directory
-
-    def load_experiment(self, key: str) -> "ExperimentResult":
-        """Rebuild an :class:`ExperimentResult` saved by
-        :meth:`save_experiment` — metrics bit-exact from the manifest,
-        trajectories from npz, and the learned agents reconstructed from
-        the stored config with their trained weights loaded."""
-        from ..registry import strategy_from_config
-        from .runner import ExperimentResult
-
-        directory = self.experiment_dir(key)
-        payload = load_json(directory / "experiment.json")
-        config = decode_experiment_config(payload["config"])
-        assets = [str(a) for a in payload["assets"]]
-
-        backtests = {}
-        for entry in payload["backtests"]:
-            series = load_state_dict(directory / entry["file"])
-            backtests[entry["name"]] = _result_from_parts(
-                entry["name"], series, _metrics_from_dict(entry["metrics"])
-            )
-
-        agents: Dict[str, Any] = {"sdp": None, "drl": None}
-        for label, filename in payload["agents"].items():
-            name = "sdp" if label == "sdp" else "jiang"
-            agent = strategy_from_config(name, config, n_assets=len(assets))
-            agent.network.load_state_dict(load_state_dict(directory / filename))
-            agents[label] = agent
-
-        test_data: Optional[MarketData] = None
-        if payload.get("has_test_data"):
-            test_data = market_from_state(load_state_dict(directory / "market.npz"))
-
-        return ExperimentResult(
-            config=config,
-            assets=assets,
-            backtests=backtests,
-            sdp_history=_history_from_dict(payload["sdp_history"]),
-            drl_history=_history_from_dict(payload["drl_history"]),
-            sdp_agent=agents["sdp"],
-            drl_agent=agents["drl"],
-            test_data=test_data,
-        )
-
 
 def _history_to_dict(history) -> Dict[str, List[float]]:
-    if history is None:
-        return {"steps": [], "loss": [], "reward": []}
     return {
         "steps": list(history.steps),
         "loss": list(history.loss),

@@ -63,8 +63,8 @@ class ExperimentConfig:
     agent_seed: int = 7
 
     def __post_init__(self):
-        # Normalise sequence input (e.g. JSON round-trips) so configs
-        # decoded from artifact manifests compare equal to built ones.
+        # Normalise sequence input (e.g. a JSON-decoded override) so a
+        # shard's config compares equal to the one a caller built.
         object.__setattr__(self, "hidden_sizes", tuple(self.hidden_sizes))
 
     @property

@@ -1,17 +1,22 @@
 """End-to-end experiment runner regenerating the paper's tables.
 
-``run_experiment`` executes one column-block of Table 3: build the
-synthetic market, select the top-11-by-volume universe as of the
-back-test start, train SDP and DRL[Jiang] on the training span, and
-back-test every strategy on the hold-out span.  ``run_power_comparison``
-produces the corresponding Table 4 rows from the trained agents and the
-device models.
+``run_experiment`` executes one column-block of Table 3 as the one-seed
+front of the sweep engine: the config becomes a one-seed
+:class:`~repro.experiments.spec.ExperimentSpec`, and each of its shards
+builds the synthetic market, selects the top-11-by-volume universe as
+of the back-test start, trains its strategy on the training span if it
+is learned, and back-tests it on the hold-out span
+(:func:`~repro.experiments.engine.run_shard`).  The result is read back
+from the committed shards.  ``run_power_comparison`` produces the
+corresponding Table 4 rows from the trained agents and the device
+models.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+import tempfile
+from dataclasses import dataclass, field, fields, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,10 +28,8 @@ from ..agents import (
     SDPAgent,
     TrainConfig,
     TrainHistory,
-    run_backtest,
 )
 from ..autograd.optim import Adam
-from ..baselines import table3_baselines
 from ..data import MarketData, MarketGenerator, top_volume_assets
 from ..loihi import (
     EnergyReport,
@@ -36,8 +39,10 @@ from ..loihi import (
     paper_gpu_model,
     paper_loihi_model,
 )
-from ..registry import strategy_from_config
-from .config import ExperimentConfig
+from ..utils.serialization import PathLike
+from .artifacts import _history_from_dict
+from .config import ExperimentConfig, make_config
+from .spec import DEFAULT_COST_REGIMES, CostRegime, ExperimentSpec
 
 
 @dataclass
@@ -65,13 +70,17 @@ def build_experiment_data(config: ExperimentConfig) -> ExperimentData:
 
 @dataclass
 class ExperimentResult:
-    """Everything one Table 3 experiment produces."""
+    """Everything one Table 3 experiment produces.
+
+    A learned strategy the experiment did not run leaves its agent and
+    history ``None``.
+    """
 
     config: ExperimentConfig
     assets: List[str]
     backtests: Dict[str, BacktestResult]
-    sdp_history: TrainHistory
-    drl_history: TrainHistory
+    sdp_history: Optional[TrainHistory] = None
+    drl_history: Optional[TrainHistory] = None
     sdp_agent: Optional[SDPAgent] = field(repr=False, default=None)
     drl_agent: Optional[JiangDRLAgent] = field(repr=False, default=None)
     test_data: Optional[MarketData] = field(repr=False, default=None)
@@ -106,9 +115,9 @@ def make_trainer(
     settings, permute-assets augmentation, and the config's agent seed
     (overridable for per-fold streams).  ``backend`` selects the
     numeric tier (``None`` = reference; see :mod:`repro.backend`).
-    ``run_experiment``, the sweep engine's shards, and walk-forward
-    fine-tuning all train through this — change it here and every path
-    trains identically.
+    The sweep engine's shards (and so :func:`run_experiment`, their
+    one-seed front) and walk-forward fine-tuning both train through
+    this — change it here and every path trains identically.
     """
     if optimizer is None:
         optimizer = Adam(agent.parameters(), config.learning_rate)
@@ -128,71 +137,129 @@ def make_trainer(
     )
 
 
-def train_agent(
-    name: str, config: ExperimentConfig, data: ExperimentData
-) -> Tuple[Agent, TrainHistory]:
-    """Train a learned strategy on the experiment's training panel:
-    registry construction from the config plus :func:`make_trainer`."""
-    agent = strategy_from_config(name, config, n_assets=len(data.assets))
-    history = make_trainer(agent, data.train, config).train()
-    return agent, history
+#: Registry keys of the paper's Table 3 strategies, in its row order.
+TABLE3_STRATEGIES: Tuple[str, ...] = (
+    "sdp", "jiang", "ons", "best_stock", "anticor", "m0", "ucrp",
+)
+
+# Config fields the spec carries outside its overrides: the window it
+# names, its profile, its seed axis and its cost regime.
+_SPEC_FIELDS = ("experiment", "profile", "agent_seed", "commission")
 
 
-def train_sdp_agent(
-    config: ExperimentConfig, data: ExperimentData
-) -> Tuple[SDPAgent, TrainHistory]:
-    """Train the paper's SDP agent on the experiment's training panel."""
-    return train_agent("sdp", config, data)
+def _one_seed_spec(
+    config: ExperimentConfig, strategies: Sequence[str]
+) -> ExperimentSpec:
+    """The one-seed sweep whose shards run ``config``'s experiment.
 
-
-def train_drl_agent(
-    config: ExperimentConfig, data: ExperimentData
-) -> Tuple[JiangDRLAgent, TrainHistory]:
-    """Train the DRL[Jiang] EIIE baseline on the same panel."""
-    return train_agent("jiang", config, data)
+    The config's fields that differ from ``make_config(experiment,
+    profile)`` become spec overrides, ``agent_seed`` the seed and
+    ``commission`` the cost regime (the paper's, named ``paper``, when
+    it is the default).  Raises ``ValueError`` unless every shard's
+    :meth:`~repro.experiments.spec.ShardSpec.config` equals ``config``:
+    a field :func:`make_config` cannot override (the window, the LIF
+    constants, the surrogate window) or an unknown profile would
+    otherwise run a different experiment.
+    """
+    try:
+        base = make_config(config.experiment, config.profile)
+    except KeyError as exc:
+        raise ValueError(f"{config.label}: {exc.args[0]}") from None
+    overrides = {
+        f.name: getattr(config, f.name)
+        for f in fields(config)
+        if f.name not in _SPEC_FIELDS
+        and getattr(config, f.name) != getattr(base, f.name)
+    }
+    cost = (
+        DEFAULT_COST_REGIMES[0]
+        if config.commission == DEFAULT_COST_REGIMES[0].commission
+        else CostRegime(f"c{config.commission:g}", config.commission)
+    )
+    spec = ExperimentSpec(
+        name=config.label,
+        profile=config.profile,
+        experiments=(config.experiment,),
+        strategies=tuple(strategies),
+        seeds=(config.agent_seed,),
+        cost_regimes=(cost,),
+        overrides=tuple(overrides.items()),
+    )
+    for shard in spec.expand():
+        try:
+            carried = shard.config() == config
+        except TypeError:  # an override make_config fixes itself
+            carried = False
+        if not carried:
+            raise ValueError(
+                f"{config.label}: a sweep spec cannot carry this config "
+                f"(overrides {sorted(overrides)}); its {shard.strategy!r} "
+                "shard would run a different experiment"
+            )
+    return spec
 
 
 def run_experiment(
     config: ExperimentConfig,
-    include_baselines: bool = True,
-    data: Optional[ExperimentData] = None,
-    sdp: Optional[Tuple[SDPAgent, TrainHistory]] = None,
-    drl: Optional[Tuple[JiangDRLAgent, TrainHistory]] = None,
+    strategies: Sequence[str] = TABLE3_STRATEGIES,
+    store: Optional[PathLike] = None,
+    workers: Optional[int] = None,
+    obs_dir: Optional[PathLike] = None,
+    obs_level: str = "info",
 ) -> ExperimentResult:
-    """Run one Table 3 experiment end to end.
+    """Run one Table 3 experiment end to end: the one-seed front of
+    the sweep engine.
 
-    ``data`` and the trained agent pairs (``sdp``/``drl``, as returned
-    by :func:`train_sdp_agent` / :func:`train_drl_agent`) are reused
-    when supplied instead of re-derived — a caller that already built
-    the panels or trained the agents (the power comparison, a sweep
-    shard, a notebook iterating on baselines) back-tests without paying
-    for generation or training again.
+    ``config`` becomes a one-seed :class:`ExperimentSpec` over
+    ``strategies`` (registry keys, default the seven Table 3 ones; see
+    :func:`_one_seed_spec`), which :class:`~repro.experiments.engine.
+    SweepRunner` runs into ``store`` (a temporary directory when
+    ``None``), so training and back-testing happen only in
+    :func:`~repro.experiments.engine.run_shard`, and shards already
+    committed there are reused.  ``workers`` > 1 runs the shards on a
+    process pool of that width; ``obs_dir``/``obs_level`` arm per-shard
+    observability as for a sweep.
+
+    The result is read back from the committed shards: each agent is
+    :meth:`ArtifactStore.load_agent`'s rebuild, its back-test and
+    training history come from the shard, and ``test_data`` is the
+    config's hold-out panel.
     """
-    data = data if data is not None else build_experiment_data(config)
-    sdp_agent, sdp_history = sdp if sdp is not None else train_sdp_agent(config, data)
-    drl_agent, drl_history = drl if drl is not None else train_drl_agent(config, data)
+    from .engine import SweepRunner  # the engine imports this module
 
-    agents = [sdp_agent, drl_agent]
-    if include_baselines:
-        agents.extend(table3_baselines())
-
-    backtests = {}
-    for agent in agents:
-        backtests[agent.name] = run_backtest(
-            agent,
-            data.test,
-            observation=config.observation,
-            commission=config.commission,
+    spec = _one_seed_spec(config, strategies)
+    with tempfile.TemporaryDirectory(prefix="repro-run-") as scratch:
+        runner = SweepRunner(
+            spec, scratch if store is None else store, max_workers=workers,
+            obs_dir=obs_dir, obs_level=obs_level,
         )
+        sweep = runner.run(parallel=workers is not None and workers > 1)
+        if sweep.quarantined:
+            raise RuntimeError(
+                f"{config.label}: shards failed: "
+                + "; ".join(f"{o.shard_id}: {o.error}" for o in sweep.quarantined)
+            )
+        backtests: Dict[str, BacktestResult] = {}
+        agents: Dict[str, Agent] = {}
+        histories: Dict[str, TrainHistory] = {}
+        for outcome in sweep.outcomes:
+            artifact = runner.store.load_shard(outcome.shard_id)
+            agent = runner.store.load_agent(outcome.shard_id)
+            backtests[agent.name] = replace(
+                artifact.to_backtest_result(), agent_name=agent.name
+            )
+            agents[agent.name] = agent
+            if artifact.history is not None:
+                histories[agent.name] = _history_from_dict(artifact.history)
     return ExperimentResult(
         config=config,
-        assets=data.assets,
+        assets=list(artifact.extra["assets"]),
         backtests=backtests,
-        sdp_history=sdp_history,
-        drl_history=drl_history,
-        sdp_agent=sdp_agent,
-        drl_agent=drl_agent,
-        test_data=data.test,
+        sdp_history=histories.get(SDPAgent.name),
+        drl_history=histories.get(JiangDRLAgent.name),
+        sdp_agent=agents.get(SDPAgent.name),
+        drl_agent=agents.get(JiangDRLAgent.name),
+        test_data=build_experiment_data(config).test,
     )
 
 

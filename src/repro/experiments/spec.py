@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Tuple
 
 from ..backend import REFERENCE, resolve_backend
-from ..data.splits import ExperimentWindow
 from ..envs.costs import DEFAULT_COMMISSION
 from ..envs.observations import ObservationConfig
 from ..registry import is_trainable, strategy_backend
@@ -36,8 +35,6 @@ from .config import ExperimentConfig, make_config
 # registers ObservationConfig/LIFParameters too) is fine.
 register_tagged_type(ObservationConfig)
 register_tagged_type(LIFParameters)
-register_tagged_type(ExperimentWindow)
-register_tagged_type(ExperimentConfig)
 
 
 @register_tagged_type
@@ -577,16 +574,3 @@ class ExperimentSpec:
             overrides=_freeze_overrides(decode_tagged(payload["overrides"])),
             backend=str(payload.get("backend", REFERENCE.name)),
         )
-
-
-def encode_experiment_config(config: ExperimentConfig) -> Dict[str, Any]:
-    """Tagged JSON payload for an :class:`ExperimentConfig`."""
-    return encode_tagged(config)
-
-
-def decode_experiment_config(payload: Mapping[str, Any]) -> ExperimentConfig:
-    """Invert :func:`encode_experiment_config`."""
-    config = decode_tagged(dict(payload))
-    if not isinstance(config, ExperimentConfig):
-        raise ValueError("payload does not decode to an ExperimentConfig")
-    return config

@@ -1650,7 +1650,10 @@ class MicroBatcher:
         If the batched call rejects (one bad request fails the whole
         transactional batch, leaving every session untouched), fall
         back to serving each request individually so only the
-        offenders see the error.
+        offenders see the error.  Backpressure (:class:`QueueFull`,
+        and so a supervisor's ``LoadShed``) is the exception: it
+        rejects the batch as a whole, so every request sees it and none
+        is replayed (a replay would be admitted, and shed, once more).
 
         Outcomes are tracked per slot as they commit: when a
         ``KeyboardInterrupt``/``SystemExit`` lands mid individual
@@ -1668,6 +1671,9 @@ class MicroBatcher:
                     )
                     for (_, s), resp in zip(batch, responses):
                         outcomes[id(s)] = (resp, None)
+                except QueueFull as exc:
+                    for _, s in batch:
+                        outcomes[id(s)] = (None, exc)
                 except Exception:
                     for req, s in batch:
                         try:

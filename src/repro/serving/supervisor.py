@@ -522,10 +522,6 @@ class ServingSupervisor:
         self._metrics = counting_registry(self._obs)
         self._counts = StatsSeries(SupervisorStats, self._metrics)
         m = self._metrics
-        self._m_retries = m.counter(
-            "repro_dispatch_retries_total",
-            help="sub-batch replays after a worker crash",
-        )
         self._m_inflight = m.gauge(
             "repro_supervisor_inflight", help="front in-flight requests"
         )
@@ -926,7 +922,6 @@ class ServingSupervisor:
                     return served
                 except WorkerDied:
                     attempts += 1
-                    self._m_retries.inc()
                     self._note_failover(worker, requests)
                     if attempts >= self.crash_retries:
                         raise RuntimeError(

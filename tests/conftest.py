@@ -63,9 +63,9 @@ def bench_train_panel():
 
 
 @pytest.fixture(scope="session")
-def bench_train_agent():
+def bench_trainee():
     """Factory of the training gates' agent, SharedSDP (32, 32), T = 5:
-    ``bench_train_agent(seed)``."""
+    ``bench_trainee(seed)``."""
 
     def make(seed):
         return SDPAgent(

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.agents import run_backtest
+from repro.baselines import table3_baselines
 from repro.experiments import (
     PAPER_HYPERPARAMETERS,
     PAPER_TABLE3,
@@ -10,12 +12,14 @@ from repro.experiments import (
     available_profiles,
     build_experiment_data,
     make_config,
+    make_trainer,
     render_table3,
     render_table4,
     run_experiment,
     run_power_comparison,
     summarize_shape_check,
 )
+from repro.registry import strategy_from_config
 
 
 class TestConfig:
@@ -84,6 +88,29 @@ class TestDataPipeline:
         assert data.test.timestamps[0] == data.train.timestamps[-1]
 
 
+def frozen_run_experiment(config):
+    """The body ``run_experiment`` had before it became the sweep's
+    one-seed front, kept as the parity reference: train SDP and
+    DRL[Jiang] on one panel, then back-test the seven Table 3
+    strategies one after another."""
+    data = build_experiment_data(config)
+    agents, histories = {}, {}
+    for name in ("sdp", "jiang"):
+        agent = strategy_from_config(name, config, n_assets=len(data.assets))
+        histories[name] = make_trainer(agent, data.train, config).train()
+        agents[name] = agent
+    backtests = {
+        agent.name: run_backtest(
+            agent,
+            data.test,
+            observation=config.observation,
+            commission=config.commission,
+        )
+        for agent in [agents["sdp"], agents["jiang"], *table3_baselines()]
+    }
+    return data, agents, histories, backtests
+
+
 @pytest.fixture(scope="module")
 def tiny_result():
     cfg = make_config(1, profile="quick", train_steps=8)
@@ -115,6 +142,38 @@ class TestRunner:
         lines = summarize_shape_check(tiny_result)
         assert lines
         assert all(l.startswith("[") for l in lines)
+
+
+class TestRunFront:
+    """``run_experiment`` is the sweep's one-seed front; its result must
+    equal the serial body it replaced, bit for bit."""
+
+    def test_front_matches_frozen_run_experiment(self, tiny_result):
+        result = tiny_result
+        data, agents, histories, backtests = frozen_run_experiment(
+            result.config
+        )
+        assert list(result.backtests) == list(backtests)
+        for name, expected in backtests.items():
+            got = result.backtests[name]
+            assert got.agent_name == expected.agent_name
+            for series in ("values", "weights", "rewards", "mus"):
+                assert np.array_equal(
+                    getattr(got, series), getattr(expected, series)
+                ), (name, series)
+            assert got.metrics == expected.metrics, name
+        for name, agent in (
+            ("sdp", result.sdp_agent), ("jiang", result.drl_agent)
+        ):
+            expected = agents[name].network.state_dict()
+            state = agent.network.state_dict()
+            assert state.keys() == expected.keys()
+            for key, value in expected.items():
+                assert np.array_equal(state[key], value), (name, key)
+        assert result.sdp_history == histories["sdp"]
+        assert result.drl_history == histories["jiang"]
+        assert result.assets == data.assets
+        assert np.array_equal(result.test_data.close, data.test.close)
 
 
 class TestPower:

@@ -10,7 +10,6 @@ from repro.experiments import (
     make_config,
     run_experiment,
     run_power_comparison,
-    train_sdp_agent,
 )
 from repro.loihi import deploy
 
@@ -35,8 +34,8 @@ class TestFullPipeline:
 
     def test_backtests_deterministic(self):
         cfg = make_config(2, profile="quick", train_steps=10)
-        a = run_experiment(cfg, include_baselines=False)
-        b = run_experiment(cfg, include_baselines=False)
+        a = run_experiment(cfg, strategies=("sdp", "jiang"))
+        b = run_experiment(cfg, strategies=("sdp", "jiang"))
         assert a.backtests["SDP"].fapv == pytest.approx(
             b.backtests["SDP"].fapv
         )
@@ -55,11 +54,11 @@ class TestTrainDeployConsistency:
         """Deploy the trained SDP and back-test *on the chip simulator*:
         the quantised policy's trajectory must track the float policy."""
         cfg = make_config(1, profile="quick", train_steps=30)
-        data = build_experiment_data(cfg)
-        agent, _ = train_sdp_agent(cfg, data)
+        result = run_experiment(cfg, strategies=("sdp",))
+        agent = result.sdp_agent
         deployment = deploy(agent.network)
 
-        test = data.test
+        test = result.test_data
         first = cfg.observation.first_decision_index()
         idx = np.arange(first, min(first + 40, test.n_periods - 1))
         uniform = np.full((idx.size, test.n_assets + 1), 1.0 / (test.n_assets + 1))

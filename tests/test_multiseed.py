@@ -275,12 +275,12 @@ BENCH_TRAIN = TrainConfig(steps=200, batch_size=32, permute_assets=True)
 
 
 @pytest.fixture(scope="module")
-def bench_serial_runs(bench_train_panel, bench_train_agent):
+def bench_serial_runs(bench_train_panel, bench_trainee):
     """Final weights and PVM of seeds 0..9, each trained alone for 200
     fused steps: what a seed sweep runs shard by shard."""
     runs = []
     for seed in range(10):
-        agent = bench_train_agent(seed)
+        agent = bench_trainee(seed)
         trainer = PolicyTrainer(
             agent, bench_train_panel, SGD(agent.parameters(), 1e-5),
             observation=CFG, config=BENCH_TRAIN, seed=seed, use_fused=True,
@@ -292,9 +292,9 @@ def bench_serial_runs(bench_train_panel, bench_train_agent):
 
 @pytest.mark.parametrize("n_seeds", [1, 4, 10])
 def test_multiseed_matches_serial_at_bench_scale(
-    bench_train_panel, bench_train_agent, bench_serial_runs, n_seeds
+    bench_train_panel, bench_trainee, bench_serial_runs, n_seeds
 ):
-    agents = [bench_train_agent(seed) for seed in range(n_seeds)]
+    agents = [bench_trainee(seed) for seed in range(n_seeds)]
     multi = MultiSeedTrainer(
         agents, bench_train_panel,
         [SGD(agent.parameters(), 1e-5) for agent in agents],

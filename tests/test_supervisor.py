@@ -29,6 +29,7 @@ from repro.serving import (
     CheckpointCorrupt,
     Draining,
     LoadShed,
+    MicroBatcher,
     PortfolioService,
     RebalanceRequest,
     ServingSupervisor,
@@ -887,6 +888,24 @@ class TestLoadShedding:
                 )
                 assert len(urgent) == 1
                 assert slow.result(timeout=30.0).t < urgent[0].t
+
+    def test_batcher_counts_a_shed_request_once(self, tmp_path, market):
+        """A micro-batch the supervisor sheds fails as a whole: its
+        request is neither replayed alone nor shed a second time."""
+        sup, name0, _ = make_supervisor(
+            tmp_path, market, workers=1, max_pending=1
+        )
+        with sup:
+            sup.create_session("a", "ucrp", market=name0)
+            batcher = MicroBatcher(sup, max_wait=0.0)
+            token = sup._admit([RebalanceRequest("a")])  # hold the front
+            try:
+                with pytest.raises(LoadShed):
+                    batcher.submit(RebalanceRequest("a"))
+            finally:
+                sup._release(token)
+            assert sup.stats.shed_requests == 1
+            assert batcher.stats.submitted == 1
 
     def test_idle_front_always_admits(self, tmp_path, market):
         sup, name0, _ = make_supervisor(

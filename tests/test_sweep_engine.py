@@ -2,6 +2,7 @@
 process-pool runner, resume semantics, serving integration, and the
 ``python -m repro`` CLI."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -21,8 +22,6 @@ from repro.experiments import (
     make_config,
     render_sweep_table,
     run_experiment,
-    train_drl_agent,
-    train_sdp_agent,
 )
 from repro.experiments.engine import run_shard
 from repro.registry import create as create_strategy
@@ -241,50 +240,20 @@ class TestSweepEngine:
         assert "sdp" in table and "±" in table
 
 
-@pytest.fixture(scope="module")
-def quick_config():
-    return make_config(1, profile="quick", train_steps=4)
-
-
-@pytest.fixture(scope="module")
-def quick_result(quick_config):
-    return run_experiment(quick_config, include_baselines=False)
-
-
-class TestExperimentResultRoundTrip:
-    def test_store_round_trip(self, quick_result, tmp_path):
-        store = ArtifactStore(tmp_path)
-        store.save_experiment("e1", quick_result)
-        back = store.load_experiment("e1")
-        assert back.config == quick_result.config
-        assert back.assets == quick_result.assets
-        for name, bt in quick_result.backtests.items():
-            assert np.array_equal(back.backtests[name].values, bt.values)
-            assert np.array_equal(back.backtests[name].weights, bt.weights)
-            assert back.backtests[name].metrics == bt.metrics
-        for key, value in quick_result.sdp_agent.network.state_dict().items():
-            assert np.array_equal(
-                back.sdp_agent.network.state_dict()[key], value
-            )
-        assert np.array_equal(
-            back.test_data.close, quick_result.test_data.close
-        )
-        assert back.sdp_history.steps == quick_result.sdp_history.steps
-
-    def test_run_experiment_reuses_trained_agents(
-        self, quick_config, quick_result
-    ):
-        data = build_experiment_data(quick_config)
-        sdp = train_sdp_agent(quick_config, data)
-        drl = train_drl_agent(quick_config, data)
-        reused = run_experiment(
-            quick_config, include_baselines=False, data=data, sdp=sdp, drl=drl
-        )
-        assert reused.sdp_agent is sdp[0]
-        # Same seeds, same panel: bit-identical to the self-trained run.
-        assert np.array_equal(
-            reused.backtests["SDP"].values, quick_result.backtests["SDP"].values
-        )
+class TestRunFront:
+    def test_front_rejects_a_config_the_spec_cannot_carry(self):
+        # make_config fixes the surrogate window and the LIF constants,
+        # and knows no "bespoke" profile, so no spec reproduces these.
+        config = make_config(1, profile="quick")
+        for changed in (
+            dataclasses.replace(config, surrogate_window=0.3),
+            dataclasses.replace(
+                config, lif=dataclasses.replace(config.lif, v_threshold=0.4)
+            ),
+            dataclasses.replace(config, profile="bespoke"),
+        ):
+            with pytest.raises(ValueError, match="exp1-"):
+                run_experiment(changed, strategies=("ucrp",))
 
 
 class TestServingFromArtifact:
@@ -450,19 +419,35 @@ class TestCLI:
         manifest = ArtifactStore(store).read_manifest()
         assert manifest["complete"] is True
 
-    def test_run_saves_experiment(self, tmp_path, capsys):
+    def test_run_store_serves_sdp_shard(self, tmp_path, capsys):
         store = str(tmp_path / "store")
         code = cli_main(
             [
                 "run", "--profile", "quick", "--train-steps", "4",
-                "--no-baselines", "--store", store, "--key", "cli",
+                "--no-baselines", "--store", store,
             ]
         )
         assert code == 0
-        out = capsys.readouterr().out
-        assert "Table 3" in out
-        back = ArtifactStore(store).load_experiment("cli")
-        assert "SDP" in back.backtests
+        assert "Table 3" in capsys.readouterr().out
+        artifacts = ArtifactStore(store)
+        shard_ids = artifacts.list_shards()
+        assert [artifacts.load_strategy_spec(s)["strategy"] for s in shard_ids] == [
+            "jiang", "sdp",
+        ]
+        assert artifacts.read_manifest()["complete"] is True
+        sdp_id = shard_ids[1]
+        config = make_config(1, profile="quick", train_steps=4)
+        service = PortfolioService(commission=config.commission)
+        service.register_market("poloniex", build_experiment_data(config).test)
+        service.create_session_from_artifact(
+            "alice", store, sdp_id, market="poloniex"
+        )
+        served = service._sessions["alice"].agent.network.state_dict()
+        for key, value in artifacts.load_shard(sdp_id).weights_state.items():
+            assert np.array_equal(served[key], value), key
+        response = service.rebalance("alice")
+        assert response.weights.shape == (config.num_assets + 1,)
+        assert response.weights.sum() == pytest.approx(1.0)
 
     def test_walkforward_command(self, capsys):
         code = cli_main(

@@ -402,7 +402,7 @@ class _SeedTrainer:
 
 
 def test_seed_loop_graph_and_fused_agree_after_200_steps(
-    bench_train_panel, bench_train_agent
+    bench_train_panel, bench_trainee
 ):
     """The seed's loop, the closure-graph trainer and the fused trainer
     end 200 permuted SGD steps of a (32, 32) network with the same
@@ -410,7 +410,7 @@ def test_seed_loop_graph_and_fused_agree_after_200_steps(
     config = TrainConfig(steps=200, batch_size=32, permute_assets=True)
 
     def run(trainer_cls, optimizer_cls, **kwargs):
-        agent = bench_train_agent(0)
+        agent = bench_trainee(0)
         trainer = trainer_cls(
             agent, bench_train_panel, optimizer_cls(agent.parameters(), 1e-5),
             observation=CFG, config=config, seed=0, **kwargs,
