@@ -115,11 +115,13 @@ def check_stores_identical(root: Path, ref_root: Path) -> List[str]:
         b = store_ref.load_shard(shard_dir.name)
         if a.metrics != b.metrics:
             failures.append(f"{shard_dir.name}: metrics diverged")
-        if set(a.weights_state) != set(b.weights_state):
+        # A classical shard has no weights.
+        weights, weights_ref = a.weights_state or {}, b.weights_state or {}
+        if set(weights) != set(weights_ref):
             failures.append(f"{shard_dir.name}: weight keys diverged")
             continue
-        for key in a.weights_state:
-            if not np.array_equal(a.weights_state[key], b.weights_state[key]):
+        for key in weights:
+            if not np.array_equal(weights[key], weights_ref[key]):
                 failures.append(f"{shard_dir.name}: weights {key} diverged")
     return failures
 

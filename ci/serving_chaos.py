@@ -2,7 +2,8 @@
 
 Starts ``python -m repro serve --workers 2`` with a fault plan that kills
 the worker owning the demo market at its third batch, ramps six ``ons``
-sessions, and serves five batched rounds.  Then:
+sessions and two ``sdp`` sessions (which share one agent), and serves
+five batched rounds.  Then:
 
 * every round answers every session;
 * ``/health`` reports one restart and one failover, both on the owning
@@ -11,7 +12,11 @@ sessions, and serves five batched rounds.  Then:
 * ``/metrics`` agrees with ``/health``: ``repro_failovers_total`` and
   ``repro_worker_restarts_total`` read 1 there too;
 * SIGTERM drains cleanly: every session checkpointed, both workers at
-  exit code 0, the process at exit code 0.
+  exit code 0, the process at exit code 0;
+* the drained state dir loads with ``read_checkpoint``, holds no
+  per-session ``sessions/*/weights.npz``, and holds one
+  ``agents/<digest>.npz`` per distinct weight set, each matching its
+  digest.  The bytes under each of its subdirectories are printed.
 
 Run from the repo root with ``PYTHONPATH=src``::
 
@@ -28,9 +33,12 @@ import subprocess
 import sys
 import time
 import urllib.request
-from typing import List
+from pathlib import Path
+from typing import Dict, List
 
-SESSIONS = 6
+# The ramp: six ons sessions, then two sdp sessions sharing one agent.
+STRATEGIES = ("ons",) * 6 + ("sdp",) * 2
+SESSIONS = len(STRATEGIES)
 ROUNDS = 5
 
 
@@ -95,6 +103,53 @@ def check_drain(output: str, returncode: int, sessions: int) -> List[str]:
     return failures
 
 
+def check_state_dir(root: Path) -> List[str]:
+    """The drained state dir loads as a checkpoint, holds no per-session
+    weights file, and holds exactly one agent file per distinct weight
+    set of its sessions, each named by its content's digest."""
+    from repro.serving.store import read_checkpoint, weights_digest
+    from repro.utils.serialization import load_state_dict
+
+    try:
+        _, _, payloads = read_checkpoint(root)
+    except Exception as exc:
+        return [f"state dir does not load: {type(exc).__name__}: {exc}"]
+    failures = []
+    legacy = sorted(root.glob("sessions/*/weights.npz"))
+    if legacy:
+        failures.append(f"{len(legacy)} per-session weights.npz files")
+    expected = {
+        weights_digest(p["weights"]) for p in payloads if p["weights"] is not None
+    }
+    if not expected:
+        failures.append("no session has an agent file")
+    files = sorted((root / "agents").glob("*.npz"))
+    if {path.stem for path in files} != expected:
+        failures.append(
+            f"{len(files)} agent files for {len(expected)} distinct weight sets"
+        )
+    for path in files:
+        try:
+            intact = weights_digest(load_state_dict(path)) == path.stem
+        except Exception:
+            intact = False
+        if not intact:
+            failures.append(f"agent file {path.name} does not match its digest")
+    return failures
+
+
+def state_dir_bytes(root: Path) -> Dict[str, int]:
+    """Bytes of the files under each top-level subdirectory of ``root``
+    (``.`` for the files directly in it)."""
+    sizes: Dict[str, int] = {}
+    for path in root.rglob("*"):
+        if path.is_file():
+            parts = path.relative_to(root).parts
+            top = parts[0] if len(parts) > 1 else "."
+            sizes[top] = sizes.get(top, 0) + path.stat().st_size
+    return dict(sorted(sizes.items()))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--plan", required=True, help="where to write the plan")
@@ -139,8 +194,8 @@ def main(argv=None) -> int:
                     raise SystemExit("server died during startup")
                 time.sleep(0.5)
 
-        for i in range(SESSIONS):  # ramp
-            req("/sessions", {"session_id": f"s{i}", "strategy": "ons",
+        for i, strategy in enumerate(STRATEGIES):  # ramp
+            req("/sessions", {"session_id": f"s{i}", "strategy": strategy,
                               "market": "default"})
         batch = {"requests": [{"session_id": f"s{i}"} for i in range(SESSIONS)]}
         failures = []
@@ -163,6 +218,8 @@ def main(argv=None) -> int:
         out, _ = server.communicate(timeout=60)
         print(out)
         failures += check_drain(out, server.returncode, SESSIONS)
+        failures += check_state_dir(Path(args.state_dir))
+        print(f"state dir bytes: {state_dir_bytes(Path(args.state_dir))}")
     finally:
         if server.poll() is None:
             server.kill()

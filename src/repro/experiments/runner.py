@@ -14,6 +14,7 @@ models.
 
 from __future__ import annotations
 
+import functools
 import tempfile
 from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -55,16 +56,28 @@ class ExperimentData:
 
 
 def build_experiment_data(config: ExperimentConfig) -> ExperimentData:
-    """Generate the market and apply Table 1's window + top-k selection."""
-    generator = MarketGenerator(seed=config.market_seed)
-    full = generator.generate(
-        config.window.train_start,
-        config.window.test_end,
-        period_seconds=config.period_seconds,
+    """Generate the market and apply Table 1's window + top-k selection.
+
+    The market is a pure function of the config's market fields, so it
+    is generated once per process for each: every shard of an
+    experiment, and its result's ``test_data``, share the one panel
+    (which nothing mutates).
+    """
+    return _experiment_data(
+        config.market_seed, config.window, config.period_seconds,
+        config.num_assets,
     )
-    assets = top_volume_assets(full, config.window.test_start, k=config.num_assets)
-    panel = full.select_assets(assets)
-    train, test = config.window.split(panel)
+
+
+@functools.lru_cache(maxsize=4)
+def _experiment_data(
+    market_seed: int, window, period_seconds: int, num_assets: int
+) -> ExperimentData:
+    full = MarketGenerator(seed=market_seed).generate(
+        window.train_start, window.test_end, period_seconds=period_seconds
+    )
+    assets = top_volume_assets(full, window.test_start, k=num_assets)
+    train, test = window.split(full.select_assets(assets))
     return ExperimentData(assets=assets, train=train, test=test)
 
 

@@ -20,7 +20,7 @@ from typing import Any, Dict, List, Mapping, Tuple
 from ..backend import REFERENCE, resolve_backend
 from ..envs.costs import DEFAULT_COMMISSION
 from ..envs.observations import ObservationConfig
-from ..registry import is_trainable, strategy_backend
+from ..registry import DEFAULT_REGISTRY, is_trainable, strategy_backend
 from ..snn.neurons import LIFParameters
 from ..utils.rng import stable_hash
 from ..utils.serialization import (
@@ -482,6 +482,12 @@ class ExperimentSpec:
             object.__setattr__(self, label, tuple(values))
             if not getattr(self, label):
                 raise ValueError(f"spec {self.name!r}: {label} must be non-empty")
+        unknown = [s for s in self.strategies if s not in DEFAULT_REGISTRY]
+        if unknown:
+            raise ValueError(
+                f"spec {self.name!r}: unknown strategy {unknown[0]!r}; "
+                f"available: {', '.join(DEFAULT_REGISTRY.names())}"
+            )
         if len(set(c.name for c in self.cost_regimes)) != len(self.cost_regimes):
             raise ValueError(f"spec {self.name!r}: cost regime names must be unique")
         if len(set(e.name for e in self.execution_regimes)) != len(

@@ -29,6 +29,7 @@ worker and no fault plan it is bit-identical to the in-process service.
 from .service import (
     BatcherStats,
     DeadlineExceeded,
+    Draining,
     InvalidStrategyOutput,
     MicroBatcher,
     PortfolioService,
@@ -41,7 +42,6 @@ from .service import (
 )
 from .store import CheckpointCorrupt, SessionStateStore
 from .supervisor import (
-    Draining,
     LoadShed,
     ServingSupervisor,
     SupervisorStats,

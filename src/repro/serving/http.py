@@ -46,6 +46,7 @@ from .. import __version__
 from ..obs import Obs, render_prometheus
 from .service import (
     DeadlineExceeded,
+    Draining,
     InvalidStrategyOutput,
     MicroBatcher,
     PortfolioService,
@@ -53,7 +54,7 @@ from .service import (
     RebalanceRequest,
     decode_params,
 )
-from .supervisor import Draining, LoadShed
+from .supervisor import LoadShed
 
 __all__ = ["ServiceHTTPServer", "ServingHandler", "serve"]
 

@@ -73,6 +73,7 @@ from .store import SessionStateStore, read_checkpoint
 __all__ = [
     "BatcherStats",
     "DeadlineExceeded",
+    "Draining",
     "InvalidStrategyOutput",
     "MicroBatcher",
     "PortfolioService",
@@ -93,6 +94,13 @@ class InvalidStrategyOutput(ValueError):
 class QueueFull(RuntimeError):
     """The micro-batcher's bounded admission queue rejected a request
     (backpressure — the HTTP layer maps it to a 429)."""
+
+
+class Draining(RuntimeError):
+    """A draining supervisor admits no new work (503).  Like
+    :class:`QueueFull` it is backpressure: it refuses a batch as a
+    whole, so :class:`MicroBatcher` never replays it request by
+    request."""
 
 
 class DeadlineExceeded(TimeoutError):
@@ -1650,10 +1658,11 @@ class MicroBatcher:
         If the batched call rejects (one bad request fails the whole
         transactional batch, leaving every session untouched), fall
         back to serving each request individually so only the
-        offenders see the error.  Backpressure (:class:`QueueFull`,
-        and so a supervisor's ``LoadShed``) is the exception: it
-        rejects the batch as a whole, so every request sees it and none
-        is replayed (a replay would be admitted, and shed, once more).
+        offenders see the error.  Backpressure (:class:`QueueFull`, and
+        so a supervisor's ``LoadShed``, and :class:`Draining`) is the
+        exception: it rejects the batch as a whole, so every request
+        sees it and none is replayed (a replay would be refused, and a
+        shed one counted, once more).
 
         Outcomes are tracked per slot as they commit: when a
         ``KeyboardInterrupt``/``SystemExit`` lands mid individual
@@ -1671,7 +1680,7 @@ class MicroBatcher:
                     )
                     for (_, s), resp in zip(batch, responses):
                         outcomes[id(s)] = (resp, None)
-                except QueueFull as exc:
+                except (QueueFull, Draining) as exc:
                     for _, s in batch:
                         outcomes[id(s)] = (None, exc)
                 except Exception:

@@ -1,36 +1,56 @@
 """Durable per-session state: the one on-disk format for serving.
 
 ``SessionStateStore`` is the persistence half of the supervised serving
-tier (:mod:`repro.serving.supervisor`).  It holds two things: per-session
-*snapshots* (``state.json`` plus a write-once ``weights.npz``), and one
-*journal* per worker, the log of that worker's committed batches.
+tier (:mod:`repro.serving.supervisor`).  It holds three things: agent
+weights stored by content (``agents/<digest>.npz``), per-session
+*snapshots* (``state.json``), and one *journal* per worker, the log of
+that worker's creates and committed batches.
 
-After every committed batch a worker makes one framed append to its
-journal (:meth:`SessionStateStore.commit`) before it replies: the
-batch's session records (``state.json`` payloads without weights) and
-its responses.  *Compaction* (:meth:`SessionStateStore.compact`) writes
-the journaled records out as snapshots and then truncates the journal.
-A worker compacts on drain, at start (replaying a crashed predecessor's
+A worker's create and each of its committed batches is one framed
+append to its journal (:meth:`SessionStateStore.commit`) before it
+replies: the session records (``state.json`` payloads whose
+``weights`` names the agent file) and, for a batch, its responses.  A
+create writes no per-session file; a new weight set is the one file it
+may add.  *Compaction* (:meth:`SessionStateStore.compact`) writes the
+journaled records out as snapshots and then truncates the journal, so
+a session's ``state.json`` first appears at its first compaction.  A
+worker compacts on drain, at start (replaying a crashed predecessor's
 journal), and when its journal outgrows ``JOURNAL_SNAPSHOTS`` times the
 snapshot bytes of the sessions it journals — never on eviction.  Until
 the next compaction a session's newest record may live only in the
 journal: the instance that appends to it keeps an in-memory index of
-each journaled session's latest record line, and reads a session from
-there before its ``state.json``.  The supervisor compacts every
-journal in the directory (:meth:`SessionStateStore.compact_journals`)
-when it opens, so a changed worker count resumes correctly, and after
-a drain, for a worker that died before it compacted.  A worker crash
-therefore loses only a batch it never journaled, and the replay of a
-batch it journaled but did not acknowledge is answered from the
-journal instead of being applied twice.
+each journaled session's latest record line, and reads (and answers
+:meth:`~SessionStateStore.has_session`) from there before its
+``state.json``.  The supervisor compacts every journal in the directory
+(:meth:`SessionStateStore.compact_journals`) when it opens, so a
+changed worker count resumes correctly, and after a drain, for a worker
+that died before it compacted.  A worker crash therefore loses only a
+create or batch it never journaled, and the replay of a batch it
+journaled but did not acknowledge is answered from the journal instead
+of being applied twice.
+
+Agent weights are *content-addressed*: the digest
+(:func:`weights_digest`, SHA-256 over each array's key, dtype, shape
+and bytes in key order — not over the npz container) names the file,
+so sessions sharing an agent share one file, a name is never re-used
+for other content, and the file is written once per distinct weight
+set.  The digest is checked on every read, and on a store instance's
+first write of a digest a file already on disk is read and checked
+before it is trusted; a torn or mismatched one is then rewritten from
+the weights being saved (the caller's resident agent).  Read without a
+resident agent, it raises :class:`CheckpointCorrupt` naming the file.
+A record whose ``weights`` is the legacy name ``weights.npz`` (a
+directory written before weights were content-addressed) resolves to
+``sessions/<id>/weights.npz``.
 
 A service checkpoint is the same directory plus a commit mark:
 :meth:`~repro.serving.PortfolioService.save_checkpoint` writes every
 market and session through :meth:`SessionStateStore.save_checkpoint`
-(which, unlike the write-once hot path, replaces re-used names and
-deletes what the service no longer has) and then ``checkpoint.json``, and a
-drained supervisor writes ``checkpoint.json`` over its state dir (its
-journals compacted and empty), so either directory loads with
+(which, unlike the write-once market path, replaces a re-used market
+name and deletes the markets, sessions and agent files the service no
+longer references) and then ``checkpoint.json``, and a drained
+supervisor writes ``checkpoint.json`` over its state dir (its journals
+compacted and empty), so either directory loads with
 :func:`read_checkpoint` (and opens as a supervisor state dir).
 
 Layout (every file but the journals written atomically, via
@@ -38,34 +58,34 @@ Layout (every file but the journals written atomically, via
 
     root/
       markets/<quoted-name>.npz          # panels, write-once (immutable)
+      agents/<sha256>.npz                # network state dicts, by content
       sessions/<quoted-id>/state.json    # per-session snapshot payload
-      sessions/<quoted-id>/weights.npz   # learned-agent state dict, if any
       journal/<worker-index>             # appended frames, compacted away
       checkpoint.json                    # {"version": 3, "commission",
                                          #  "markets", "sessions"}
 
-``state.json`` is the commit point for a snapshot: it lands last
-(after the weights sidecar) via temp-file + ``os.replace``, so a torn
-write leaves the previous state, never half of the new one.  Weights
-are written once per session — serving never mutates network weights.
+``state.json`` is the commit point for a snapshot: it lands via
+temp-file + ``os.replace`` after the agent file it names, so a torn
+write leaves the previous state, never half of the new one.
 ``checkpoint.json`` is the commit point for a whole checkpoint: it
 lands after every file it lists.
 
 A journal frame is a header (body length and CRC-32, little-endian
 ``uint32`` each) and a body of newline-separated compact JSON: the
-batch header ``{"batch", "responses"}``, then one line per session
-record.  Appends are one ``write`` each; a reader stops at the first
-frame that is short or fails its checksum.  That frame is a torn tail:
-an append the crash cut, whose batch was never acknowledged, so it is
-dropped and its sessions resume at their last acknowledged round.
+header ``{"batch", "responses"}`` (``batch`` is ``null`` for a create),
+then one line per session record.  Appends are one ``write`` each; a
+reader stops at the first frame that is short or fails its checksum.
+That frame is a torn tail: an append the crash cut, whose batch or
+create was never acknowledged, so it is dropped and its sessions resume
+at their last acknowledged round.
 
-Durability: this survives a *process* crash at any instruction.
-Nothing calls ``fsync``, so host power loss can lose the latest
-appends and snapshots (a file the filesystem had not yet flushed can
-come back older, empty or torn).  A ``weights.npz`` torn that way is
-never rewritten — the sidecar is write-once — and loads as
-:class:`CheckpointCorrupt` unless the session's shared agent is
-resident (rehydration then never reads it).
+Durability: this survives a *process* crash at any instruction.  Agent
+files are the only ones synced (``fsync`` of the file before its
+rename and of ``agents/`` after), so host power loss leaves each one
+whole or absent.  The journal appends and the snapshots are not
+synced: power loss can lose the latest of them (an unflushed file can
+come back older, empty or torn, and a torn one loads as
+:class:`CheckpointCorrupt`).
 
 The store also tracks *residency* (which sessions a worker holds in
 memory) as an LRU: :meth:`touch` bumps a session and
@@ -77,6 +97,7 @@ surface as :class:`CheckpointCorrupt` naming the file.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import struct
@@ -109,13 +130,21 @@ from ..utils.serialization import (
     save_state_dict,
 )
 
-__all__ = ["CheckpointCorrupt", "SessionStateStore", "read_checkpoint"]
+__all__ = [
+    "CheckpointCorrupt",
+    "SessionStateStore",
+    "read_checkpoint",
+    "weights_digest",
+]
 
 CHECKPOINT_FILE = "checkpoint.json"
 CHECKPOINT_VERSION = 3
 # Versions 1 and 2 kept one manifest beside market_i.npz/agent_k.npz.
 LEGACY_MANIFEST = "manifest.json"
+# A session's own weights file, as a directory written before weights
+# were content-addressed names it.
 WEIGHTS_FILE = "weights.npz"
+AGENTS_DIR = "agents"
 JOURNAL_DIR = "journal"
 # A worker compacts once its journal holds this many times the snapshot
 # bytes of the sessions it journals: snapshot writes then cost at most
@@ -165,10 +194,23 @@ def _safe(name: str) -> str:
     return quote(name, safe="")
 
 
+def weights_digest(state: Mapping[str, Any]) -> str:
+    """SHA-256 hex digest of a state dict's content: each array's key,
+    dtype, shape and bytes, in key order.  It is independent of the npz
+    container, so the same weights always get the same name."""
+    digest = hashlib.sha256()
+    for key in sorted(state):
+        array = np.asarray(state[key])
+        header = json.dumps([key, array.dtype.str, array.shape]) + "\n"
+        digest.update(header.encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
 def _stale(path: Path, state: Dict[str, Any]) -> bool:
     """Whether ``path`` holds an npz that is not bit-identical to
-    ``state`` — a name re-used for new content.  An unreadable file
-    counts as stale."""
+    ``state`` — a market name re-used for a new panel.  An unreadable
+    file counts as stale."""
     if not path.exists():
         return False
     try:
@@ -240,7 +282,8 @@ def _replay(path: Path) -> Tuple[Dict[str, Dict[str, Any]], Optional[Dict[str, A
 
 
 class SessionStateStore:
-    """Session snapshots, per-worker journals and LRU residency tracking.
+    """Agent files, session snapshots, per-worker journals and LRU
+    residency tracking.
 
     Thread-safe: one instance is shared by a worker's serve loop and
     its drain path, and the supervisor opens its own instance over the
@@ -260,9 +303,11 @@ class SessionStateStore:
         (self.root / "sessions").mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
         self._resident: "OrderedDict[str, None]" = OrderedDict()
-        # session id -> its snapshot's sidecar name (None: no network),
+        # session id -> the name of its weights file (None: no network),
         # as last written or read, so journal records need no disk read.
-        self._sidecars: Dict[str, Optional[str]] = {}
+        self._weights: Dict[str, Optional[str]] = {}
+        # Digests of the agent files this instance wrote or checked.
+        self._agents: set = set()
         # The journal this instance appends to, once claimed: its file
         # descriptor and length, and each journaled session's latest
         # record line — newer than its snapshot, until a compaction
@@ -305,14 +350,64 @@ class SessionStateStore:
             )
         )
 
+    # -- agents --------------------------------------------------------
+    def save_agent(self, state: Mapping[str, Any]) -> str:
+        """Store a network state dict by content and return the name a
+        session record gives it (``agents/<digest>.npz``).
+
+        The file is written once per distinct weight set, durably (see
+        :func:`~repro.utils.serialization.save_state_dict`).  This
+        instance's first save of a digest reads and checks a file
+        already on disk before trusting it, rewriting a torn or
+        mismatched one; later saves trust it.
+        """
+        digest = weights_digest(state)
+        name = f"{AGENTS_DIR}/{digest}.npz"
+        if digest not in self._agents:
+            path = self.root / name
+            try:
+                intact = weights_digest(load_state_dict(path)) == digest
+            except Exception:  # absent, torn or not an npz
+                intact = False
+            if not intact:
+                save_state_dict(path, state, fsync=True)
+            self._agents.add(digest)
+        return name
+
+    def _load_weights(self, session_id: str, name: str) -> Dict[str, Any]:
+        """The state dict a record's ``weights`` names, its digest
+        checked (a legacy ``weights.npz`` has none to check)."""
+        if name == WEIGHTS_FILE:
+            path = self._session_dir(session_id) / name
+            return _read_checkpoint_file(path, load_state_dict, referenced=True)
+        path = self.root / name
+        try:
+            state = _read_checkpoint_file(path, load_state_dict, referenced=True)
+            if weights_digest(state) != path.stem:
+                raise CheckpointCorrupt(
+                    f"checkpoint file {path} is corrupt: its content does "
+                    "not match its digest"
+                )
+        except CheckpointCorrupt:
+            # Untrusted now: the next save of these weights rewrites it.
+            self._agents.discard(path.stem)
+            raise
+        return state
+
     # -- sessions ------------------------------------------------------
     def _session_dir(self, session_id: str) -> Path:
         return self.root / "sessions" / _safe(session_id)
 
     def has_session(self, session_id: str) -> bool:
-        return (self._session_dir(session_id) / "state.json").exists()
+        """Whether the session is stored: journaled on this instance, or
+        snapshotted."""
+        return session_id in self._journaled or (
+            self._session_dir(session_id) / "state.json"
+        ).exists()
 
     def session_ids(self) -> Tuple[str, ...]:
+        """The snapshotted sessions (a session only journaled so far is
+        not among them until a compaction)."""
         return tuple(
             sorted(
                 unquote(p.parent.name)
@@ -320,37 +415,52 @@ class SessionStateStore:
             )
         )
 
+    def _record(self, payload: Mapping[str, Any]) -> Dict[str, Any]:
+        """A payload as a stored record: fresh weights are stored by
+        content and named, a payload without ``weights`` gets the name
+        its session already has."""
+        record = dict(payload)
+        session_id = record["session_id"]
+        if "weights" not in record:
+            if session_id not in self._weights:
+                self._weights[session_id] = self.load_session_record(
+                    session_id
+                )["weights"]
+            record["weights"] = self._weights[session_id]
+        elif record["weights"] is not None and not isinstance(
+            record["weights"], str
+        ):
+            record["weights"] = self.save_agent(record["weights"])
+        self._weights[session_id] = record["weights"]
+        return record
+
     def save_session(self, payload: Dict[str, Any]) -> None:
         """Write one session's snapshot.
 
-        ``payload`` is an ``export_session`` payload, whose (large,
-        immutable) network weights land in a sidecar the first time
-        only, or a journal record, whose ``weights`` already names the
-        stored sidecar.  The JSON record lands last as the commit point.
+        ``payload`` is an ``export_session`` payload, whose network
+        weights are stored by content (:meth:`save_agent`), or a
+        journal record, whose ``weights`` already names the stored
+        file.  The JSON record lands last as the commit point.
         """
-        session_id = payload["session_id"]
-        directory = self._session_dir(session_id)
+        directory = self._session_dir(payload["session_id"])
         directory.mkdir(parents=True, exist_ok=True)
-        record = dict(payload)
         weights = payload.get("weights")
+        save_json(directory / "state.json", self._record(payload))
         if weights is not None and not isinstance(weights, str):
-            record["weights"] = WEIGHTS_FILE
-            if not (directory / WEIGHTS_FILE).exists():
-                save_state_dict(directory / WEIGHTS_FILE, weights)
-        save_json(directory / "state.json", record)
-        self._sidecars[session_id] = record.get("weights")
+            # Fresh weights, stored by content, replace a legacy file.
+            (directory / WEIGHTS_FILE).unlink(missing_ok=True)
 
     def load_session_record(self, session_id: str) -> Dict[str, Any]:
         """The JSON half of a session's newest committed state (weights
-        left as the sidecar's filename) — enough to route, describe or
+        left as the stored file's name) — enough to route, describe or
         rehydrate it.
 
         On the instance that claimed a journal, a session journaled
         since the last compaction comes from the journal index: a fresh
         decode of its latest record line, the JSON text compaction
-        would write as its snapshot.  Its ``state.json`` may be older.
-        Every other session, and every session on an instance that
-        claimed no journal, is read from ``state.json``.
+        would write as its snapshot.  Its ``state.json`` may be older
+        or absent.  Every other session, and every session on an
+        instance that claimed no journal, is read from ``state.json``.
         """
         line = self._journaled.get(session_id)
         if line is not None:
@@ -359,7 +469,7 @@ class SessionStateStore:
         if not path.exists():
             raise KeyError(f"session {session_id!r} is not in the store")
         record = _read_checkpoint_file(path, load_json, referenced=True)
-        self._sidecars[session_id] = record.get("weights")
+        self._weights[session_id] = record.get("weights")
         return record
 
     def load_session(
@@ -369,7 +479,7 @@ class SessionStateStore:
 
         ``resident_agents`` names the shared-agent keys the caller's
         service already holds: a shared session under one of them comes
-        back with ``weights`` ``None`` and its sidecar unread, since
+        back with ``weights`` ``None`` and its agent file unread, since
         ``import_session`` reuses the resident agent.
         """
         record = self.load_session_record(session_id)
@@ -377,26 +487,22 @@ class SessionStateStore:
             if record.get("shared") and record.get("agent_key") in resident_agents:
                 record["weights"] = None
             else:
-                record["weights"] = _read_checkpoint_file(
-                    self._session_dir(session_id) / record["weights"],
-                    load_state_dict,
-                    referenced=True,
+                record["weights"] = self._load_weights(
+                    session_id, record["weights"]
                 )
         return record
 
     def delete_session(self, session_id: str) -> None:
         directory = self._session_dir(session_id)
         # state.json first: once the commit mark is gone the session no
-        # longer exists, whatever survives of the sidecar.
+        # longer exists, whatever survives of a legacy weights file.
         for name in ("state.json", WEIGHTS_FILE):
-            path = directory / name
-            if path.exists():
-                path.unlink()
+            (directory / name).unlink(missing_ok=True)
         if directory.exists():
             directory.rmdir()
         with self._lock:
             self._resident.pop(session_id, None)
-        self._sidecars.pop(session_id, None)
+        self._weights.pop(session_id, None)
 
     # -- journal -------------------------------------------------------
     def open_journal(self, index: int) -> Optional[Tuple[int, List[Any]]]:
@@ -404,10 +510,10 @@ class SessionStateStore:
 
         A predecessor's journal is replayed first: its records are
         written out as snapshots (a torn tail is dropped), and the
-        journal is replaced by one frame holding only its last batch
-        header, so the batch stays recognisable if this worker dies
-        too.  Returns that last committed batch as ``(batch,
-        responses)``, or ``None`` for an empty journal.
+        journal is replaced by one frame holding only its last header,
+        so the batch stays recognisable if this worker dies too.
+        Returns that last committed batch as ``(batch, responses)``, or
+        ``None`` for an empty journal or one that ends with a create.
         """
         directory = self.root / JOURNAL_DIR
         directory.mkdir(exist_ok=True)
@@ -425,23 +531,25 @@ class SessionStateStore:
         self._journal_bytes = len(marker)
         self._journaled.clear()
         self._journaled_bytes = 0
-        return None if last is None else (last["batch"], last["responses"])
+        if last is None or last["batch"] is None:
+            return None
+        return last["batch"], last["responses"]
 
     def commit(
-        self, batch: int, payloads: Iterable[Dict[str, Any]], responses: List[Any]
+        self,
+        batch: Optional[int],
+        payloads: Iterable[Dict[str, Any]],
+        responses: List[Any],
     ) -> None:
-        """Journal one committed batch in a single append: its
-        ``export_session`` payloads (``weights`` left out or ignored —
-        the record names the stored sidecar) and its JSON responses."""
-        records = []
-        for payload in payloads:
-            record = dict(payload)
-            session_id = record["session_id"]
-            if session_id in self._sidecars:
-                record["weights"] = self._sidecars[session_id]
-            else:
-                record["weights"] = self.load_session_record(session_id)["weights"]
-            records.append(record)
+        """Journal one committed batch, or a create, in a single append.
+
+        ``payloads`` are ``export_session`` payloads.  With weights (a
+        create's), the weights are stored by content first; without
+        (``weights=False``, a batch's), the record names the file its
+        session already has.  ``batch`` is ``None`` for a create, whose
+        ``responses`` are empty.
+        """
+        records = [self._record(payload) for payload in payloads]
         lines = [_dumps(record) for record in records]
         frame = _frame([_dumps({"batch": batch, "responses": responses}), *lines])
         written = os.write(self._journal_fd, frame)
@@ -537,15 +645,16 @@ class SessionStateStore:
         payloads: Iterable[Dict[str, Any]],
     ) -> Path:
         """Write a whole checkpoint: ``markets``, every ``export_session``
-        payload, then the commit mark, then delete the stored markets
-        and sessions the mark does not list.
+        payload, then the commit mark, then delete the stored markets,
+        sessions and agent files the mark no longer references.
 
-        Unlike the write-once hot path, a stored panel or session
-        weights file that differs from the one being saved (a market
-        name or session id re-used since an earlier save into this
-        directory) is replaced.  It is deleted before it is rewritten,
-        so a crash in between leaves the older checkpoint raising
-        :class:`CheckpointCorrupt` for it rather than loading a mix.
+        Unlike the write-once market path, a stored panel that differs
+        from the one being saved (a market name re-used since an
+        earlier save into this directory) is replaced.  It is deleted
+        before it is rewritten, so a crash in between leaves the older
+        checkpoint raising :class:`CheckpointCorrupt` for it rather than
+        loading a mix.  Session weights need no such care: a content
+        name always holds the same weights.
         """
         for name, data in markets.items():
             path, state = self._market_path(name), market_to_state(data)
@@ -555,19 +664,18 @@ class SessionStateStore:
                 save_state_dict(path, state)
         sessions = []
         for payload in payloads:
-            session_id = payload["session_id"]
-            weights = payload.get("weights")
-            if weights is not None and _stale(
-                self._session_dir(session_id) / WEIGHTS_FILE, weights
-            ):
-                self.delete_session(session_id)
             self.save_session(payload)
-            sessions.append(session_id)
+            sessions.append(payload["session_id"])
         path = self.write_checkpoint(commission, markets, sessions)
         for session_id in set(self.session_ids()) - set(sessions):
             self.delete_session(session_id)
         for name in set(self.market_names()) - set(markets):
             self._market_path(name).unlink()
+        referenced = {self._weights[session_id] for session_id in sessions}
+        for file in (self.root / AGENTS_DIR).glob("*.npz"):
+            if f"{AGENTS_DIR}/{file.name}" not in referenced:
+                file.unlink()
+                self._agents.discard(file.stem)
         return path
 
     def committed_commission(self) -> Optional[float]:

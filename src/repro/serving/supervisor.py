@@ -15,15 +15,17 @@ Robustness model
 *Group-commit persistence.*  After every committed batch the worker
 makes one append to its journal in the
 :class:`~repro.serving.SessionStateStore` (``journal/<worker-index>``):
-the batch's session records and responses, before it replies.
-Compaction turns journaled records into per-session ``state.json``
-snapshots at worker start, when the journal outgrows a fixed multiple
-of its sessions' snapshot bytes, and over every journal when a
-supervisor opens (so a changed worker count resumes correctly) and on
-drain — never on eviction.  So an evicted session's newest record may
-live only in its worker's journal: the worker rehydrates it from its
-store's in-memory journal index, and :meth:`describe_sessions` reads
-the journals.  A worker crash therefore loses **at most the
+the batch's session records and responses, before it replies.  A
+create is one append too, of the new session's record; its network
+weights go to the store's content-addressed ``agents/`` files, written
+once per distinct weight set.  Compaction turns journaled records into
+per-session ``state.json`` snapshots at worker start, when the journal
+outgrows a fixed multiple of its sessions' snapshot bytes, and over
+every journal when a supervisor opens (so a changed worker count
+resumes correctly) and on drain — never on create or eviction.  So a
+session's newest record may live only in its worker's journal: the
+worker rehydrates it from its store's in-memory journal index, and
+:meth:`describe_sessions` reads the journals.  A worker crash therefore loses **at most the
 round in flight** — and not observably.  A batch that died before its
 append never committed anywhere: the supervisor replays it against a
 restarted worker, which rehydrates each session lazily from the store
@@ -33,8 +35,9 @@ attempt, and the restarted worker answers it from the journal rather
 than applying the round twice.  A torn journal tail is an append the
 crash cut: that batch was never acknowledged and is dropped.  Sessions
 on the crashed worker that were *not* in flight lose nothing at all.
-Nothing calls ``fsync``; what host power loss can lose is in
-:mod:`repro.serving.store`.
+Only agent files are synced (``fsync``); the journal and snapshots are
+not, so host power loss can lose acknowledged rounds and creates (see
+:mod:`repro.serving.store`).
 
 *Crash detection.*  Two paths: the dispatch path sees the broken pipe
 the moment a send/recv fails, and a heartbeat monitor thread polls
@@ -93,6 +96,7 @@ from ..utils.blas import blas_threads, set_blas_threads, worker_budget
 from ..utils.rng import stable_hash
 from ..utils.serialization import PathLike
 from .service import (
+    Draining,
     PortfolioService,
     QueueFull,
     RebalanceRequest,
@@ -106,7 +110,6 @@ from .service import (
 from .store import SessionStateStore
 
 __all__ = [
-    "Draining",
     "LoadShed",
     "ServingSupervisor",
     "SupervisorStats",
@@ -126,10 +129,6 @@ class LoadShed(QueueFull):
     correctly; the distinct type says *why* — priority-based shedding
     at the front, not a full micro-batcher queue.
     """
-
-
-class Draining(RuntimeError):
-    """The supervisor is draining and admits no new work (503)."""
 
 
 class WorkerDied(RuntimeError):
@@ -207,10 +206,10 @@ def _worker_main(conn, config: _WorkerConfig) -> None:
     """One worker process: a PortfolioService shard behind a pipe.
 
     Commands arrive as tuples; every reply is ``("ok", payload)`` or
-    ``("error", exception)``.  Each committed batch is journaled in one
-    append before the reply, so the process can die at any instruction
-    and the supervisor recovers everything but a batch it never
-    acknowledged (which it replays).  Eviction and size-triggered
+    ``("error", exception)``.  Each create and each committed batch is
+    journaled in one append before the reply, so the process can die at
+    any instruction and the supervisor recovers everything but a create
+    or batch it never acknowledged (which it retries or replays).  Eviction and size-triggered
     compaction run after the reply, off the request's path; should one
     fail, the worker exits and its successor replays the journal.
     """
@@ -290,14 +289,14 @@ def _worker_main(conn, config: _WorkerConfig) -> None:
                 session_id = kwargs["session_id"]
                 ensure_market(kwargs["market"])
                 if store.has_session(session_id):
-                    # At-least-once create: a crash between the persist
+                    # At-least-once create: a crash between the append
                     # and the reply makes the supervisor retry; the
                     # stored session is the truth.
                     ensure_resident(session_id)
                     reply = service.describe_session(session_id)
                 else:
                     reply = service.create_session(**kwargs)
-                    store.save_session(service.export_session(session_id))
+                    store.commit(None, [service.export_session(session_id)], [])
                     store.touch(session_id)
             elif command == "rebalance":
                 batch_id, origin, requests = args
@@ -720,11 +719,14 @@ class ServingSupervisor:
     ) -> SessionInfo:
         """Open a session on the worker owning ``market``'s panel.
 
-        Requires a registered market name; the worker persists the
-        fresh session before replying, so a crash immediately after a
-        successful create can never lose it (create is retried
-        at-least-once on worker death — the worker treats a stored
-        session as the truth).
+        Requires a registered market name.  The worker journals the
+        fresh session in one append before replying (its weights, if
+        new to the store, land in ``agents/`` first), so a crash
+        immediately after a successful create can never lose it.  Create
+        is retried at-least-once on worker death, and the worker treats
+        a stored session as the truth.  A create that fails is rolled
+        back unless a worker that died before replying had journaled it:
+        then the session exists and stays routed.
         """
         if market is None:
             raise ValueError(
@@ -753,9 +755,9 @@ class ServingSupervisor:
             "observation": observation,
             "start": start,
         }
+        attempts = 0
         try:
             with worker.lock:
-                attempts = 0
                 while True:
                     try:
                         return worker.request(
@@ -770,11 +772,17 @@ class ServingSupervisor:
                                 f"times creating session {session_id!r}"
                             ) from None
         except BaseException:
-            with self._route_lock:
-                if self._session_worker.get(session_id) == worker.index:
-                    # Only roll back if the store never committed it
-                    # (an at-least-once retry may have landed it).
-                    if not self.store.has_session(session_id):
+            # Only a worker that died can have journaled the create
+            # without replying.  Its successor may be replaying that
+            # journal right now, and it writes the snapshots before it
+            # truncates, so read the journals before the snapshot.
+            stored = attempts > 0 and (
+                session_id in self.store.journaled_records()
+                or self.store.has_session(session_id)
+            )
+            if not stored:
+                with self._route_lock:
+                    if self._session_worker.get(session_id) == worker.index:
                         del self._session_worker[session_id]
             raise
 

@@ -43,19 +43,34 @@ def _atomic_replace(path: Path, tmp: Path) -> None:
         raise
 
 
-def save_state_dict(path: PathLike, state: Dict[str, np.ndarray]) -> None:
-    """Persist a module state dict to an ``.npz`` archive (atomically)."""
+def save_state_dict(
+    path: PathLike, state: Dict[str, np.ndarray], fsync: bool = False
+) -> None:
+    """Persist a module state dict to an ``.npz`` archive (atomically).
+
+    ``fsync=True`` also makes it durable: the temp file is synced before
+    the rename and the directory after it, so host power loss leaves
+    the old file or the whole new one.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    # np.savez appends ".npz" to names that lack it, so the temp name
-    # keeps the suffix to stay predictable.
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp.npz")
     try:
-        np.savez(tmp, **state)
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **state)
+            if fsync:
+                fh.flush()
+                os.fsync(fh.fileno())
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
     _atomic_replace(path, tmp)
+    if fsync:
+        directory = os.open(path.parent, os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
 
 
 def load_state_dict(path: PathLike) -> Dict[str, np.ndarray]:

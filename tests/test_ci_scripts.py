@@ -254,3 +254,37 @@ def test_drain_check():
     assert len(serving_chaos.check_drain(out, 0, sessions=5)) == 1
     crashed = out.replace("[0, 0]", "[0, -9]")
     assert len(serving_chaos.check_drain(crashed, 1, sessions=6)) == 2
+
+
+def test_state_dir_check(tmp_path):
+    from repro.experiments import build_experiment_data, make_config
+    from repro.serving import PortfolioService
+    from repro.utils.serialization import save_state_dict
+
+    config = make_config(1, "quick")
+    service = PortfolioService()
+    service.register_market("m", build_experiment_data(config).test)
+    small = dict(
+        observation=config.observation, hidden_sizes=(8, 8), timesteps=2,
+        encoder_pop_size=2, decoder_pop_size=2, seed=0,
+    )
+    for session_id in ("a", "b"):
+        service.create_session(session_id, "sdp", params=small, market="m")
+    service.create_session("o", "ons", market="m")
+    root = service.save_checkpoint(tmp_path / "state")
+    assert serving_chaos.check_state_dir(root) == []
+    sizes = serving_chaos.state_dir_bytes(root)
+    assert sorted(sizes) == [".", "agents", "markets", "sessions"]
+
+    (agent,) = (root / "agents").iterdir()
+    stray = root / "agents" / ("0" * 64 + ".npz")
+    save_state_dict(stray, {"w": [1.0]})
+    save_state_dict(root / "sessions" / "a" / "weights.npz", {"w": [1.0]})
+    assert serving_chaos.check_state_dir(root) == [
+        "1 per-session weights.npz files",
+        "2 agent files for 1 distinct weight sets",
+        f"agent file {stray.name} does not match its digest",
+    ]
+    agent.write_bytes(agent.read_bytes()[:100])
+    (failure,) = serving_chaos.check_state_dir(root)
+    assert failure.startswith("state dir does not load: CheckpointCorrupt")

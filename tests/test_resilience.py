@@ -11,6 +11,7 @@ The suite leans on two invariants:
   the Poloniex simulator, the sweep engine, and serving.
 """
 
+import fnmatch
 import json
 import shutil
 import threading
@@ -523,7 +524,8 @@ SMALL_SDP = dict(
 
 
 class _TearOne(FaultInjector):
-    """An injector whose checkpoint seam fires for one file only."""
+    """An injector whose checkpoint seam fires for the one file whose
+    relative path matches ``target`` (a glob pattern)."""
 
     def __init__(self, target):
         super().__init__(
@@ -533,7 +535,7 @@ class _TearOne(FaultInjector):
         self.torn = []
 
     def fires(self, site, key, rate):
-        if site == "serving.checkpoint" and key == self.target:
+        if site == "serving.checkpoint" and fnmatch.fnmatch(key, self.target):
             self.torn.append(key)
             return True
         return False
@@ -622,22 +624,24 @@ class TestServingChaos:
 
     @pytest.mark.parametrize(
         "target",
-        ["checkpoint.json", "sessions/a/state.json", "sessions/a/weights.npz"],
+        ["checkpoint.json", "sessions/a/state.json", "agents/*.npz"],
     )
     def test_torn_store_file_named_in_error(self, panel, tmp_path, target):
         # The seam walks the whole checkpoint tree, keyed on each
-        # file's relative path; tearing any one file must surface as
-        # CheckpointCorrupt naming exactly that file.
+        # file's relative path; tearing any one file (the agent file's
+        # name is its content digest) must surface as CheckpointCorrupt
+        # naming exactly that file.
         injector = _TearOne(target)
         service = PortfolioService(faults=injector)
         service.register_market("m", panel)
         service.create_session("a", "sdp", params=SMALL_SDP, market="m")
         service.rebalance("a")
         path = service.save_checkpoint(tmp_path / "ckpt")
-        assert injector.torn == [target]
+        (torn,) = injector.torn
+        assert fnmatch.fnmatch(torn, target)
         with pytest.raises(CheckpointCorrupt, match="corrupt") as info:
             PortfolioService.load_checkpoint(path)
-        assert str(path / target) in str(info.value)
+        assert str(path / torn) in str(info.value)
 
     def test_clean_checkpoint_round_trips(self, panel, tmp_path):
         service = make_resilient_service(panel)

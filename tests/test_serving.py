@@ -1,6 +1,7 @@
 """Tests for the repro.serving inference service layer."""
 
 import json
+import shutil
 import threading
 import urllib.error
 import urllib.request
@@ -22,10 +23,13 @@ from repro.serving import (
     RebalanceRequest,
     SessionStateStore,
 )
+from repro.serving.store import weights_digest
 
 # A version-2 (manifest.json) checkpoint written before checkpoints
-# became session-store directories; see its README.
+# became session-store directories, and a version-3 one written before
+# agent weights were stored by content; see their READMEs.
 LEGACY_V2 = Path(__file__).parent / "fixtures" / "checkpoint_v2"
+LEGACY_V3 = Path(__file__).parent / "fixtures" / "checkpoint_v3"
 
 
 @pytest.fixture(scope="module")
@@ -531,6 +535,9 @@ class TestCheckpoint:
         service.save_checkpoint(tmp_path / "ckpt")
 
         assert SessionStateStore(tmp_path / "ckpt").session_ids() == ("a",)
+        # The first save's agent file is no longer referenced.
+        (agent,) = (tmp_path / "ckpt" / "agents").iterdir()
+        assert agent.stem == weights_digest(service.export_session("a")["weights"])
         restored = PortfolioService.load_checkpoint(tmp_path / "ckpt")
         assert restored.session_ids() == ("a",)
         assert restored.market_names() == ("session:a",)
@@ -561,6 +568,29 @@ class TestCheckpoint:
             ]
             assert json.loads(json.dumps(served)) == expected
 
+
+    def test_legacy_v3_checkpoint_serves_recorded_responses(self, tmp_path):
+        """A version-3 checkpoint whose sessions name their own
+        ``weights.npz`` (the layout before content-addressed agent
+        files) serves the responses recorded for it.  Saving it again
+        over a copy stores the shared agent once under ``agents/`` and
+        deletes the per-session files."""
+        risk = RiskEngine([PositionCap(0.22), DrawdownLockout(0.002, 2)])
+        expected = json.loads((LEGACY_V3 / "expected_responses.json").read_text())
+        requests = [RebalanceRequest(s) for s in ("sa", "sb", "so", "sr")]
+        legacy = PortfolioService.load_checkpoint(LEGACY_V3, risk=risk)
+        shutil.copytree(LEGACY_V3, tmp_path / "ckpt")
+        legacy.save_checkpoint(tmp_path / "ckpt")
+        assert not list((tmp_path / "ckpt").glob("sessions/*/weights.npz"))
+        assert len(list((tmp_path / "ckpt" / "agents").iterdir())) == 1
+        migrated = PortfolioService.load_checkpoint(tmp_path / "ckpt", risk=risk)
+        for restored in (legacy, migrated):
+            assert restored._sessions["sa"].agent is restored._sessions["sb"].agent
+            served = [
+                [r.to_json_dict() for r in restored.rebalance_many(requests)]
+                for _ in expected
+            ]
+            assert json.loads(json.dumps(served)) == expected
 
 class TestMicroBatcher:
     def test_concurrent_submits_all_served(self, config, market, sdp_params):

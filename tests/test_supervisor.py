@@ -19,12 +19,14 @@ import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.experiments import build_experiment_data, make_config, risk_regime_preset
 from repro.resilience import FaultPlan, ServingFaults
+from repro.risk import DrawdownLockout, PositionCap, RiskEngine
 from repro.serving import (
     CheckpointCorrupt,
     Draining,
@@ -35,9 +37,12 @@ from repro.serving import (
     ServingSupervisor,
     SessionStateStore,
 )
-from repro.serving.store import JOURNAL_SNAPSHOTS, read_checkpoint
+from repro.serving.store import JOURNAL_SNAPSHOTS, read_checkpoint, weights_digest
 from repro.utils import blas
 from repro.utils.rng import stable_hash
+from repro.utils.serialization import load_state_dict, save_state_dict
+
+LEGACY_V3 = Path(__file__).parent / "fixtures" / "checkpoint_v3"
 
 
 @pytest.fixture(scope="module")
@@ -501,9 +506,9 @@ class TestResidency:
             sup.create_session("a", "ons", market=name0)
             sup.create_session("b", "ons", market=name0)
             supervised = [sup.rebalance(sid).to_json_dict() for sid in order[:2]]
-            # Batch 2 rehydrates a, evicted after batch 1 with its round
-            # journaled but never snapshotted.
-            assert reader.load_session_record("a")["state"]["decisions"] == 0
+            # Batch 2 rehydrates a, evicted after batch 1 with its create
+            # and its round journaled but never snapshotted.
+            assert not reader.has_session("a")
             assert reader.journaled_records()["a"]["state"]["decisions"] == 1
             supervised += [sup.rebalance(sid).to_json_dict() for sid in order[2:]]
             assert sup.stats.worker_restarts == 1
@@ -518,9 +523,10 @@ class TestResidency:
         ]
 
     def test_eviction_writes_no_snapshot(self, tmp_path, market):
-        """An evicted session's ``state.json`` keeps its create-time
-        bytes across evict, rehydrate and serve cycles; ``drain()``
-        writes out its last journaled record."""
+        """Neither create nor eviction writes a session's
+        ``state.json``: none exists across create, evict, rehydrate and
+        serve cycles, and ``drain()`` writes out its last journaled
+        record."""
         sup, name0, _ = make_supervisor(
             tmp_path, market, workers=1, max_resident=1
         )
@@ -529,13 +535,11 @@ class TestResidency:
         with sup:
             sup.create_session("a", "ons", market=name0)
             sup.create_session("b", "ucrp", market=name0)
-            created = {sid: path.read_bytes() for sid, path in snapshots.items()}
+            assert not any(path.exists() for path in snapshots.values())
             for _ in range(4):
                 for sid in "ab":
                     sup.rebalance(sid)
-                    assert {
-                        s: path.read_bytes() for s, path in snapshots.items()
-                    } == created
+                    assert not any(path.exists() for path in snapshots.values())
             detail = sup.stats_dict()["workers"][0]["detail"]
             assert detail["evicted"] >= 8 and detail["rehydrated"] >= 7
             journaled = SessionStateStore(root).journaled_records()
@@ -812,9 +816,15 @@ class TestJournal:
         store.close()
 
 
+def agent_file(root):
+    """The one content-addressed agent file under a state dir."""
+    (path,) = (root / "agents").glob("*.npz")
+    return path
+
+
 class TestSidecarSkip:
-    """Rehydration reads ``weights.npz`` only when the worker holds no
-    agent under the session's key."""
+    """Rehydration reads a session's agent file (``agents/<digest>.npz``)
+    only when the worker holds no agent under the session's key."""
 
     @pytest.mark.parametrize("damage", ["deleted", "torn"])
     def test_damaged_sidecar_unread_while_agent_resident(
@@ -827,7 +837,7 @@ class TestSidecarSkip:
         sup, _, _ = make_supervisor(tmp_path, market, workers=1, max_resident=1)
         with sup:
             TestJournal().open(sup, sessions)  # b's create evicts a
-            sidecar = tmp_path / "state" / "sessions" / "a" / "weights.npz"
+            sidecar = agent_file(tmp_path / "state")
             if damage == "deleted":
                 sidecar.unlink()
             else:
@@ -848,16 +858,192 @@ class TestSidecarSkip:
         with sup:
             sup.create_session("a", "sdp", params=params, market=name0)
             sup.create_session("u", "ucrp", market=name0)  # evicts a and its agent
-            sidecar = tmp_path / "state" / "sessions" / "a" / "weights.npz"
+            sidecar = agent_file(tmp_path / "state")
             sidecar.write_bytes(sidecar.read_bytes()[:100])
-            with pytest.raises(CheckpointCorrupt, match="weights.npz"):
+            with pytest.raises(CheckpointCorrupt, match=sidecar.name):
                 sup.rebalance("a")
+            sup.drain(timeout=30.0)  # a's record reaches its snapshot
 
         store = SessionStateStore(tmp_path / "state")
         key = store.load_session_record("a")["agent_key"]
         with pytest.raises(CheckpointCorrupt, match=str(sidecar)):
             store.load_session("a", resident_agents=("another key",))
         assert store.load_session("a", resident_agents=(key,))["weights"] is None
+
+
+class TestCreateJournal:
+    """A create is one journal append: the session's record, its weights
+    stored once per content digest under ``agents/``, and no
+    per-session file until a compaction."""
+
+    def test_crash_after_create_append_returns_stored_session(
+        self, tmp_path, config, market, monkeypatch
+    ):
+        """A worker that dies after journaling a create but before
+        replying: the retried create returns the stored session, which
+        then serves like the in-process one."""
+        name0, _ = two_market_names()
+        params = dict(observation=config.observation, **SDP_PARAMS)
+        service = in_process({name0: market}, [])
+        commit = SessionStateStore.commit
+        fired = tmp_path / "fired"
+
+        def crash_after_append(self, batch, payloads, responses):
+            commit(self, batch, payloads, responses)
+            if batch is None and not fired.exists():
+                fired.touch()
+                os._exit(1)
+
+        monkeypatch.setattr(SessionStateStore, "commit", crash_after_append)
+        sup, _, _ = make_supervisor(tmp_path, market, workers=1)
+        with sup:
+            info = sup.create_session("a", "sdp", params=params, market=name0)
+            assert fired.exists() and sup.stats.worker_restarts == 1
+            assert info == service.create_session(
+                "a", "sdp", params=params, market=name0
+            )
+            assert sup.session_ids() == ("a",)
+            for _ in range(3):
+                assert (
+                    sup.rebalance("a").to_json_dict()
+                    == service.rebalance("a").to_json_dict()
+                )
+
+    def test_create_killed_crash_retries_times_keeps_only_journaled_session(
+        self, tmp_path, market, monkeypatch
+    ):
+        """A create whose worker is killed ``crash_retries`` times fails,
+        but the supervisor still routes the session if the create was
+        journaled, even while the successor has not replayed the
+        journal yet (no snapshot exists), and drops one whose create
+        never was."""
+        name0, _ = two_market_names()
+        armed, held = tmp_path / "armed", tmp_path / "held"
+        commit = SessionStateStore.commit
+        open_journal = SessionStateStore.open_journal
+        create = PortfolioService.create_session
+
+        def commit_then_die(self, batch, payloads, responses):
+            payloads = list(payloads)
+            commit(self, batch, payloads, responses)
+            if armed.exists() and payloads[0]["session_id"] == "kept":
+                os._exit(1)
+
+        def open_when_released(self, index):
+            while held.exists():
+                time.sleep(0.01)
+            return open_journal(self, index)
+
+        def die_creating(self, session_id, *args, **kwargs):
+            if armed.exists() and session_id == "dropped":
+                os._exit(1)  # before anything is journaled
+            return create(self, session_id, *args, **kwargs)
+
+        monkeypatch.setattr(SessionStateStore, "commit", commit_then_die)
+        monkeypatch.setattr(SessionStateStore, "open_journal", open_when_released)
+        monkeypatch.setattr(PortfolioService, "create_session", die_creating)
+        sup, _, _ = make_supervisor(tmp_path, market, workers=1, crash_retries=1)
+        snapshot = tmp_path / "state" / "sessions" / "kept" / "state.json"
+        with sup:
+            sup.create_session("warm", "ucrp", market=name0)  # worker is up
+            armed.touch()
+            held.touch()
+            with pytest.raises(RuntimeError, match="died 1 times"):
+                sup.create_session("kept", "ons", market=name0)
+            assert not snapshot.exists()  # only the journal holds it
+            assert sup.session_ids() == ("kept", "warm")
+            held.unlink()
+            with pytest.raises(RuntimeError, match="died 1 times"):
+                sup.create_session("dropped", "ons", market=name0)
+            assert sup.session_ids() == ("kept", "warm")
+            assert sup.stats.worker_restarts == 2
+            armed.unlink()
+            sup.create_session("dropped", "ons", market=name0)
+            service = in_process(
+                {name0: market},
+                [(sid, "ons", {}, name0) for sid in ("kept", "dropped")],
+            )
+            requests = [RebalanceRequest("kept"), RebalanceRequest("dropped")]
+            assert json_rounds(sup, requests, rounds=2) == json_rounds(
+                service, requests, rounds=2
+            )
+
+    def test_sessions_over_two_agents_leave_two_agent_files(
+        self, tmp_path, config, market, market2
+    ):
+        """Eight SDP sessions over two weight sets, on two workers: the
+        state dir holds exactly two agent files, each named by its
+        content's digest, and no per-session file before the drain."""
+        name0, name1 = two_market_names()
+        specs = [
+            dict(observation=config.observation, **dict(SDP_PARAMS, seed=seed))
+            for seed in (0, 1)
+        ]
+        sup, _, _ = make_supervisor(tmp_path, market, market2, workers=2)
+        root = tmp_path / "state"
+        with sup:
+            for i in range(8):
+                sup.create_session(
+                    f"s{i}", "sdp", params=specs[i % 2],
+                    market=(name0, name1)[i // 4],
+                )
+            assert not list((root / "sessions").iterdir())
+            files = sorted((root / "agents").iterdir())
+            assert len(files) == 2
+            for path in files:
+                assert weights_digest(load_state_dict(path)) == path.stem
+            sup.rebalance_many([RebalanceRequest(f"s{i}") for i in range(8)])
+            sup.drain(timeout=30.0)
+        assert sorted((root / "agents").iterdir()) == files
+        assert not list(root.glob("sessions/*/weights.npz"))
+        _, _, payloads = read_checkpoint(root)
+        assert {weights_digest(p["weights"]) for p in payloads} == {
+            path.stem for path in files
+        }
+
+    def test_torn_agent_file_rewritten_by_the_next_worker(
+        self, tmp_path, config, market
+    ):
+        """A worker trusts the agent files it wrote or checked; its
+        successor checks a file before trusting it, so creating a
+        session on the same agent rewrites a torn file, after which a
+        reader with no resident agent loads it."""
+        name0, _ = two_market_names()
+        params = dict(observation=config.observation, **SDP_PARAMS)
+        root = tmp_path / "state"
+        sup, _, _ = make_supervisor(tmp_path, market, workers=1)
+        with sup:
+            sup.create_session("a", "sdp", params=params, market=name0)
+            path = agent_file(root)
+            intact = path.read_bytes()
+            path.write_bytes(intact[:100])
+        with ServingSupervisor(root, workers=1) as resumed:
+            reader = SessionStateStore(root)
+            with pytest.raises(CheckpointCorrupt, match=path.name):
+                reader.load_session("a")
+            resumed.create_session("b", "sdp", params=params, market=name0)
+            assert weights_digest(load_state_dict(path)) == path.stem
+            assert reader.load_session("a")["weights"] is not None
+            resumed.drain(timeout=30.0)
+
+    def test_parent_layout_dir_serves_recorded_responses(self, tmp_path):
+        """A version-3 directory whose sessions name their own
+        ``weights.npz`` opens as a supervisor state dir and serves the
+        responses recorded when it was written; its drain keeps the
+        legacy files it still names."""
+        root = tmp_path / "v3"
+        shutil.copytree(LEGACY_V3, root)
+        expected = json.loads((root / "expected_responses.json").read_text())
+        risk = RiskEngine([PositionCap(0.22), DrawdownLockout(0.002, 2)])
+        requests = [RebalanceRequest(s) for s in ("sa", "sb", "so", "sr")]
+        with ServingSupervisor(root, workers=1, risk=risk) as sup:
+            assert json_rounds(sup, requests, rounds=len(expected)) == expected
+            sup.drain(timeout=30.0)
+        _, _, payloads = read_checkpoint(root)
+        assert [p["state"]["decisions"] for p in payloads] == [7, 7, 7, 9]
+        assert sorted(root.glob("sessions/*/weights.npz")) == [
+            root / "sessions" / sid / "weights.npz" for sid in ("sa", "sb")
+        ]
 
 
 class TestLoadShedding:
@@ -907,6 +1093,39 @@ class TestLoadShedding:
             assert sup.stats.shed_requests == 1
             assert batcher.stats.submitted == 1
 
+    def test_batcher_fails_a_batch_refused_while_draining_once(
+        self, tmp_path, market
+    ):
+        """A micro-batch a draining supervisor refuses fails as a whole:
+        each of its requests reaches the supervisor once, in the batch,
+        and every waiter sees :class:`Draining`."""
+        sup, name0, _ = make_supervisor(tmp_path, market, workers=1)
+        with sup:
+            sup.create_session("a", "ucrp", market=name0)
+            sup.create_session("b", "ucrp", market=name0)
+            sup.drain(timeout=30.0)
+            batched, single = [], []
+            rebalance_many, rebalance = sup.rebalance_many, sup.rebalance
+            sup.rebalance_many = lambda requests: (
+                batched.append(len(requests)), rebalance_many(requests)
+            )[1]
+            sup.rebalance = lambda request: (
+                single.append(request), rebalance(request)
+            )[1]
+            batcher = MicroBatcher(sup, max_batch=2, max_wait=0.5)
+
+            def submit(session_id):
+                try:
+                    batcher.submit(RebalanceRequest(session_id))
+                except Draining as exc:
+                    return exc
+
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                errors = list(pool.map(submit, ["a", "b"]))
+            assert all(isinstance(error, Draining) for error in errors)
+            assert sum(batched) == 2 and single == []
+            assert batcher.stats.submitted == 2
+
     def test_idle_front_always_admits(self, tmp_path, market):
         sup, name0, _ = make_supervisor(
             tmp_path, market, workers=1, max_pending=1
@@ -951,6 +1170,35 @@ class TestSessionStateStore:
         state_file.write_text("{ not json")
         with pytest.raises(CheckpointCorrupt):
             store.load_session("s!/1")
+
+    @pytest.mark.parametrize("damage", ["torn", "mismatched"])
+    def test_damaged_agent_file_rewritten_from_resident_agent(
+        self, tmp_path, config, market, damage
+    ):
+        """Read with no resident agent, a damaged agent file raises
+        :class:`CheckpointCorrupt` naming it; the next store to save the
+        weights from a service holding the agent checks the file first
+        and rewrites it."""
+        params = dict(observation=config.observation, **SDP_PARAMS)
+        service = in_process({"m": market}, [("a", "sdp", params, "m")])
+        SessionStateStore(tmp_path).save_session(service.export_session("a"))
+        path = agent_file(tmp_path)
+        if damage == "torn":
+            path.write_bytes(path.read_bytes()[:100])
+        else:
+            save_state_dict(path, {"w": np.zeros(3)})
+        reader = SessionStateStore(tmp_path)
+        with pytest.raises(CheckpointCorrupt, match=str(path)):
+            reader.load_session("a")
+
+        SessionStateStore(tmp_path).save_session(service.export_session("a"))
+        assert weights_digest(load_state_dict(path)) == path.stem
+        other = in_process({"m": market}, [])
+        other.import_session(reader.load_session("a"))
+        assert (
+            other.rebalance("a").to_json_dict()
+            == service.rebalance("a").to_json_dict()
+        )
 
     def test_lru_overflow_order(self, tmp_path):
         store = SessionStateStore(tmp_path, max_resident=2)

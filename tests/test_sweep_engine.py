@@ -23,6 +23,8 @@ from repro.experiments import (
     render_sweep_table,
     run_experiment,
 )
+from repro.experiments import engine as engine_mod
+from repro.experiments import runner as runner_mod
 from repro.experiments.engine import run_shard
 from repro.registry import create as create_strategy
 from repro.serving import PortfolioService
@@ -254,6 +256,43 @@ class TestRunFront:
         ):
             with pytest.raises(ValueError, match="exp1-"):
                 run_experiment(changed, strategies=("ucrp",))
+
+
+    def test_unknown_strategy_fails_before_any_shard(
+        self, tmp_path, monkeypatch
+    ):
+        """An unknown registry key is a ``ValueError`` naming it and the
+        available keys, raised before any shard attempt (no retries)."""
+        attempts = []
+        monkeypatch.setattr(
+            engine_mod, "_run_shard_observed",
+            lambda *args, **kwargs: attempts.append(args),
+        )
+        with pytest.raises(ValueError, match="unknown strategy 'nope'.*ucrp"):
+            run_experiment(make_config(1, "quick"), strategies=("nope",))
+        with pytest.raises(ValueError, match="unknown strategy 'nope'.*ucrp"):
+            cli_main([
+                "sweep", "--store", str(tmp_path / "store"), "--profile",
+                "quick", "--strategies", "nope", "--seeds", "1", "--serial",
+            ])
+        assert attempts == []
+
+    def test_market_generated_once_per_experiment(self, monkeypatch):
+        """A serial multi-strategy run generates its market once: every
+        shard and the result's ``test_data`` share it."""
+        runner_mod._experiment_data.cache_clear()
+        calls = []
+        generate = MarketGenerator.generate
+        monkeypatch.setattr(
+            MarketGenerator, "generate",
+            lambda self, *args, **kwargs: (
+                calls.append(args), generate(self, *args, **kwargs)
+            )[1],
+        )
+        config = make_config(1, "quick")
+        result = run_experiment(config, strategies=("ucrp", "crp", "ons"))
+        assert len(calls) == 1 and len(result.backtests) == 3
+        assert result.test_data is build_experiment_data(config).test
 
 
 class TestServingFromArtifact:
