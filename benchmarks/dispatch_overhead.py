@@ -9,9 +9,12 @@ against a plain :class:`~repro.serving.PortfolioService`:
   (circuit breaker accounting and per-request isolation);
 * ``observability`` — an enabled :class:`~repro.obs.Obs` handle.
 
-Each variant is timed min-of-3, every repeat a fresh plain build
-followed by a fresh variant build, and must cost at most 1.1x the plain
-path.  That the variants answer byte for byte like the plain service is
+Each variant is timed in 21 pairs, every pair a fresh plain build and a
+fresh variant build run back to back, with the side that runs first
+switching each pair.  Its overhead is the median of the pairs' ratios
+(variant over plain), which must be at most 1.1x: pairing cancels the
+host's slow drifts, alternation the cost of going first, and the
+median a lone stalled run on either side.  That the variants answer byte for byte like the plain service is
 a tier-1 gate (``tests/test_resilience.py::TestNoPlanParity``,
 ``tests/test_obs.py``); this script only times.
 
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -33,7 +37,7 @@ from repro.obs import Obs
 from repro.serving import PortfolioService, RebalanceRequest, ServingResilience
 
 BUDGET = 1.1
-REPEATS = 3
+PAIRS = 21
 ASSETS, SESSIONS, ROUNDS = 4, 8, 10
 
 
@@ -46,8 +50,9 @@ def time_rounds(service) -> float:
 
 
 def measure(variant: Callable[[], dict], panel) -> Tuple[List[float], List[float]]:
-    """Seconds of ``REPEATS`` plain runs and of as many variant runs;
-    ``variant()`` gives the variant's service keyword arguments."""
+    """Seconds of ``PAIRS`` paired plain and variant runs (``plain_s[i]``
+    beside ``variant_s[i]``); ``variant()`` gives the variant's service
+    keyword arguments."""
 
     def build(**kwargs):
         service = PortfolioService(**kwargs)
@@ -57,20 +62,26 @@ def measure(variant: Callable[[], dict], panel) -> Tuple[List[float], List[float
         return service
 
     plain_s, variant_s = [], []
-    for _ in range(REPEATS):
-        plain_s.append(time_rounds(build()))
-        variant_s.append(time_rounds(build(**variant())))
+    for pair in range(PAIRS):
+        if pair % 2:
+            variant_s.append(time_rounds(build(**variant())))
+            plain_s.append(time_rounds(build()))
+        else:
+            plain_s.append(time_rounds(build()))
+            variant_s.append(time_rounds(build(**variant())))
     return plain_s, variant_s
 
 
 def gate(name: str, plain_s: Sequence[float], variant_s: Sequence[float]) -> Dict:
-    """The min-of-N overhead of a variant over the plain path, and
+    """The median paired overhead of a variant over the plain path, and
     whether it is within ``BUDGET``."""
-    overhead = round(min(variant_s) / min(plain_s), 3)
+    ratios = [v / p for p, v in zip(plain_s, variant_s)]
+    overhead = round(statistics.median(ratios), 3)
     return {
         "name": name,
-        "plain_s": round(min(plain_s), 4),
-        "variant_s": round(min(variant_s), 4),
+        "pairs": len(ratios),
+        "plain_s": round(statistics.median(plain_s), 4),
+        "variant_s": round(statistics.median(variant_s), 4),
         "overhead": overhead,
         "budget": BUDGET,
         "within_budget": overhead <= BUDGET,

@@ -101,9 +101,10 @@ def check_resume_manifest(manifest: dict) -> List[str]:
 
 
 def check_stores_identical(root: Path, ref_root: Path) -> List[str]:
-    """An interrupted then resumed 3-seed sweep store equals an
-    uninterrupted one of the same spec: the same complete manifest of 3
-    shards, and per shard the same metrics and weights."""
+    """A 3-shard sweep store (one interrupted then resumed, or run on a
+    pool) equals a reference run of the same spec: the same complete
+    manifest of 3 shards, and per shard the same metrics, walk-forward
+    fold records and weights."""
     resumed = json.loads((root / "manifest.json").read_text())
     ref = json.loads((ref_root / "manifest.json").read_text())
     failures = check_manifests_equal(resumed, ref)
@@ -115,6 +116,8 @@ def check_stores_identical(root: Path, ref_root: Path) -> List[str]:
         b = store_ref.load_shard(shard_dir.name)
         if a.metrics != b.metrics:
             failures.append(f"{shard_dir.name}: metrics diverged")
+        if a.extra.get("folds") != b.extra.get("folds"):
+            failures.append(f"{shard_dir.name}: fold records diverged")
         # A classical shard has no weights.
         weights, weights_ref = a.weights_state or {}, b.weights_state or {}
         if set(weights) != set(weights_ref):

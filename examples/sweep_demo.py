@@ -3,7 +3,8 @@
 Expands a small seeds × strategies grid into shards, runs them on a
 process pool with checkpoint/resume into an on-disk artifact store,
 prints the across-seed aggregate table, then rolls a walk-forward
-evaluation over the same panel and serves the best trained shard
+evaluation through the same engine and store (one shard per strategy
+and seed walks every fold) and serves the best trained Table 3 shard
 through `repro.serving` — the full loop: sweep → artifacts → tables →
 serving.
 
@@ -13,16 +14,17 @@ Run:  python examples/sweep_demo.py
 import tempfile
 from pathlib import Path
 
-from repro.data import MarketGenerator, top_volume_assets, walk_forward_windows
 from repro.experiments import (
     ArtifactStore,
     ExperimentSpec,
     SweepRunner,
-    WalkForwardEvaluator,
+    WalkForward,
+    build_experiment_data,
     make_config,
     render_regime_table,
     render_sweep_table,
     render_walkforward_table,
+    run_walkforward,
 )
 from repro.serving import PortfolioService
 
@@ -56,23 +58,18 @@ def main() -> None:
     )
 
     # -- 2. Walk-forward evaluation with per-regime attribution --------
+    # The same engine and store: its shards carry the walk in their ids,
+    # so they never collide with the Table 3 shards above.
     config = make_config(1, profile="quick", train_steps=40)
-    folds = walk_forward_windows(
-        "2019/01/01", "2019/10/01", train_days=75, test_days=45
+    walk = WalkForward(
+        train_days=75, test_days=45, fine_tune_steps=10,
+        start="2019/01/01", end="2019/10/01",
     )
-    full = MarketGenerator(seed=config.market_seed).generate(
-        "2019/01/01", "2019/10/01", config.period_seconds
+    report = run_walkforward(
+        config, walk, strategies=("sdp", "ucrp"), seeds=(1, 2),
+        store=root, workers=2,
     )
-    assets = top_volume_assets(full, folds[0].test_start, k=config.num_assets)
-    panel = full.select_assets(assets)
-    report = WalkForwardEvaluator(
-        panel,
-        folds,
-        config,
-        strategies=("sdp", "ucrp"),
-        seeds=(1, 2),
-        fine_tune_steps=10,
-    ).run()
+    print(report.sweep.summary())
     print(render_walkforward_table(report))
     print()
     print(render_regime_table(report))
@@ -86,9 +83,9 @@ def main() -> None:
     artifact = store.load_shard(best.shard_id)
 
     service = PortfolioService()
-    service.register_market(
-        "demo", full.select_assets(artifact.extra["assets"])
-    )
+    market = build_experiment_data(config).test
+    assert market.names == artifact.extra["assets"]
+    service.register_market("demo", market)
     info = service.create_session_from_artifact(
         "live", store=store, shard_id=best.shard_id, market="demo"
     )

@@ -11,7 +11,9 @@ Thin argparse over the experiment engine and the existing entry points:
   × risk grid on the sharded engine, with checkpoint/resume into an
   artifact store
 * ``walkforward``  — rolling train/test evaluation with per-fold and
-  per-regime aggregate tables
+  per-regime aggregate tables: the sweep's walk-forward front (a shard
+  per strategy and seed walks every fold), with ``run``'s ``--store``
+  and ``--workers`` and ``sweep``'s ``--backend``
 * ``serve``        — the HTTP portfolio service (demo market, a saved
   service checkpoint, or a strategy out of a sweep artifact store)
 * ``obs``          — observability utilities (``obs summarize`` renders
@@ -52,6 +54,29 @@ def _overrides(args: argparse.Namespace) -> dict:
     if getattr(args, "batch_size", None) is not None:
         out["batch_size"] = args.batch_size
     return out
+
+
+def _add_store_workers(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--store", default=None,
+        help="sweep artifact store to run the shards into; committed "
+        "shards there are reused (default: a temporary directory)",
+    )
+    parser.add_argument(
+        "--workers", type=int, default=None,
+        help="run the shards on a process pool of N workers "
+        "(default: serially, in this process)",
+    )
+
+
+def _add_backend(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--backend", default=None, choices=("reference", "fast"),
+        help="numeric backend the learned shards train on (default: "
+        "reference, the bit-identical float64 tier; fast = float32 "
+        "tapes, tolerance-level deviations, SDP only: other strategies "
+        "keep reference)",
+    )
 
 
 def _add_obs(parser: argparse.ArgumentParser) -> None:
@@ -267,11 +292,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         max_shards=args.max_shards,
         progress=lambda shard_id, status: print(f"[{status:>7}] {shard_id}"),
     )
-    print(
-        f"sweep {spec.name!r}: {len(result.ran)} ran, "
-        f"{len(result.skipped)} skipped, {len(result.pending)} pending, "
-        f"{len(result.quarantined)} quarantined"
-    )
+    print(result.summary())
     for outcome in result.quarantined:
         print(f"quarantined {outcome.shard_id} after {outcome.attempts} "
               f"attempt(s): {outcome.error}")
@@ -282,47 +303,34 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_walkforward(args: argparse.Namespace) -> int:
-    from .data import MarketGenerator, top_volume_assets, walk_forward_windows
     from .experiments import (
-        WalkForwardEvaluator,
+        NO_RISK,
+        ZERO_EXECUTION,
+        WalkForward,
         make_config,
         render_regime_table,
         render_walkforward_table,
+        run_walkforward,
     )
 
     obs = _configure_obs(args)
-    config = make_config(args.experiment, args.profile, **_overrides(args))
-    start = args.start or config.window.train_start
-    end = args.end or config.window.test_end
-    folds = walk_forward_windows(
-        start, end, args.train_days, args.test_days, args.step_days,
-        anchored=args.anchored,
+    walk = WalkForward(
+        train_days=args.train_days, test_days=args.test_days,
+        step_days=args.step_days, anchored=args.anchored,
+        fine_tune_steps=args.fine_tune_steps, start=args.start, end=args.end,
     )
-    generator = MarketGenerator(seed=config.market_seed)
-    full = generator.generate(start, end, config.period_seconds)
-    # Universe as of the first hold-out start — no look-ahead into any
-    # fold's test span.
-    assets = top_volume_assets(full, folds[0].test_start, k=config.num_assets)
-    panel = full.select_assets(assets)
-    execution = None
+    execution = ZERO_EXECUTION
     if args.execution is not None:
-        execution = _parse_execution_spec(args.execution).build_engine(
-            config.commission
-        )
-    risk = None
-    if args.risk is not None:
-        risk = _parse_risk_spec(args.risk).build_engine()
-    evaluator = WalkForwardEvaluator(
-        panel,
-        folds,
-        config,
-        strategies=tuple(args.strategies),
-        seeds=tuple(args.seeds),
-        fine_tune_steps=args.fine_tune_steps,
+        execution = _parse_execution_spec(args.execution)
+    report = run_walkforward(
+        make_config(args.experiment, args.profile, **_overrides(args)), walk,
+        strategies=tuple(args.strategies), seeds=tuple(args.seeds),
         execution=execution,
-        risk=risk,
+        risk=NO_RISK if args.risk is None else _parse_risk_spec(args.risk),
+        store=args.store, workers=args.workers, backend=args.backend,
+        obs_dir=args.obs_dir, obs_level=args.obs_level,
     )
-    report = evaluator.run()
+    print(report.sweep.summary())
     print(render_walkforward_table(report))
     print()
     print(render_regime_table(report))
@@ -334,8 +342,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import signal
     import threading
 
-    from .data import MarketGenerator, top_volume_assets
     from .experiments import make_config
+    from .experiments.runner import walk_market
     from .resilience import FaultPlan
     from .serving import PortfolioService, ServingSupervisor
     from .serving.http import serve
@@ -344,18 +352,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     faults = (
         FaultPlan.load(args.fault_plan) if args.fault_plan is not None else None
     )
-
-    def demo_panel():
-        config = make_config(1, args.profile)
-        generator = MarketGenerator(seed=config.market_seed)
-        panel = generator.generate(
-            config.window.train_start, config.window.test_end,
-            config.period_seconds,
-        )
-        assets = top_volume_assets(
-            panel, config.window.test_start, k=config.num_assets
-        )
-        return panel.select_assets(assets)
 
     supervisor = None
     if args.workers is not None:
@@ -373,13 +369,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             args.state_dir, workers=args.workers, faults=faults
         )
         if "default" not in supervisor.market_names():
-            supervisor.register_market("default", demo_panel())
+            supervisor.register_market(
+                "default", walk_market(make_config(1, args.profile))[1]
+            )
         front = supervisor
     elif args.checkpoint is not None:
         front = PortfolioService.load_checkpoint(args.checkpoint, faults=faults)
     else:
         service = PortfolioService(faults=faults)
-        service.register_market("default", demo_panel())
+        service.register_market("default", walk_market(make_config(1, args.profile))[1])
         if args.artifact_store is not None and args.shard is not None:
             service.create_session_from_artifact(
                 "artifact", args.artifact_store, args.shard, market="default"
@@ -456,16 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run only SDP and DRL[Jiang], not the classical strategies",
     )
     p_run.add_argument("--power", action="store_true", help="also print Table 4")
-    p_run.add_argument(
-        "--store", default=None,
-        help="sweep artifact store to run the shards into; committed "
-        "shards there are reused (default: a temporary directory)",
-    )
-    p_run.add_argument(
-        "--workers", type=int, default=None,
-        help="run the shards on a process pool of N workers "
-        "(default: serially, in this process)",
-    )
+    _add_store_workers(p_run)
     _add_obs(p_run)
     p_run.set_defaults(func=_cmd_run)
 
@@ -509,13 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--retry-base-delay", type=float, default=None,
         help="backoff before the first per-shard retry, seconds",
     )
-    p_sweep.add_argument(
-        "--backend", default=None, choices=("reference", "fast"),
-        help="numeric backend the learned shards train on (default: "
-        "reference, the bit-identical float64 tier; fast = float32 "
-        "tapes, tolerance-level deviations, SDP only: other strategies "
-        "keep reference)",
-    )
+    _add_backend(p_sweep)
     _add_obs(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
 
@@ -541,6 +524,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="risk regime preset (none|caps|turnover|lockout|tight; "
         "default: unconstrained)",
     )
+    _add_store_workers(p_wf)
+    _add_backend(p_wf)
     _add_obs(p_wf)
     p_wf.set_defaults(func=_cmd_walkforward)
 

@@ -23,13 +23,12 @@ uses to micro-batch concurrent rebalance requests across sessions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..autograd import no_grad
 from ..data.market import MarketData
-from ..data.splits import ExperimentWindow
 from ..metrics import BacktestMetrics, evaluate_backtest
 from .costs import DEFAULT_COMMISSION
 from .observations import ObservationConfig
@@ -197,21 +196,6 @@ class Backtester:
             action = agent.act(data, env.t, env.previous_weights)
             done = env.step(action).done
         return self._result(agent.name, env, data)
-
-    def run_window(
-        self, agent: "Agent", data: MarketData, window: ExperimentWindow
-    ) -> Tuple[BacktestResult, MarketData]:
-        """Back-test ``agent`` on the *test* slice of ``window``.
-
-        The fold-sliced entry point walk-forward evaluation uses: the
-        panel is split with the Table 1 machinery (the test slice keeps
-        its one-period anchor so the first decision has a previous
-        close) and the agent runs over the test slice only.  Returns the
-        result together with the test sub-panel, whose timestamps are
-        what per-regime attribution labels.
-        """
-        _, test = window.split(data)
-        return self.run(agent, test), test
 
     def run_many(
         self,

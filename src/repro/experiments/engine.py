@@ -1,8 +1,9 @@
 """The sharded sweep engine: grid execution over a process pool.
 
 :func:`run_shard` is the whole unit of work — build the shard's config,
-data, and strategy, train it if it is learned, back-test it, and commit
-a :class:`~repro.experiments.artifacts.ShardArtifact`.  It is a
+data, and strategy, train and back-test it on each of its folds (Table
+1's one split, or a walk's), and commit a
+:class:`~repro.experiments.artifacts.ShardArtifact`.  It is a
 module-level function of picklable arguments, so the *same code path*
 runs a shard in-process and in a worker: serial and pooled sweeps are
 bit-identical by construction (each shard derives all of its randomness
@@ -45,6 +46,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..agents import run_backtest
+from ..autograd.optim import Adam
 from ..obs import NULL_OBS, EventLog, Obs, get_obs, use_obs
 from ..registry import (
     DEFAULT_REGISTRY,
@@ -63,8 +65,9 @@ from .artifacts import (
     execution_metrics_from_summary,
     risk_metrics_from_summary,
 )
-from .runner import build_experiment_data, make_trainer
+from .runner import make_trainer, walk_market
 from .spec import ExperimentSpec, ShardSpec
+from .walkforward import FoldRecord, _mean_std, fold_record
 
 # One failed attempt is usually a transient (preempted worker, flaky
 # filesystem), so the default gives every shard three tries with
@@ -173,33 +176,49 @@ def _run_shard_observed(
             raise InjectedFault(f"sweep.{kind}", f"{shard_id}:{attempt}")
 
     config = shard.config()
-    data = build_experiment_data(config)
+    walk = shard.walk
+    assets, panel, folds = walk_market(config, walk)
     params = strategy_params_from_config(
-        shard.strategy, config, n_assets=len(data.assets)
+        shard.strategy, config, n_assets=len(assets)
     )
     agent = DEFAULT_REGISTRY.create(shard.strategy, **params)
+    trainable = is_trainable(shard.strategy)
+    optimizer = Adam(agent.parameters(), config.learning_rate) if trainable else None
+    execution, risk = shard.build_execution_engine(), shard.build_risk_engine()
 
+    # Fold 0 trains at the agent seed; each later fold fine-tunes with
+    # the optimizer carried over, on a trainer stream of its own.
     history = None
-    weights_state = None
-    if is_trainable(shard.strategy):
-        with obs.span("shard.train", shard=shard_id, attempt=attempt):
-            history = _history_to_dict(
-                make_trainer(
-                    agent, data.train, config, backend=shard.backend
-                ).train()
+    fold_records: List[FoldRecord] = []
+    for k, fold in enumerate(folds):
+        train, test = fold.split(panel)
+        steps = config.train_steps if k == 0 else walk.fine_tune_steps
+        if trainable and (k == 0 or steps > 0):
+            with obs.span("shard.train", shard=shard_id, attempt=attempt):
+                trained = make_trainer(
+                    agent, train, config, optimizer=optimizer,
+                    seed=config.agent_seed + 100_003 * k,
+                    backend=shard.backend,
+                ).train(steps)
+            if k == 0:
+                history = _history_to_dict(trained)
+        with obs.span("shard.backtest", shard=shard_id):
+            result = run_backtest(
+                agent, test, observation=config.observation,
+                commission=config.commission, execution=execution, risk=risk,
             )
-        weights_state = agent.network.state_dict()
+        if walk is not None:
+            fold_records.append(fold_record(
+                k, shard.strategy, shard.seed, fold, result, test,
+                config.observation,
+            ))
+    weights_state = agent.network.state_dict() if trainable else None
 
-    with obs.span("shard.backtest", shard=shard_id):
-        result = run_backtest(
-            agent,
-            data.test,
-            observation=config.observation,
-            commission=config.commission,
-            execution=shard.build_execution_engine(),
-            risk=shard.build_risk_engine(),
-        )
-    extra: Dict[str, object] = {"assets": list(data.assets)}
+    # The artifact is the agent the walk ends with (its last fold's
+    # back-test) with fold 0's training history and every fold's record.
+    extra: Dict[str, object] = {"assets": list(assets)}
+    if walk is not None:
+        extra["folds"] = fold_records
     metrics = _metrics_to_dict(result.metrics)
     result_extra = dict(result.extra)
     risk_summary = result_extra.pop("risk", None)
@@ -331,6 +350,14 @@ class SweepResult:
     def complete(self) -> bool:
         return not self.pending and not self.quarantined
 
+    def summary(self) -> str:
+        """The one-line ``N ran, M skipped, ...`` account of the run."""
+        return (
+            f"sweep {self.spec.name!r}: {len(self.ran)} ran, "
+            f"{len(self.skipped)} skipped, {len(self.pending)} pending, "
+            f"{len(self.quarantined)} quarantined"
+        )
+
     def aggregate(self) -> List[Dict[str, object]]:
         """Across-seed mean±std per (experiment, strategy, cost,
         execution, risk) grid cell.
@@ -365,25 +392,14 @@ class SweepResult:
                 "risk": risk,
                 "seeds": len(metrics_list),
             }
-            metrics = (
-                ("fapv", "mdd", "sharpe")
-                + (
-                    ("shortfall", "fill_ratio")
-                    if all("shortfall" in m for m in metrics_list)
-                    else ()
-                )
-                + (
-                    ("violation_rate", "lockout_rate", "risk_turnover")
-                    if all("violation_rate" in m for m in metrics_list)
-                    else ()
-                )
-            )
-            for metric in metrics:
-                values = np.array([m[metric] for m in metrics_list], dtype=np.float64)
-                row[f"{metric}_mean"] = float(values.mean())
-                row[f"{metric}_std"] = (
-                    float(values.std(ddof=1)) if values.size > 1 else 0.0
-                )
+            for metric in (
+                "fapv", "mdd", "sharpe", "shortfall", "fill_ratio",
+                "violation_rate", "lockout_rate", "risk_turnover",
+            ):
+                if all(metric in m for m in metrics_list):
+                    row[f"{metric}_mean"], row[f"{metric}_std"] = _mean_std(
+                        [m[metric] for m in metrics_list]
+                    )
             rows.append(row)
         return rows
 

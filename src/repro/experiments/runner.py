@@ -14,10 +14,11 @@ models.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import tempfile
 from dataclasses import dataclass, field, fields, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from ..agents import (
 )
 from ..autograd.optim import Adam
 from ..data import MarketData, MarketGenerator, top_volume_assets
+from ..data.splits import ExperimentWindow
 from ..loihi import (
     EnergyReport,
     deploy,
@@ -41,9 +43,21 @@ from ..loihi import (
     paper_loihi_model,
 )
 from ..utils.serialization import PathLike
-from .artifacts import _history_from_dict
+from .artifacts import ArtifactStore, _history_from_dict
 from .config import ExperimentConfig, make_config
-from .spec import DEFAULT_COST_REGIMES, CostRegime, ExperimentSpec
+from .spec import (
+    DEFAULT_COST_REGIMES,
+    NO_RISK,
+    ZERO_EXECUTION,
+    CostRegime,
+    ExecutionRegime,
+    ExperimentSpec,
+    RiskRegime,
+    WalkForward,
+)
+
+if TYPE_CHECKING:
+    from .engine import SweepResult
 
 
 @dataclass
@@ -56,29 +70,42 @@ class ExperimentData:
 
 
 def build_experiment_data(config: ExperimentConfig) -> ExperimentData:
-    """Generate the market and apply Table 1's window + top-k selection.
+    """Generate the market and apply Table 1's window + top-k selection."""
+    assets, panel, _ = walk_market(config)
+    train, test = config.window.split(panel)
+    return ExperimentData(assets=assets, train=train, test=test)
 
-    The market is a pure function of the config's market fields, so it
-    is generated once per process for each: every shard of an
-    experiment, and its result's ``test_data``, share the one panel
-    (which nothing mutates).
-    """
-    return _experiment_data(
-        config.market_seed, config.window, config.period_seconds,
-        config.num_assets,
+
+def walk_market(
+    config: ExperimentConfig, walk: Optional[WalkForward] = None
+) -> Tuple[List[str], MarketData, List[ExperimentWindow]]:
+    """``(assets, panel, folds)`` a shard walks: Table 1's one window
+    (``walk`` ``None``) or the walk's folds, over their span."""
+    window = config.window
+    if walk is None:
+        folds, (start, end) = [window], (window.train_start, window.test_end)
+    else:
+        folds, (start, end) = walk.folds(window), walk.span(window)
+    assets, panel = _experiment_data(
+        config.market_seed, start, end, folds[0].test_start,
+        config.period_seconds, config.num_assets,
     )
+    return assets, panel, folds
 
 
 @functools.lru_cache(maxsize=4)
 def _experiment_data(
-    market_seed: int, window, period_seconds: int, num_assets: int
-) -> ExperimentData:
+    market_seed: int, start: str, end: str, anchor: str, period: int, k: int
+) -> Tuple[List[str], MarketData]:
+    """``(assets, panel)``: the market over ``[start, end)`` cut to its
+    top-``k`` assets by volume as of ``anchor``, the first back-test start
+    (no look-ahead).  Generated once per process per market: shards
+    share the panel, which nothing mutates."""
     full = MarketGenerator(seed=market_seed).generate(
-        window.train_start, window.test_end, period_seconds=period_seconds
+        start, end, period_seconds=period
     )
-    assets = top_volume_assets(full, window.test_start, k=num_assets)
-    train, test = window.split(full.select_assets(assets))
-    return ExperimentData(assets=assets, train=train, test=test)
+    assets = top_volume_assets(full, anchor, k=k)
+    return assets, full.select_assets(assets)
 
 
 @dataclass
@@ -124,13 +151,12 @@ def make_trainer(
     """The experiment harness's trainer wiring, in one place.
 
     Adam at the config's learning rate (unless an ``optimizer`` is
-    carried in, e.g. across walk-forward folds), the paper's minibatch
-    settings, permute-assets augmentation, and the config's agent seed
-    (overridable for per-fold streams).  ``backend`` selects the
-    numeric tier (``None`` = reference; see :mod:`repro.backend`).
-    The sweep engine's shards (and so :func:`run_experiment`, their
-    one-seed front) and walk-forward fine-tuning both train through
-    this — change it here and every path trains identically.
+    carried in, as a shard does across walk-forward folds), the paper's
+    minibatch settings, permute-assets augmentation, and the config's
+    agent seed (overridable for per-fold streams).  ``backend`` selects
+    the numeric tier (``None`` = reference; see :mod:`repro.backend`).
+    Its one caller is the sweep engine's shard body, so every front
+    (:func:`run_experiment`, ``run_walkforward``) trains identically.
     """
     if optimizer is None:
         optimizer = Adam(agent.parameters(), config.learning_rate)
@@ -160,19 +186,25 @@ TABLE3_STRATEGIES: Tuple[str, ...] = (
 _SPEC_FIELDS = ("experiment", "profile", "agent_seed", "commission")
 
 
-def _one_seed_spec(
-    config: ExperimentConfig, strategies: Sequence[str]
+def _front_spec(
+    config: ExperimentConfig,
+    strategies: Sequence[str],
+    seeds: Optional[Sequence[int]] = None,
+    walk: Optional[WalkForward] = None,
+    execution: ExecutionRegime = ZERO_EXECUTION,
+    risk: RiskRegime = NO_RISK,
+    backend: Optional[str] = None,
 ) -> ExperimentSpec:
-    """The one-seed sweep whose shards run ``config``'s experiment.
+    """The sweep whose shards run ``config``'s experiment.
 
     The config's fields that differ from ``make_config(experiment,
-    profile)`` become spec overrides, ``agent_seed`` the seed and
-    ``commission`` the cost regime (the paper's, named ``paper``, when
-    it is the default).  Raises ``ValueError`` unless every shard's
-    :meth:`~repro.experiments.spec.ShardSpec.config` equals ``config``:
-    a field :func:`make_config` cannot override (the window, the LIF
-    constants, the surrogate window) or an unknown profile would
-    otherwise run a different experiment.
+    profile)`` become spec overrides, ``seeds`` (default: ``agent_seed``)
+    the seeds and ``commission`` the cost regime (the paper's, named
+    ``paper``, when it is the default).  Raises ``ValueError`` unless
+    every shard's :meth:`~repro.experiments.spec.ShardSpec.config`
+    equals ``config`` at its seed: a field :func:`make_config` cannot
+    override (the window, the LIF constants, the surrogate window) or an
+    unknown profile would otherwise run a different experiment.
     """
     try:
         base = make_config(config.experiment, config.profile)
@@ -194,13 +226,17 @@ def _one_seed_spec(
         profile=config.profile,
         experiments=(config.experiment,),
         strategies=tuple(strategies),
-        seeds=(config.agent_seed,),
+        seeds=(config.agent_seed,) if seeds is None else tuple(seeds),
         cost_regimes=(cost,),
+        execution_regimes=(execution,),
+        risk_regimes=(risk,),
         overrides=tuple(overrides.items()),
+        backend=backend,
+        walk=walk,
     )
     for shard in spec.expand():
         try:
-            carried = shard.config() == config
+            carried = shard.config() == replace(config, agent_seed=shard.seed)
         except TypeError:  # an override make_config fixes itself
             carried = False
         if not carried:
@@ -210,6 +246,33 @@ def _one_seed_spec(
                 "shard would run a different experiment"
             )
     return spec
+
+
+@contextlib.contextmanager
+def _run_front(
+    spec: ExperimentSpec,
+    store: Optional[PathLike],
+    workers: Optional[int],
+    obs_dir: Optional[PathLike],
+    obs_level: str,
+) -> Iterator[Tuple[ArtifactStore, "SweepResult"]]:
+    """Run ``spec`` into ``store`` (temporary when ``None``), pooled when
+    ``workers`` > 1, and yield ``(artifact_store, sweep_result)``; a
+    quarantined shard raises ``RuntimeError``."""
+    from .engine import SweepRunner  # the engine imports this module
+
+    with tempfile.TemporaryDirectory(prefix="repro-run-") as scratch:
+        runner = SweepRunner(
+            spec, scratch if store is None else store, max_workers=workers,
+            obs_dir=obs_dir, obs_level=obs_level,
+        )
+        sweep = runner.run(parallel=workers is not None and workers > 1)
+        if sweep.quarantined:
+            raise RuntimeError(
+                f"{spec.name}: shards failed: "
+                + "; ".join(f"{o.shard_id}: {o.error}" for o in sweep.quarantined)
+            )
+        yield runner.store, sweep
 
 
 def run_experiment(
@@ -225,7 +288,7 @@ def run_experiment(
 
     ``config`` becomes a one-seed :class:`ExperimentSpec` over
     ``strategies`` (registry keys, default the seven Table 3 ones; see
-    :func:`_one_seed_spec`), which :class:`~repro.experiments.engine.
+    :func:`_front_spec`), which :class:`~repro.experiments.engine.
     SweepRunner` runs into ``store`` (a temporary directory when
     ``None``), so training and back-testing happen only in
     :func:`~repro.experiments.engine.run_shard`, and shards already
@@ -238,26 +301,14 @@ def run_experiment(
     training history come from the shard, and ``test_data`` is the
     config's hold-out panel.
     """
-    from .engine import SweepRunner  # the engine imports this module
-
-    spec = _one_seed_spec(config, strategies)
-    with tempfile.TemporaryDirectory(prefix="repro-run-") as scratch:
-        runner = SweepRunner(
-            spec, scratch if store is None else store, max_workers=workers,
-            obs_dir=obs_dir, obs_level=obs_level,
-        )
-        sweep = runner.run(parallel=workers is not None and workers > 1)
-        if sweep.quarantined:
-            raise RuntimeError(
-                f"{config.label}: shards failed: "
-                + "; ".join(f"{o.shard_id}: {o.error}" for o in sweep.quarantined)
-            )
+    spec = _front_spec(config, strategies)
+    with _run_front(spec, store, workers, obs_dir, obs_level) as (artifacts, sweep):
         backtests: Dict[str, BacktestResult] = {}
         agents: Dict[str, Agent] = {}
         histories: Dict[str, TrainHistory] = {}
         for outcome in sweep.outcomes:
-            artifact = runner.store.load_shard(outcome.shard_id)
-            agent = runner.store.load_agent(outcome.shard_id)
+            artifact = artifacts.load_shard(outcome.shard_id)
+            agent = artifacts.load_agent(outcome.shard_id)
             backtests[agent.name] = replace(
                 artifact.to_backtest_result(), agent_name=agent.name
             )

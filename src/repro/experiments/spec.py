@@ -2,7 +2,8 @@
 
 An :class:`ExperimentSpec` names a grid — seeds × strategies × market
 windows (Table 1 experiments) × cost regimes × execution regimes — over
-one config profile.
+one config profile, optionally rolled through walk-forward folds
+(:class:`WalkForward`).
 :meth:`ExperimentSpec.expand` flattens the grid into independent
 :class:`ShardSpec` cells, each fully self-describing: a shard carries
 everything needed to run it in any process (deterministic per-shard
@@ -15,9 +16,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..backend import REFERENCE, resolve_backend
+from ..data.splits import ExperimentWindow, walk_forward_windows
 from ..envs.costs import DEFAULT_COMMISSION
 from ..envs.observations import ObservationConfig
 from ..registry import DEFAULT_REGISTRY, is_trainable, strategy_backend
@@ -35,6 +37,7 @@ from .config import ExperimentConfig, make_config
 # registers ObservationConfig/LIFParameters too) is fine.
 register_tagged_type(ObservationConfig)
 register_tagged_type(LIFParameters)
+register_tagged_type(ExperimentWindow)
 
 
 @register_tagged_type
@@ -296,6 +299,47 @@ def risk_regime_preset(name: str) -> RiskRegime:
     return RiskRegime(name, name)
 
 
+@register_tagged_type
+@dataclass(frozen=True)
+class WalkForward:
+    """Rolling train/test folds a shard walks instead of Table 1's split:
+    :func:`~repro.data.splits.walk_forward_windows` over ``[start, end)``
+    (each end defaulting to the experiment's Table 1 span).  Fold 0
+    trains for the config's ``train_steps``, each later fold fine-tunes
+    ``fine_tune_steps`` (``0`` freezes the agent after fold 0)."""
+
+    train_days: int
+    test_days: int
+    step_days: int = 0
+    anchored: bool = False
+    fine_tune_steps: int = 0
+    start: Optional[str] = None
+    end: Optional[str] = None
+
+    def __post_init__(self):
+        if min(self.train_days, self.test_days) <= 0 or min(
+            self.step_days, self.fine_tune_steps
+        ) < 0:
+            raise ValueError(
+                "a walk needs positive train_days and test_days and "
+                f"non-negative step_days and fine_tune_steps: {self}"
+            )
+        if self.start is not None and self.end is not None:
+            self.folds(None)  # raises if no fold fits the span
+
+    def span(self, window: Optional[ExperimentWindow]) -> Tuple[str, str]:
+        return (
+            self.start if self.start is not None else window.train_start,
+            self.end if self.end is not None else window.test_end,
+        )
+
+    def folds(self, window: Optional[ExperimentWindow]) -> List[ExperimentWindow]:
+        return walk_forward_windows(
+            *self.span(window), self.train_days, self.test_days,
+            self.step_days, anchored=self.anchored,
+        )
+
+
 def _canonical_json(payload: Any) -> str:
     return json.dumps(encode_tagged(payload), sort_keys=True)
 
@@ -307,7 +351,8 @@ class ShardSpec:
     ``overrides`` are :func:`~repro.experiments.config.make_config`
     keyword overrides, stored as a sorted tuple of pairs so shards stay
     hashable and their fingerprints canonical.  ``backend`` names the
-    numeric tier the shard trains on (:mod:`repro.backend`).
+    numeric tier the shard trains on (:mod:`repro.backend`); a ``walk``
+    of ``None`` is the one fold of Table 1's train/test split.
     """
 
     sweep: str
@@ -320,6 +365,7 @@ class ShardSpec:
     risk: RiskRegime = NO_RISK
     overrides: Tuple[Tuple[str, Any], ...] = ()
     backend: str = REFERENCE.name
+    walk: Optional[WalkForward] = None
 
     @property
     def overrides_dict(self) -> Dict[str, Any]:
@@ -333,11 +379,12 @@ class ShardSpec:
         covers *everything* (profile, overrides, commission value,
         execution parameters), so two shards differing only in an
         override never collide in a store.  The default (ideal)
-        execution and (none) risk regimes and the reference backend
-        contribute nothing to the id — those shards compute exactly
+        execution and (none) risk regimes, the reference backend and no
+        walk contribute nothing to the id — those shards compute exactly
         what pre-subsystem shards computed, so resuming an old store
-        keeps skipping its committed work, and a fast-tier shard never
-        passes for a reference one.
+        keeps skipping its committed work, a fast-tier shard never
+        passes for a reference one, and walk-forward and Table 3
+        artifacts never mix.
         """
         payload = {
             "profile": self.profile,
@@ -357,6 +404,9 @@ class ShardSpec:
         if self.backend != REFERENCE.name:
             payload["backend"] = self.backend
             suffix += f"-{self.backend}"
+        if self.walk is not None:
+            payload["walk"] = self.walk
+            suffix += "-walk"
         digest = stable_hash(_canonical_json(payload), modulus=16 ** 8)
         return (
             f"exp{self.experiment}-{self.strategy}-s{self.seed}"
@@ -400,7 +450,7 @@ class ShardSpec:
             "risk": encode_tagged(self.risk),
             "overrides": encode_tagged(dict(self.overrides)),
         }
-        return _with_backend(payload, self.backend)
+        return _with_optional(payload, self.backend, self.walk)
 
     @classmethod
     def from_json_dict(cls, payload: Mapping[str, Any]) -> "ShardSpec":
@@ -427,14 +477,19 @@ class ShardSpec:
             ),
             overrides=_freeze_overrides(overrides),
             backend=str(payload.get("backend", REFERENCE.name)),
+            walk=decode_tagged(payload.get("walk")),
         )
 
 
-def _with_backend(payload: Dict[str, Any], backend: str) -> Dict[str, Any]:
-    """``payload`` plus a non-reference ``backend`` — reference specs
-    serialise exactly as they did before specs carried a backend."""
+def _with_optional(
+    payload: Dict[str, Any], backend: str, walk: Optional[WalkForward]
+) -> Dict[str, Any]:
+    """``payload`` plus a non-reference ``backend`` and a set ``walk``, so
+    reference Table 3 specs serialise as before specs carried either."""
     if backend != REFERENCE.name:
         payload["backend"] = backend
+    if walk is not None:
+        payload["walk"] = encode_tagged(walk)
     return payload
 
 
@@ -448,6 +503,26 @@ def _freeze_overrides(overrides: Mapping[str, Any]) -> Tuple[Tuple[str, Any], ..
     return tuple(frozen)
 
 
+def _check_walk(walk: WalkForward, config: ExperimentConfig, trains: bool) -> None:
+    """Fail a walk no shard could run, before any shard does: it must fit a
+    fold into ``config``'s span, each fold's back-test (``test_days`` of
+    candles after one anchor period) must reach the observation's first
+    decision and, if a learned strategy trains, fold 0's training slice
+    (the shortest) must hold a minibatch of decisions."""
+    walk.folds(config.window)
+    first = config.observation.first_decision_index()
+    test, train = (
+        days * 86_400 // config.period_seconds
+        for days in (walk.test_days, walk.train_days)
+    )
+    if test <= first:
+        raise ValueError(f"walk test_days={walk.test_days}: {test} periods, "
+                         f"the observation needs more than {first}")
+    if trains and train - 1 - max(first, 1) < config.batch_size:
+        raise ValueError(f"walk train_days={walk.train_days}: fewer training "
+                         f"decisions than batch_size={config.batch_size}")
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """The grid: seeds × strategies × windows × costs × execution × risk.
@@ -456,7 +531,9 @@ class ExperimentSpec:
     (``"reference"`` float64, or ``"fast"`` float32; an unknown name
     raises ``ValueError``).  Each shard takes it through
     :func:`~repro.registry.strategy_backend`, so strategies the fast
-    tier cannot train keep the reference tier.
+    tier cannot train keep the reference tier.  ``walk`` must fit a fold
+    into each experiment's span, and each fold must be long enough for
+    the config to back-test (and, for a learned strategy, train) on.
     """
 
     name: str
@@ -469,6 +546,7 @@ class ExperimentSpec:
     risk_regimes: Tuple[RiskRegime, ...] = DEFAULT_RISK_REGIMES
     overrides: Tuple[Tuple[str, Any], ...] = ()
     backend: str = REFERENCE.name
+    walk: Optional[WalkForward] = None
 
     def __post_init__(self):
         for label, values in (
@@ -504,6 +582,11 @@ class ExperimentSpec:
             self, "overrides", _freeze_overrides(dict(self.overrides))
         )
         object.__setattr__(self, "backend", resolve_backend(self.backend).name)
+        if self.walk is not None:
+            trains = any(map(is_trainable, self.strategies))
+            for experiment in self.experiments:
+                config = make_config(experiment, self.profile, **dict(self.overrides))
+                _check_walk(self.walk, config, trains)
 
     @property
     def num_shards(self) -> int:
@@ -540,6 +623,7 @@ class ExperimentSpec:
                                         backend=strategy_backend(
                                             strategy, self.backend
                                         ),
+                                        walk=self.walk,
                                     )
                                 )
         return shards
@@ -556,7 +640,7 @@ class ExperimentSpec:
             "risk_regimes": encode_tagged(list(self.risk_regimes)),
             "overrides": encode_tagged(dict(self.overrides)),
         }
-        return _with_backend(payload, self.backend)
+        return _with_optional(payload, self.backend, self.walk)
 
     @classmethod
     def from_json_dict(cls, payload: Mapping[str, Any]) -> "ExperimentSpec":
@@ -579,4 +663,5 @@ class ExperimentSpec:
             ),
             overrides=_freeze_overrides(decode_tagged(payload["overrides"])),
             backend=str(payload.get("backend", REFERENCE.name)),
+            walk=decode_tagged(payload.get("walk")),
         )

@@ -120,6 +120,30 @@ def _pm(mean: float, std: float) -> str:
     return f"{one(mean)}±{one(std)}"
 
 
+#: Aggregate columns a table shows only when some row carries them:
+#: implementation shortfall (execution-aware) and violation rate
+#: (risk-aware).
+_OPTIONAL_COLUMNS = (("shortfall", "Shortfall"), ("violation_rate", "Violation"))
+
+
+def _metric_columns(rows) -> Tuple[Tuple[str, ...], List[str]]:
+    """``(metrics, headers)`` of an aggregate table's mean±std columns:
+    MDD, fAPV and Sharpe, then each optional column some row carries."""
+    shown = [
+        (m, h) for m, h in _OPTIONAL_COLUMNS if any(f"{m}_mean" in r for r in rows)
+    ]
+    metrics = ("mdd", "fapv", "sharpe") + tuple(m for m, _ in shown)
+    return metrics, ["MDD", "fAPV", "Sharpe"] + [h for _, h in shown]
+
+
+def _metric_cells(row, metrics: Tuple[str, ...]) -> List[object]:
+    """``row``'s mean±std cells of ``metrics`` (``-`` where it lacks one)."""
+    return [
+        _pm(row[f"{m}_mean"], row[f"{m}_std"]) if f"{m}_mean" in row else "-"
+        for m in metrics
+    ]
+
+
 def render_sweep_table(sweep, with_paper: bool = True) -> str:
     """Across-seed aggregate table for a sweep.
 
@@ -130,29 +154,26 @@ def render_sweep_table(sweep, with_paper: bool = True) -> str:
     optionally with the paper's point values inline.
     """
     rows_in = sweep.aggregate() if hasattr(sweep, "aggregate") else list(sweep)
+    metrics, metric_headers = _metric_columns(rows_in)
     # The execution column (and its shortfall metric) only appear when
     # the sweep actually exercised that axis — all-ideal sweeps and
     # pre-execution-subsystem aggregates render exactly as before.
     exec_names = {str(row["execution"]) for row in rows_in if "execution" in row}
-    with_shortfall = any("shortfall_mean" in row for row in rows_in)
+    with_shortfall = "shortfall" in metrics
     # Shortfall rows always name their regime, whatever it is called.
     with_exec = bool(exec_names) and (exec_names != {"ideal"} or with_shortfall)
     # Same discipline for the risk axis: the Risk/Violation columns only
     # appear when the sweep exercised it — all-none sweeps and pre-risk
     # aggregates render exactly as before.
     risk_names = {str(row["risk"]) for row in rows_in if "risk" in row}
-    with_violation = any("violation_rate_mean" in row for row in rows_in)
+    with_violation = "violation_rate" in metrics
     with_risk = bool(risk_names) and (risk_names != {"none"} or with_violation)
     headers = ["Exp", "Strategy", "Cost"]
     if with_exec:
         headers += ["Exec"]
     if with_risk:
         headers += ["Risk"]
-    headers += ["Seeds", "MDD", "fAPV", "Sharpe"]
-    if with_shortfall:
-        headers += ["Shortfall"]
-    if with_violation:
-        headers += ["Violation"]
+    headers += ["Seeds"] + metric_headers
     if with_paper:
         headers += ["fAPV(paper)"]
     # Sweep strategies are registry keys; the paper tables use display
@@ -171,24 +192,7 @@ def render_sweep_table(sweep, with_paper: bool = True) -> str:
             cells.append(row.get("execution", "-"))
         if with_risk:
             cells.append(row.get("risk", "-"))
-        cells += [
-            row["seeds"],
-            _pm(row["mdd_mean"], row["mdd_std"]),
-            _pm(row["fapv_mean"], row["fapv_std"]),
-            _pm(row["sharpe_mean"], row["sharpe_std"]),
-        ]
-        if with_shortfall:
-            cells.append(
-                _pm(row["shortfall_mean"], row["shortfall_std"])
-                if "shortfall_mean" in row
-                else "-"
-            )
-        if with_violation:
-            cells.append(
-                _pm(row["violation_rate_mean"], row["violation_rate_std"])
-                if "violation_rate_mean" in row
-                else "-"
-            )
+        cells += [row["seeds"]] + _metric_cells(row, metrics)
         if with_paper:
             ref = PAPER_TABLE3.get(row["experiment"], {}).get(
                 display.get(str(row["strategy"]), str(row["strategy"]))
@@ -203,39 +207,13 @@ def render_sweep_table(sweep, with_paper: bool = True) -> str:
 def render_walkforward_table(report) -> str:
     """Per-fold aggregate table for a walk-forward report."""
     rows_in = report.fold_aggregates()
-    # Execution-aware walks carry an implementation-shortfall column;
-    # risk-aware walks a constraint-violation column.
-    with_shortfall = any("shortfall_mean" in row for row in rows_in)
-    with_violation = any("violation_rate_mean" in row for row in rows_in)
-    headers = ["Fold", "Test window", "Strategy", "Seeds", "MDD", "fAPV", "Sharpe"]
-    if with_shortfall:
-        headers += ["Shortfall"]
-    if with_violation:
-        headers += ["Violation"]
-    rows: List[List[object]] = []
-    for row in rows_in:
-        cells: List[object] = [
-            row["fold"],
-            f"{row['test_start']}–{row['test_end']}",
-            row["strategy"],
-            row["seeds"],
-            _pm(row["mdd_mean"], row["mdd_std"]),
-            _pm(row["fapv_mean"], row["fapv_std"]),
-            _pm(row["sharpe_mean"], row["sharpe_std"]),
-        ]
-        if with_shortfall:
-            cells.append(
-                _pm(row["shortfall_mean"], row["shortfall_std"])
-                if "shortfall_mean" in row
-                else "-"
-            )
-        if with_violation:
-            cells.append(
-                _pm(row["violation_rate_mean"], row["violation_rate_std"])
-                if "violation_rate_mean" in row
-                else "-"
-            )
-        rows.append(cells)
+    metrics, metric_headers = _metric_columns(rows_in)
+    headers = ["Fold", "Test window", "Strategy", "Seeds"] + metric_headers
+    rows = [
+        [row["fold"], f"{row['test_start']}–{row['test_end']}", row["strategy"],
+         row["seeds"]] + _metric_cells(row, metrics)
+        for row in rows_in
+    ]
     return format_table(
         headers, rows, title="Walk-forward evaluation (mean±std across seeds)"
     )
@@ -243,20 +221,14 @@ def render_walkforward_table(report) -> str:
 
 def render_regime_table(report) -> str:
     """Per-regime attribution table for a walk-forward report."""
-    headers = ["Regime", "Strategy", "Periods", "Seeds", "MDD", "fAPV", "Sharpe"]
-    rows: List[List[object]] = []
-    for row in report.regime_aggregates():
-        rows.append(
-            [
-                row["regime"],
-                row["strategy"],
-                row["periods"],
-                row["seeds"],
-                _pm(row["mdd_mean"], row["mdd_std"]),
-                _pm(row["fapv_mean"], row["fapv_std"]),
-                _pm(row["sharpe_mean"], row["sharpe_std"]),
-            ]
-        )
+    rows_in = report.regime_aggregates()
+    metrics, metric_headers = _metric_columns(rows_in)
+    headers = ["Regime", "Strategy", "Periods", "Seeds"] + metric_headers
+    rows = [
+        [row["regime"], row["strategy"], row["periods"], row["seeds"]]
+        + _metric_cells(row, metrics)
+        for row in rows_in
+    ]
     return format_table(
         headers, rows, title="Per-regime attribution (mean±std across seeds)"
     )

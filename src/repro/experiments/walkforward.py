@@ -1,12 +1,12 @@
 """Walk-forward (rolling-window) evaluation — the OLPS online setting.
 
 The paper's Table 3 is train-once/test-once; Jiang et al.'s framing is
-explicitly *online*, so this evaluator rolls train/test windows through
-a panel (:func:`repro.data.splits.walk_forward_windows`), trains each
-learned strategy on the first fold's training span, optionally
-fine-tunes it between folds (the fused trainer, with the optimizer's
-moments carried across folds), and back-tests every fold's hold-out
-slice through :meth:`~repro.envs.backtester.Backtester.run_window`.
+explicitly *online*.  :func:`run_walkforward` is the sweep engine's
+walk-forward front: each (strategy, seed) is one shard that walks a
+:class:`~repro.experiments.spec.WalkForward`'s folds in order
+(:func:`~repro.experiments.engine.run_shard`), with the sweep's pool,
+retries, resume, store and backend, and the report is read back from
+the shards' :class:`FoldRecord` lists.
 
 Beyond per-fold metrics it attributes performance to *market regimes*
 (:class:`~repro.data.regimes.RegimeSchedule`): every back-test period is
@@ -17,29 +17,35 @@ row instead of a guess.  Aggregates are mean±std across seeds.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..autograd.optim import Adam
 from ..data.market import MarketData
 from ..data.regimes import RegimeSchedule, default_crypto_schedule
 from ..data.splits import ExperimentWindow
-from ..envs.backtester import Backtester
-from ..obs import get_obs
+from ..envs.backtester import BacktestResult
+from ..envs.observations import ObservationConfig
 from ..metrics.performance import (
     final_apv,
     max_drawdown,
     sharpe_ratio,
 )
-from ..registry import (
-    DEFAULT_REGISTRY,
-    is_trainable,
-    strategy_params_from_config,
-)
+from ..utils.serialization import PathLike, register_tagged_type
 from .config import ExperimentConfig
-from .runner import make_trainer
+from .runner import _front_spec, _run_front
+from .spec import (
+    NO_RISK,
+    ZERO_EXECUTION,
+    ExecutionRegime,
+    RiskRegime,
+    WalkForward,
+)
+
+if TYPE_CHECKING:
+    from .engine import SweepResult
 
 
 def per_regime_metrics(
@@ -81,6 +87,7 @@ def per_regime_metrics(
     return out
 
 
+@register_tagged_type
 @dataclass
 class FoldRecord:
     """One (fold, strategy, seed) back-test."""
@@ -96,6 +103,32 @@ class FoldRecord:
     bindings: Dict[str, int] = field(default_factory=dict)
 
 
+def fold_record(
+    fold: int,
+    strategy: str,
+    seed: int,
+    window: ExperimentWindow,
+    result: BacktestResult,
+    test: MarketData,
+    observation: ObservationConfig,
+) -> FoldRecord:
+    """The record of one fold's back-test ``result`` over ``test``,
+    regimes labeled on the default crypto schedule."""
+    first = observation.first_decision_index()
+    stamps = test.timestamps[first : first + len(result.values)]
+    metrics = {"fapv": result.fapv, "mdd": result.mdd, "sharpe": result.sharpe}
+    if "implementation_shortfall" in result.extra:
+        metrics["shortfall"] = result.extra["implementation_shortfall"]
+    bindings: Dict[str, int] = {}
+    risk_summary = result.extra.get("risk")
+    if risk_summary:
+        metrics["violation_rate"] = float(risk_summary["violation_rate"])
+        metrics["lockout_rate"] = float(risk_summary["lockout_rate"])
+        bindings = {str(k): int(v) for k, v in risk_summary["binding_counts"].items()}
+    regimes = per_regime_metrics(result.values, stamps, default_crypto_schedule())
+    return FoldRecord(fold, strategy, seed, window, metrics, regimes, bindings)
+
+
 def _mean_std(values: Sequence[float]) -> Tuple[float, float]:
     arr = np.asarray(values, dtype=np.float64)
     return (
@@ -106,9 +139,11 @@ def _mean_std(values: Sequence[float]) -> Tuple[float, float]:
 
 @dataclass
 class WalkForwardReport:
-    """All fold records plus the aggregate views tables render."""
+    """All fold records plus the aggregate views tables render, and the
+    :class:`~repro.experiments.engine.SweepResult` they came from."""
 
     records: List[FoldRecord] = field(default_factory=list)
+    sweep: Optional["SweepResult"] = field(default=None, repr=False, compare=False)
 
     def fold_aggregates(self) -> List[Dict[str, object]]:
         """Per (fold, strategy) mean±std across seeds."""
@@ -125,23 +160,11 @@ class WalkForwardReport:
                 "test_end": window.test_end,
                 "seeds": len(recs),
             }
-            metrics = (
-                ("fapv", "mdd", "sharpe")
-                + (
-                    ("shortfall",)
-                    if all("shortfall" in r.metrics for r in recs)
-                    else ()
-                )
-                + (
-                    ("violation_rate",)
-                    if all("violation_rate" in r.metrics for r in recs)
-                    else ()
-                )
-            )
-            for metric in metrics:
-                mean, std = _mean_std([r.metrics[metric] for r in recs])
-                row[f"{metric}_mean"] = mean
-                row[f"{metric}_std"] = std
+            for metric in ("fapv", "mdd", "sharpe", "shortfall", "violation_rate"):
+                if all(metric in r.metrics for r in recs):
+                    row[f"{metric}_mean"], row[f"{metric}_std"] = _mean_std(
+                        [r.metrics[metric] for r in recs]
+                    )
             rows.append(row)
         return rows
 
@@ -149,16 +172,13 @@ class WalkForwardReport:
         """Per (fold, strategy) constraint-binding counts, summed over
         seeds — which limit shaped each fold's book.  Empty when the
         walk ran without a risk engine."""
-        groups: Dict[Tuple[int, str], Dict[str, int]] = {}
-        seeds: Dict[Tuple[int, str], int] = {}
+        groups: Dict[Tuple[int, str], Counter] = {}
+        seeds: Counter = Counter()
         for rec in self.records:
-            if not rec.bindings:
-                continue
-            key = (rec.fold, rec.strategy)
-            counts = groups.setdefault(key, {})
-            for name, count in rec.bindings.items():
-                counts[name] = counts.get(name, 0) + int(count)
-            seeds[key] = seeds.get(key, 0) + 1
+            if rec.bindings:
+                key = (rec.fold, rec.strategy)
+                groups.setdefault(key, Counter()).update(rec.bindings)
+                seeds[key] += 1
         return [
             {
                 "fold": fold,
@@ -211,175 +231,42 @@ class WalkForwardReport:
                 "periods": int(entries[0]["periods"]),
             }
             for metric in ("fapv", "mdd", "sharpe"):
-                mean, std = _mean_std([e[metric] for e in entries])
-                row[f"{metric}_mean"] = mean
-                row[f"{metric}_std"] = std
+                row[f"{metric}_mean"], row[f"{metric}_std"] = _mean_std(
+                    [e[metric] for e in entries]
+                )
             rows.append(row)
         return rows
 
 
-class WalkForwardEvaluator:
-    """Rolls a strategy set through train/test folds with fine-tuning.
+def run_walkforward(
+    config: ExperimentConfig,
+    walk: WalkForward,
+    strategies: Sequence[str],
+    seeds: Sequence[int],
+    execution: ExecutionRegime = ZERO_EXECUTION,
+    risk: RiskRegime = NO_RISK,
+    store: Optional[PathLike] = None,
+    workers: Optional[int] = None,
+    backend: Optional[str] = "reference",
+    obs_dir: Optional[PathLike] = None,
+    obs_level: str = "info",
+) -> WalkForwardReport:
+    """Walk ``strategies`` × ``seeds`` through ``walk``'s folds: the
+    walk-forward front of the sweep engine.
 
-    Parameters
-    ----------
-    data:
-        Full market panel (universe already selected) covering every
-        fold's train+test span.
-    folds:
-        Windows from :func:`~repro.data.splits.walk_forward_windows`
-        (or hand-built :class:`ExperimentWindow` rows).
-    config:
-        Hyper-parameter source (observation, network sizes, trainer
-        settings); its own Table 1 window is ignored — the folds drive.
-    strategies:
-        Registry names to evaluate.
-    seeds:
-        Per-strategy repetition seeds (learned strategies re-initialise
-        and re-train per seed; classical baselines are deterministic so
-        they run once under the first seed's label).
-    fine_tune_steps:
-        Trainer steps on each subsequent fold's training panel
-        (``0`` = train once on fold 0 and freeze).  The optimizer (and
-        its moments) persists across folds, so fine-tuning continues
-        the same trajectory rather than restarting Adam cold.
-    schedule:
-        Regime calendar for attribution (default: the 2016–2021 crypto
-        narrative the generator uses).
-    execution:
-        Optional :class:`~repro.execution.ExecutionEngine`; every
-        fold's back-test then prices rebalances against liquidity and
-        fold metrics gain an ``shortfall`` entry (implementation
-        shortfall vs the commission-only benchmark).
-    risk:
-        Optional :class:`~repro.risk.RiskEngine`; every fold's
-        decisions are then projected onto the constraint set, fold
-        metrics gain ``violation_rate``/``lockout_rate`` entries, and
-        records carry per-fold binding-constraint attribution
-        (:meth:`WalkForwardReport.binding_attribution`).
+    ``config`` gives the experiment, profile and overrides; each seed
+    replaces its ``agent_seed`` (classical baselines run once, under the
+    first).  ``execution``/``risk`` price every fold's back-test and
+    ``backend`` trains the learned shards; ``store``, ``workers`` and
+    ``obs_dir``/``obs_level`` are as for
+    :func:`~repro.experiments.runner.run_experiment`.  The
+    records come back from the shards in spec order.
     """
+    spec = _front_spec(
+        config, strategies, seeds=seeds, walk=walk, execution=execution,
+        risk=risk, backend=backend,
+    )
 
-    def __init__(
-        self,
-        data: MarketData,
-        folds: Sequence[ExperimentWindow],
-        config: ExperimentConfig,
-        strategies: Sequence[str] = ("sdp", "jiang"),
-        seeds: Sequence[int] = (7,),
-        fine_tune_steps: int = 0,
-        schedule: Optional[RegimeSchedule] = None,
-        registry=None,
-        execution=None,
-        risk=None,
-    ):
-        if not folds:
-            raise ValueError("need at least one fold")
-        if not seeds:
-            raise ValueError("need at least one seed")
-        if fine_tune_steps < 0:
-            raise ValueError("fine_tune_steps must be non-negative")
-        self.data = data
-        self.folds = list(folds)
-        self.config = config
-        self.strategies = list(strategies)
-        self.seeds = list(seeds)
-        self.fine_tune_steps = int(fine_tune_steps)
-        self.schedule = schedule if schedule is not None else default_crypto_schedule()
-        self.registry = registry if registry is not None else DEFAULT_REGISTRY
-        self.backtester = Backtester(
-            observation=config.observation,
-            commission=config.commission,
-            execution=execution,
-            risk=risk,
-        )
-
-    # ------------------------------------------------------------------
-    def _trainer_seed(self, seed: int, fold_index: int) -> int:
-        # Distinct deterministic stream per (seed, fold): fine-tune
-        # minibatches on fold k must not replay fold 0's sample path.
-        return seed + 100_003 * fold_index
-
-    def _run_learned(self, strategy: str, seed: int) -> List[FoldRecord]:
-        config = self.config
-        params = strategy_params_from_config(
-            strategy, config, n_assets=self.data.n_assets, seed=seed
-        )
-        agent = self.registry.create(strategy, **params)
-        optimizer = Adam(agent.parameters(), config.learning_rate)
-        obs = get_obs()
-        records = []
-        for k, window in enumerate(self.folds):
-            with obs.span("walkforward.fold", strategy=strategy, seed=seed, fold=k):
-                steps = config.train_steps if k == 0 else self.fine_tune_steps
-                if steps > 0:
-                    train_panel, _ = window.split(self.data)
-                    make_trainer(
-                        agent,
-                        train_panel,
-                        config,
-                        optimizer=optimizer,
-                        seed=self._trainer_seed(seed, k),
-                    ).train(steps)
-                records.append(
-                    self._backtest_fold(agent, strategy, seed, k, window)
-                )
-        return records
-
-    def _run_classical(self, strategy: str, seed: int) -> List[FoldRecord]:
-        agent = self.registry.create(strategy)
-        return [
-            self._backtest_fold(agent, strategy, seed, k, window)
-            for k, window in enumerate(self.folds)
-        ]
-
-    def _backtest_fold(
-        self,
-        agent,
-        strategy: str,
-        seed: int,
-        fold_index: int,
-        window: ExperimentWindow,
-    ) -> FoldRecord:
-        result, test_panel = self.backtester.run_window(agent, self.data, window)
-        first = self.config.observation.first_decision_index()
-        stamps = test_panel.timestamps[first : first + len(result.values)]
-        metrics = {
-            "fapv": result.fapv,
-            "mdd": result.mdd,
-            "sharpe": result.sharpe,
-        }
-        if "implementation_shortfall" in result.extra:
-            metrics["shortfall"] = result.extra["implementation_shortfall"]
-        bindings: Dict[str, int] = {}
-        risk_summary = result.extra.get("risk")
-        if risk_summary:
-            metrics["violation_rate"] = float(risk_summary["violation_rate"])
-            metrics["lockout_rate"] = float(risk_summary["lockout_rate"])
-            bindings = {
-                str(k): int(v)
-                for k, v in risk_summary["binding_counts"].items()
-            }
-        return FoldRecord(
-            fold=fold_index,
-            strategy=strategy,
-            seed=seed,
-            window=window,
-            metrics=metrics,
-            regimes=per_regime_metrics(result.values, stamps, self.schedule),
-            bindings=bindings,
-        )
-
-    # ------------------------------------------------------------------
-    def run(self) -> WalkForwardReport:
-        """Evaluate every strategy over every fold (and seed)."""
-        report = WalkForwardReport()
-        for strategy in self.strategies:
-            if is_trainable(strategy):
-                for seed in self.seeds:
-                    report.records.extend(self._run_learned(strategy, seed))
-            else:
-                # Deterministic — one pass, labeled with the first seed.
-                report.records.extend(
-                    self._run_classical(strategy, self.seeds[0])
-                )
-        return report
+    with _run_front(spec, store, workers, obs_dir, obs_level) as (artifacts, sweep):
+        shards = [artifacts.load_shard(o.shard_id) for o in sweep.outcomes]
+    return WalkForwardReport([r for a in shards for r in a.extra["folds"]], sweep)

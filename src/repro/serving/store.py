@@ -719,9 +719,18 @@ def read_checkpoint(path: PathLike) -> Checkpoint:
     store = SessionStateStore(path)
     try:
         markets = {name: store.load_market(name) for name in index["markets"]}
-        payloads = [store.load_session(sid) for sid in index["sessions"]]
+        payloads = [store.load_session_record(sid) for sid in index["sessions"]]
     except KeyError as exc:  # listed in the mark but not stored
         raise CheckpointCorrupt(f"{path / CHECKPOINT_FILE}: {exc.args[0]}") from None
+    # Sessions naming one agent file share its one read and digest check.
+    states: Dict[str, Dict[str, Any]] = {}
+    for sid, record in zip(index["sessions"], payloads):
+        name = record.get("weights")
+        if name is not None:
+            key = f"{sid}/{name}" if name == WEIGHTS_FILE else name
+            if key not in states:
+                states[key] = store._load_weights(sid, name)
+            record["weights"] = states[key]
     return float(index["commission"]), markets, payloads
 
 

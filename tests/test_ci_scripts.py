@@ -37,12 +37,17 @@ dispatch_overhead = _load("benchmarks/dispatch_overhead.py")
 # ----------------------------------------------------------------------
 # benchmarks/dispatch_overhead.py
 # ----------------------------------------------------------------------
-def test_overhead_gate_is_min_over_min_against_the_budget():
-    over = dispatch_overhead.gate("resilience", [1.0, 0.9, 1.2], [1.05, 1.0, 1.3])
-    assert over["overhead"] == 1.111 and over["budget"] == 1.1
-    assert not over["within_budget"]
-    under = dispatch_overhead.gate("observability", [1.0, 0.9], [0.95, 0.99])
-    assert under["overhead"] == 1.056 and under["within_budget"]
+def test_overhead_gate_is_the_median_paired_ratio_against_the_budget():
+    plain = [1.0, 0.9, 1.2, 1.1, 0.8]
+    uniform = dispatch_overhead.gate("resilience", plain, [1.3 * p for p in plain])
+    assert uniform["overhead"] == 1.3 and uniform["budget"] == 1.1
+    assert not uniform["within_budget"]
+    # One stalled variant run (1.4x) is a lone outlier, not the overhead.
+    stalled = list(plain)
+    stalled[2] *= 1.4
+    outlier = dispatch_overhead.gate("observability", plain, stalled)
+    assert outlier["overhead"] == 1.0 and outlier["within_budget"]
+    assert outlier["pairs"] == 5
     assert dispatch_overhead.gate("x", [2.0], [2.2])["within_budget"]
 
 
@@ -149,6 +154,30 @@ def test_stores_identical_check(tmp_path):
     assert checks.check_stores_identical(resumed, ref)[:2] == [
         "manifest diverged from the reference",
         "expected a manifest of 3 shards",
+    ]
+
+
+def test_stores_identical_check_compares_walk_fold_records(tmp_path):
+    """Walk-forward stores: the check compares every shard's fold
+    records, not only the last fold's metrics."""
+    args = [
+        "walkforward", "--profile", "quick", "--train-steps", "2",
+        "--start", "2019/01/01", "--end", "2019/06/15",
+        "--train-days", "75", "--test-days", "45", "--fine-tune-steps", "1",
+        "--strategies", "sdp", "ucrp", "--seeds", "1", "2",
+    ]
+    assert cli_main(args + ["--store", str(tmp_path / "ref")]) == 0
+    shutil.copytree(tmp_path / "ref", tmp_path / "other")
+    other, ref = tmp_path / "other", tmp_path / "ref"
+    assert checks.check_stores_identical(other, ref) == []
+
+    store = ArtifactStore(other)
+    shard_id = store.list_shards()[0]
+    artifact = store.load_shard(shard_id)
+    artifact.extra["folds"][0].metrics["fapv"] += 1.0
+    store.save_shard(artifact)
+    assert checks.check_stores_identical(other, ref) == [
+        f"{shard_id}: fold records diverged"
     ]
 
 

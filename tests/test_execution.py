@@ -9,7 +9,6 @@ import pytest
 from repro.__main__ import main as cli_main
 from repro.agents import SDPAgent
 from repro.data import CoinSpec, MarketGenerator
-from repro.data.splits import walk_forward_windows
 from repro.envs import Backtester, ObservationConfig
 from repro.envs.costs import transaction_remainder_exact
 from repro.envs.portfolio import PortfolioEnv
@@ -27,10 +26,11 @@ from repro.experiments import (
     ExperimentSpec,
     ShardSpec,
     SweepRunner,
-    WalkForwardEvaluator,
+    WalkForward,
     ZERO_EXECUTION,
     make_config,
     render_sweep_table,
+    run_walkforward,
 )
 from repro.metrics import implementation_shortfall
 from repro.serving import PortfolioService, RebalanceRequest
@@ -565,16 +565,16 @@ class TestSweepIntegration:
 
 # ----------------------------------------------------------------------
 class TestWalkForwardIntegration:
-    def test_shortfall_in_fold_metrics(self, panel):
-        config = make_config(1, "quick", train_steps=4)
-        folds = walk_forward_windows(
-            "2019/01/01", "2019/02/01", train_days=10, test_days=7
+    WALK = WalkForward(
+        train_days=10, test_days=7, start="2019/01/01", end="2019/02/01"
+    )
+
+    def test_shortfall_in_fold_metrics(self):
+        config = make_config(1, "quick", train_steps=4, period_seconds=7200)
+        report = run_walkforward(
+            config, self.WALK, strategies=("ucrp",), seeds=(1,),
+            execution=ExecutionRegime("lin", "linear", 25.0),
         )
-        engine = ExecutionEngine(LinearImpact(25.0), portfolio_notional=1e6)
-        report = WalkForwardEvaluator(
-            panel, folds, config,
-            strategies=("ucrp",), seeds=(1,), execution=engine,
-        ).run()
         assert all("shortfall" in r.metrics for r in report.records)
         rows = report.fold_aggregates()
         assert all("shortfall_mean" in row for row in rows)
@@ -582,14 +582,11 @@ class TestWalkForwardIntegration:
 
         assert "Shortfall" in render_walkforward_table(report)
 
-    def test_no_engine_has_no_shortfall(self, panel):
-        config = make_config(1, "quick", train_steps=4)
-        folds = walk_forward_windows(
-            "2019/01/01", "2019/02/01", train_days=10, test_days=7
+    def test_no_engine_has_no_shortfall(self):
+        config = make_config(1, "quick", train_steps=4, period_seconds=7200)
+        report = run_walkforward(
+            config, self.WALK, strategies=("ucrp",), seeds=(1,)
         )
-        report = WalkForwardEvaluator(
-            panel, folds, config, strategies=("ucrp",), seeds=(1,)
-        ).run()
         assert all("shortfall" not in r.metrics for r in report.records)
 
 

@@ -14,7 +14,6 @@ import pytest
 from repro.__main__ import main as cli_main
 from repro.agents import SDPAgent, run_backtest
 from repro.data import MarketGenerator
-from repro.data.splits import walk_forward_windows
 from repro.envs import Backtester, ObservationConfig
 from repro.envs.portfolio import PortfolioEnv
 from repro.experiments import (
@@ -24,9 +23,10 @@ from repro.experiments import (
     RiskRegime,
     ShardSpec,
     SweepRunner,
-    WalkForwardEvaluator,
+    WalkForward,
     make_config,
     render_sweep_table,
+    run_walkforward,
     risk_regime_preset,
 )
 from repro.metrics import (
@@ -539,18 +539,16 @@ class TestSweepIntegration:
 
 # ----------------------------------------------------------------------
 class TestWalkForwardIntegration:
-    def _folds(self):
-        return walk_forward_windows(
-            "2019/01/01", "2019/02/01", train_days=10, test_days=7
-        )
+    WALK = WalkForward(
+        train_days=10, test_days=7, start="2019/01/01", end="2019/02/01"
+    )
 
-    def test_violation_in_fold_metrics(self, panel):
-        config = make_config(1, "quick", train_steps=4)
-        report = WalkForwardEvaluator(
-            panel, self._folds(), config,
-            strategies=("ucrp",), seeds=(1,),
-            risk=RiskEngine([PositionCap(0.15)]),
-        ).run()
+    def test_violation_in_fold_metrics(self):
+        config = make_config(1, "quick", train_steps=4, period_seconds=7200)
+        report = run_walkforward(
+            config, self.WALK, strategies=("ucrp",), seeds=(1,),
+            risk=RiskRegime("caps", "caps", max_weight=0.15),
+        )
         assert all("violation_rate" in r.metrics for r in report.records)
         assert all(r.bindings.get("position_cap", 0) > 0 for r in report.records)
         rows = report.fold_aggregates()
@@ -563,11 +561,11 @@ class TestWalkForwardIntegration:
             row["bindings"]["position_cap"] > 0 for row in attribution
         )
 
-    def test_no_engine_has_no_violation(self, panel):
-        config = make_config(1, "quick", train_steps=4)
-        report = WalkForwardEvaluator(
-            panel, self._folds(), config, strategies=("ucrp",), seeds=(1,)
-        ).run()
+    def test_no_engine_has_no_violation(self):
+        config = make_config(1, "quick", train_steps=4, period_seconds=7200)
+        report = run_walkforward(
+            config, self.WALK, strategies=("ucrp",), seeds=(1,)
+        )
         assert all("violation_rate" not in r.metrics for r in report.records)
         assert report.binding_attribution() == []
 

@@ -37,6 +37,7 @@ from repro.serving import (
     ServingSupervisor,
     SessionStateStore,
 )
+from repro.serving import store as store_mod
 from repro.serving.store import JOURNAL_SNAPSHOTS, read_checkpoint, weights_digest
 from repro.utils import blas
 from repro.utils.rng import stable_hash
@@ -1199,6 +1200,48 @@ class TestSessionStateStore:
             other.rebalance("a").to_json_dict()
             == service.rebalance("a").to_json_dict()
         )
+
+    def test_checkpoint_reads_each_agent_file_once(
+        self, tmp_path, config, market, monkeypatch
+    ):
+        """Six sdp sessions over two weight sets (and one classical
+        session): ``read_checkpoint`` loads and digest-checks each of
+        the two agent files once, and the sessions naming one file get
+        its one state dict."""
+        sessions = [
+            (f"s{i}", "sdp", dict(observation=config.observation,
+                                  **{**SDP_PARAMS, "seed": i % 2}), "m")
+            for i in range(6)
+        ] + [("o", "ons", {}, "m")]
+        service = in_process({"m": market}, sessions)
+        service.rebalance("s0")
+        path = service.save_checkpoint(tmp_path / "ckpt")
+        assert len(list((path / "agents").glob("*.npz"))) == 2
+
+        loads = []
+        load = store_mod.load_state_dict
+        monkeypatch.setattr(
+            store_mod, "load_state_dict",
+            lambda p: (loads.append(Path(p)), load(p))[1],
+        )
+        _, _, payloads = read_checkpoint(path)
+        assert sorted(p for p in loads if p.parent.name == "agents") == sorted(
+            (path / "agents").glob("*.npz")
+        )
+        weights = {p["session_id"]: p["weights"] for p in payloads}
+        assert weights["o"] is None
+        assert weights["s0"] is not weights["s1"]
+        for i in range(2, 6):
+            assert weights[f"s{i}"] is weights[f"s{i % 2}"]
+
+        other = in_process({"m": market}, [])
+        for payload in payloads:
+            other.import_session(payload)
+        for sid, *_ in sessions:
+            assert (
+                other.rebalance(sid).to_json_dict()
+                == service.rebalance(sid).to_json_dict()
+            )
 
     def test_lru_overflow_order(self, tmp_path):
         store = SessionStateStore(tmp_path, max_resident=2)

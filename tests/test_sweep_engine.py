@@ -15,7 +15,9 @@ from repro.data import MarketGenerator
 from repro.experiments import (
     ArtifactStore,
     CostRegime,
+    ExecutionRegime,
     ExperimentSpec,
+    RiskRegime,
     ShardSpec,
     SweepRunner,
     build_experiment_data,
@@ -105,6 +107,73 @@ class TestSpec:
             make_spec(cost_regimes=(CostRegime("a"), CostRegime("a", 0.0)))
         with pytest.raises(ValueError):
             CostRegime("neg", -0.1)
+
+
+_COST = '"cost": {"__type__": "CostRegime", "commission": 0.0025, "name": "paper"}, '
+_IDEAL = (
+    '"execution": {"__type__": "ExecutionRegime", "adv_window_days": 1.0, '
+    '"impact_coef": 0.0, "max_participation": 0.05, "model": "zero", '
+    '"name": "ideal", "portfolio_notional": 1000000.0}, '
+)
+_NO_RISK = (
+    '"risk": {"__type__": "RiskRegime", "lockout_periods": 0, '
+    '"max_drawdown": 0.0, "max_turnover": 0.0, "max_weight": 0.0, '
+    '"min_cash": 0.0, "name": "none", "preset": "none"}, '
+)
+_HEAD = '"experiment": 1, "overrides": {}, "profile": "quick", '
+_TAIL = '"seed": 7, "strategy": "sdp", "sweep": "pin"}'
+
+
+class TestPinnedShardIdentity:
+    """Reference shard identities, frozen as literals.
+
+    A shard's id keys its artifacts in every existing store, so a new
+    spec field that re-keys (or re-serialises) reference shards must
+    fail here rather than silently orphan committed work.
+    """
+
+    @pytest.mark.parametrize(
+        "kwargs,shard_id,payload",
+        [
+            (
+                {},
+                "exp1-sdp-s7-paper-ae1b07ce",
+                "{" + _COST + _IDEAL + _HEAD + _NO_RISK + _TAIL,
+            ),
+            (
+                {"execution": ExecutionRegime("lin", "linear", 25.0)},
+                "exp1-sdp-s7-paper-lin-8c9917b2",
+                "{" + _COST
+                + '"execution": {"__type__": "ExecutionRegime", '
+                '"adv_window_days": 1.0, "impact_coef": 25.0, '
+                '"max_participation": 0.05, "model": "linear", '
+                '"name": "lin", "portfolio_notional": 1000000.0}, '
+                + _HEAD + _NO_RISK + _TAIL,
+            ),
+            (
+                {"risk": RiskRegime("caps", "caps")},
+                "exp1-sdp-s7-paper-caps-78f0e62e",
+                "{" + _COST + _IDEAL + _HEAD
+                + '"risk": {"__type__": "RiskRegime", "lockout_periods": 0, '
+                '"max_drawdown": 0.0, "max_turnover": 0.0, "max_weight": 0.35, '
+                '"min_cash": 0.05, "name": "caps", "preset": "caps"}, '
+                + _TAIL,
+            ),
+            (
+                {"backend": "fast"},
+                "exp1-sdp-s7-paper-fast-fe0913ce",
+                '{"backend": "fast", ' + _COST + _IDEAL + _HEAD + _NO_RISK + _TAIL,
+            ),
+        ],
+        ids=["default", "execution", "risk", "backend"],
+    )
+    def test_reference_shard_identity(self, kwargs, shard_id, payload):
+        shard = ShardSpec(
+            sweep="pin", profile="quick", experiment=1, strategy="sdp",
+            seed=7, cost=CostRegime("paper", 0.0025), **kwargs,
+        )
+        assert shard.shard_id == shard_id
+        assert json.dumps(shard.to_json_dict(), sort_keys=True) == payload
 
 
 class TestArtifactStore:
@@ -279,7 +348,8 @@ class TestRunFront:
 
     def test_market_generated_once_per_experiment(self, monkeypatch):
         """A serial multi-strategy run generates its market once: every
-        shard and the result's ``test_data`` share it."""
+        shard, the result's ``test_data`` and a later build of the
+        config's hold-out panel cut it from the one cached panel."""
         runner_mod._experiment_data.cache_clear()
         calls = []
         generate = MarketGenerator.generate
@@ -291,8 +361,10 @@ class TestRunFront:
         )
         config = make_config(1, "quick")
         result = run_experiment(config, strategies=("ucrp", "crp", "ons"))
+        held_out = build_experiment_data(config).test
         assert len(calls) == 1 and len(result.backtests) == 3
-        assert result.test_data is build_experiment_data(config).test
+        assert np.array_equal(result.test_data.close, held_out.close)
+        assert np.array_equal(result.test_data.timestamps, held_out.timestamps)
 
 
 class TestServingFromArtifact:
