@@ -16,7 +16,10 @@ five batched rounds.  Then:
 * the drained state dir loads with ``read_checkpoint``, holds no
   per-session ``sessions/*/weights.npz``, and holds one
   ``agents/<digest>.npz`` per distinct weight set, each matching its
-  digest.  The bytes under each of its subdirectories are printed.
+  digest.  The bytes under each of its subdirectories are printed;
+* every session's snapshot in it is at ``ROUNDS`` decisions, so the
+  crash, the journal replay and the compactions lost no acknowledged
+  round.
 
 Run from the repo root with ``PYTHONPATH=src``::
 
@@ -138,6 +141,26 @@ def check_state_dir(root: Path) -> List[str]:
     return failures
 
 
+def check_rounds(root: Path, sessions: int, rounds: int) -> List[str]:
+    """The state dir holds ``sessions`` snapshots, each at ``rounds``
+    decisions."""
+    from repro.serving.store import SessionStateStore
+
+    store = SessionStateStore(root)
+    ids = store.session_ids()
+    failures = []
+    if len(ids) != sessions:
+        failures.append(f"{len(ids)} session snapshots, expected {sessions}")
+    behind = {}
+    for session_id in ids:
+        decisions = store.load_session_record(session_id)["state"]["decisions"]
+        if decisions != rounds:
+            behind[session_id] = decisions
+    if behind:
+        failures.append(f"decisions {behind}, expected {rounds} each")
+    return failures
+
+
 def state_dir_bytes(root: Path) -> Dict[str, int]:
     """Bytes of the files under each top-level subdirectory of ``root``
     (``.`` for the files directly in it)."""
@@ -219,6 +242,7 @@ def main(argv=None) -> int:
         print(out)
         failures += check_drain(out, server.returncode, SESSIONS)
         failures += check_state_dir(Path(args.state_dir))
+        failures += check_rounds(Path(args.state_dir), SESSIONS, ROUNDS)
         print(f"state dir bytes: {state_dir_bytes(Path(args.state_dir))}")
     finally:
         if server.poll() is None:

@@ -367,6 +367,12 @@ class ShardSpec:
     backend: str = REFERENCE.name
     walk: Optional[WalkForward] = None
 
+    def __post_init__(self):
+        # Every zero-model execution regime is the ideal one, whatever
+        # its name: it keys (and runs) as the default.
+        if self.execution.model == "zero":
+            object.__setattr__(self, "execution", ZERO_EXECUTION)
+
     @property
     def overrides_dict(self) -> Dict[str, Any]:
         return dict(self.overrides)
@@ -577,6 +583,11 @@ class ExperimentSpec:
         if len(set(r.name for r in self.risk_regimes)) != len(self.risk_regimes):
             raise ValueError(
                 f"spec {self.name!r}: risk regime names must be unique"
+            )
+        # Shards key each as the ideal regime, so two would be one cell.
+        if sum(e.model == "zero" for e in self.execution_regimes) > 1:
+            raise ValueError(
+                f"spec {self.name!r}: more than one zero-model execution regime"
             )
         object.__setattr__(
             self, "overrides", _freeze_overrides(dict(self.overrides))

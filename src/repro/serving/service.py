@@ -359,6 +359,11 @@ class _Session:
     # starts every breaker closed.
     breaker_failures: int = 0
     breaker_cooldown: int = 0
+    # The export payload's constant part (everything no round changes),
+    # encoded at the session's first export and reused by every later
+    # one.  Lazy, so a create never fails on params only a checkpoint
+    # would have to encode.
+    constant: Optional[Dict[str, Any]] = None
 
 
 class PortfolioService:
@@ -1333,42 +1338,34 @@ class PortfolioService:
         multi-worker supervisor rehydrates through.  ``weights=False``
         leaves the ``"weights"`` entry out, skipping the state-dict copy
         for a caller whose store already holds the weights.
+
+        The session's constant part (spec, market, sharing, observation)
+        is encoded once and shared by every payload exported for it:
+        the top-level dict and ``state`` are fresh, the values under
+        ``spec`` and ``state["observation"]`` are read-only.
         """
         with self._lock:
             session = self._session(session_id)
+            if session.constant is None:
+                session.constant = self._encode_constant(session)
             state: Dict[str, Any] = {
+                **session.constant["state"],
                 "next_t": session.next_t,
                 "start": session.start,
                 "decisions": session.decisions,
-                "w_prev": [float(w) for w in session.w_prev],
-                "observation": _encode_value(session.observation),
-                # Denormalised so a store can describe evicted sessions
-                # without loading their (large) market panel.
-                "n_assets": session.data.n_assets,
-                "last_t": session.data.n_periods - 2,
+                "w_prev": session.w_prev.tolist(),
             }
             if session.risk_w_drifted is not None:
                 state["risk"] = {
                     "value": float(session.risk_value),
-                    "w_drifted": [float(w) for w in session.risk_w_drifted],
+                    "w_drifted": session.risk_w_drifted.tolist(),
                     "lockout": (
                         session.lockout.to_json_dict()
                         if session.lockout is not None
                         else None
                     ),
                 }
-            payload = {
-                "version": 2,
-                "session_id": session.session_id,
-                "spec": {
-                    "strategy": session.spec["strategy"],
-                    "params": _encode_value(session.spec["params"]),
-                },
-                "market": session.market,
-                "shared": session.shared,
-                "agent_key": session.agent_key if session.shared else None,
-                "state": state,
-            }
+            payload = {**session.constant, "state": state}
             if weights:
                 network = getattr(session.agent, "network", None)
                 payload["weights"] = (
@@ -1377,6 +1374,30 @@ class PortfolioService:
                     else None
                 )
             return payload
+
+    @staticmethod
+    def _encode_constant(session: _Session) -> Dict[str, Any]:
+        """The part of a session's export payload no round changes,
+        tag-encoded: shared by every payload :meth:`export_session`
+        returns for it, so read-only."""
+        return {
+            "version": 2,
+            "session_id": session.session_id,
+            "spec": {
+                "strategy": session.spec["strategy"],
+                "params": _encode_value(session.spec["params"]),
+            },
+            "market": session.market,
+            "shared": session.shared,
+            "agent_key": session.agent_key if session.shared else None,
+            "state": {
+                "observation": _encode_value(session.observation),
+                # Denormalised so a store can describe evicted sessions
+                # without loading their (large) market panel.
+                "n_assets": session.data.n_assets,
+                "last_t": session.data.n_periods - 2,
+            },
+        }
 
     def import_session(
         self, payload: Mapping[str, Any], data: Optional[MarketData] = None

@@ -8,24 +8,34 @@ that worker's creates and committed batches.
 
 A worker's create and each of its committed batches is one framed
 append to its journal (:meth:`SessionStateStore.commit`) before it
-replies: the session records (``state.json`` payloads whose
-``weights`` names the agent file) and, for a batch, its responses.  A
-create writes no per-session file; a new weight set is the one file it
-may add.  *Compaction* (:meth:`SessionStateStore.compact`) writes the
-journaled records out as snapshots and then truncates the journal, so
-a session's ``state.json`` first appears at its first compaction.  A
+replies.  A session record splits into a *constant part* (version, id,
+spec, market, sharing, agent key, the ``weights`` name, and the
+observation, ``n_assets`` and ``last_t`` of its ``state``) and a *round
+part* (the rest of ``state``: ``next_t``, ``start``, ``decisions``,
+``w_prev`` and the risk book — ``start`` too, since the first served
+round re-anchors it).  A create journals the whole record; a batch
+journals only ``session_id`` and the round part of each session it
+served.  The store holds each session's constant part in memory, taken
+from its create line or read once from its snapshot, and a record is
+that constant part with the line's keys over it (``state`` merged key
+by key).  A whole record merges the same way, so a journal of whole
+records replays through the same path.  A create writes no per-session
+file; a new weight set is the one file it may add.  *Compaction*
+(:meth:`SessionStateStore.compact`) writes the journaled sessions'
+merged records out as snapshots and then truncates the journal, so a
+session's ``state.json`` first appears at its first compaction.  A
 worker compacts on drain, at start (replaying a crashed predecessor's
 journal), and when its journal outgrows ``JOURNAL_SNAPSHOTS`` times the
-snapshot bytes of the sessions it journals — never on eviction.  Until
-the next compaction a session's newest record may live only in the
-journal: the instance that appends to it keeps an in-memory index of
-each journaled session's latest record line, and reads (and answers
-:meth:`~SessionStateStore.has_session`) from there before its
-``state.json``.  The supervisor compacts every journal in the directory
-(:meth:`SessionStateStore.compact_journals`) when it opens, so a
-changed worker count resumes correctly, and after a drain, for a worker
-that died before it compacted.  A worker crash therefore loses only a
-create or batch it never journaled, and the replay of a batch it
+snapshot bytes (whole records) of the sessions it journals — never on
+eviction.  Until the next compaction a session's newest record may live
+only in the journal: the instance that appends to it keeps an
+in-memory index of each journaled session's latest line, and reads
+(and answers :meth:`~SessionStateStore.has_session`) from there before
+its ``state.json``.  The supervisor compacts every journal in the
+directory (:meth:`SessionStateStore.compact_journals`) when it opens,
+so a changed worker count resumes correctly, and after a drain, for a
+worker that died before it compacted.  A worker crash therefore loses
+only a create or batch it never journaled, and the replay of a batch it
 journaled but did not acknowledge is answered from the journal instead
 of being applied twice.
 
@@ -73,11 +83,12 @@ lands after every file it lists.
 A journal frame is a header (body length and CRC-32, little-endian
 ``uint32`` each) and a body of newline-separated compact JSON: the
 header ``{"batch", "responses"}`` (``batch`` is ``null`` for a create),
-then one line per session record.  Appends are one ``write`` each; a
-reader stops at the first frame that is short or fails its checksum.
-That frame is a torn tail: an append the crash cut, whose batch or
-create was never acknowledged, so it is dropped and its sessions resume
-at their last acknowledged round.
+then one line per session — its whole record for a create,
+``{"session_id", "state": <round part>}`` for a batch.  Appends are one
+``write`` each; a reader stops at the first frame that is short or
+fails its checksum.  That frame is a torn tail: an append the crash
+cut, whose batch or create was never acknowledged, so it is dropped and
+its sessions resume at their last acknowledged round.
 
 Durability: this survives a *process* crash at any instruction.  Agent
 files are the only ones synced (``fsync`` of the file before its
@@ -114,6 +125,7 @@ from typing import (
     Iterator,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Tuple,
 )
@@ -153,6 +165,10 @@ JOURNAL_DIR = "journal"
 JOURNAL_SNAPSHOTS = 32
 # Journal frame header: body length, CRC-32 of the body.
 _FRAME = struct.Struct("<II")
+# The keys of a record's ``state`` that a served round changes: a batch
+# journals only these.  Every other field of a record is constant for
+# the session's lifetime.
+ROUND_STATE = ("next_t", "start", "decisions", "w_prev", "risk")
 
 
 class CheckpointCorrupt(RuntimeError):
@@ -270,15 +286,30 @@ def _read_frames(path: Path) -> Iterator[Tuple[Dict[str, Any], List[Dict[str, An
         position = start + length
 
 
-def _replay(path: Path) -> Tuple[Dict[str, Dict[str, Any]], Optional[Dict[str, Any]]]:
-    """Each session's last record in a journal, and the last frame's
-    batch header (``None`` for an empty journal)."""
-    latest: Dict[str, Dict[str, Any]] = {}
-    last = None
-    for last, records in _read_frames(path):
-        for record in records:
-            latest[record["session_id"]] = record
-    return latest, last
+def _round_line(record: Mapping[str, Any]) -> Dict[str, Any]:
+    """The journal line of a batch: ``session_id`` and the round part."""
+    state = record["state"]
+    return {
+        "session_id": record["session_id"],
+        "state": {key: state[key] for key in ROUND_STATE if key in state},
+    }
+
+
+def _merge(constant: Mapping[str, Any], line: Mapping[str, Any]) -> Dict[str, Any]:
+    """A session's record: its constant part with a journal line's keys
+    over it, ``state`` merged key by key.  A whole record as the line
+    gives back that record."""
+    return {**constant, **line, "state": {**constant["state"], **line["state"]}}
+
+
+class _Constant(NamedTuple):
+    """A session's constant part, as the store keeps it in memory."""
+
+    # The record without its round state (``weights`` a file name).
+    record: Dict[str, Any]
+    # Whole-record bytes minus round-line bytes: the same for every
+    # round of the session, so a round line's length gives its record's.
+    offset: int
 
 
 class SessionStateStore:
@@ -303,19 +334,20 @@ class SessionStateStore:
         (self.root / "sessions").mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
         self._resident: "OrderedDict[str, None]" = OrderedDict()
-        # session id -> the name of its weights file (None: no network),
-        # as last written or read, so journal records need no disk read.
-        self._weights: Dict[str, Optional[str]] = {}
+        # session id -> its constant part (its weights file's name
+        # included), as last written or read, so a batch journals only
+        # round parts and a journaled record needs no disk read.
+        self._constants: Dict[str, _Constant] = {}
         # Digests of the agent files this instance wrote or checked.
         self._agents: set = set()
         # The journal this instance appends to, once claimed: its file
-        # descriptor and length, and each journaled session's latest
-        # record line — newer than its snapshot, until a compaction
-        # writes it out.
+        # descriptor and length, each journaled session's latest line
+        # (newer than its snapshot, until a compaction writes it out)
+        # with the bytes of the record it stands for, and their sum.
         self._journal_fd: Optional[int] = None
         self._journal_closer: Optional[weakref.finalize] = None
         self._journal_bytes = 0
-        self._journaled: Dict[str, bytes] = {}
+        self._journaled: Dict[str, Tuple[bytes, int]] = {}
         self._journaled_bytes = 0
 
     # -- markets -------------------------------------------------------
@@ -415,23 +447,38 @@ class SessionStateStore:
             )
         )
 
+    def _learn(self, record: Dict[str, Any], size: Optional[int] = None) -> None:
+        """Keep a whole record's constant part; ``size`` is its encoded
+        length, if the caller has it."""
+        if size is None:
+            size = len(_dumps(record))
+        self._constants[record["session_id"]] = _Constant(
+            {**record, "state": {
+                key: value for key, value in record["state"].items()
+                if key not in ROUND_STATE
+            }},
+            size - len(_dumps(_round_line(record))),
+        )
+
+    def _constant(self, session_id: str) -> _Constant:
+        """A session's constant part, read once from its snapshot."""
+        constant = self._constants.get(session_id)
+        if constant is None:
+            self.load_session_record(session_id)
+            constant = self._constants[session_id]
+        return constant
+
     def _record(self, payload: Mapping[str, Any]) -> Dict[str, Any]:
         """A payload as a stored record: fresh weights are stored by
         content and named, a payload without ``weights`` gets the name
         its session already has."""
         record = dict(payload)
-        session_id = record["session_id"]
         if "weights" not in record:
-            if session_id not in self._weights:
-                self._weights[session_id] = self.load_session_record(
-                    session_id
-                )["weights"]
-            record["weights"] = self._weights[session_id]
+            record["weights"] = self._constant(record["session_id"]).record["weights"]
         elif record["weights"] is not None and not isinstance(
             record["weights"], str
         ):
             record["weights"] = self.save_agent(record["weights"])
-        self._weights[session_id] = record["weights"]
         return record
 
     def save_session(self, payload: Dict[str, Any]) -> None:
@@ -445,7 +492,8 @@ class SessionStateStore:
         directory = self._session_dir(payload["session_id"])
         directory.mkdir(parents=True, exist_ok=True)
         weights = payload.get("weights")
-        save_json(directory / "state.json", self._record(payload))
+        record = self._record(payload)
+        self._learn(record, save_json(directory / "state.json", record))
         if weights is not None and not isinstance(weights, str):
             # Fresh weights, stored by content, replace a legacy file.
             (directory / WEIGHTS_FILE).unlink(missing_ok=True)
@@ -456,20 +504,23 @@ class SessionStateStore:
         rehydrate it.
 
         On the instance that claimed a journal, a session journaled
-        since the last compaction comes from the journal index: a fresh
-        decode of its latest record line, the JSON text compaction
-        would write as its snapshot.  Its ``state.json`` may be older
-        or absent.  Every other session, and every session on an
-        instance that claimed no journal, is read from ``state.json``.
+        since the last compaction comes from the journal index: its
+        constant part with a fresh decode of its latest line merged
+        over it, the record compaction would write as its snapshot.
+        The constant part's values are shared with the store's cache,
+        so treat them as read-only.  Its ``state.json`` may be older or
+        absent.  Every other session, and every session on an instance
+        that claimed no journal, is read from ``state.json``.
         """
-        line = self._journaled.get(session_id)
-        if line is not None:
-            return json.loads(line)
+        journaled = self._journaled.get(session_id)
+        if journaled is not None:
+            return _merge(self._constants[session_id].record, json.loads(journaled[0]))
         path = self._session_dir(session_id) / "state.json"
         if not path.exists():
             raise KeyError(f"session {session_id!r} is not in the store")
         record = _read_checkpoint_file(path, load_json, referenced=True)
-        self._weights[session_id] = record.get("weights")
+        if session_id not in self._constants:
+            self._learn(record)
         return record
 
     def load_session(
@@ -502,9 +553,33 @@ class SessionStateStore:
             directory.rmdir()
         with self._lock:
             self._resident.pop(session_id, None)
-        self._weights.pop(session_id, None)
+        self._constants.pop(session_id, None)
 
     # -- journal -------------------------------------------------------
+    def _replay(
+        self, path: Path
+    ) -> Tuple[Dict[str, Dict[str, Any]], Optional[Dict[str, Any]]]:
+        """Each session's last record in a journal, and the last frame's
+        batch header (``None`` for an empty journal)."""
+        latest: Dict[str, Dict[str, Any]] = {}
+        last = None
+        for last, lines in _read_frames(path):
+            for line in lines:
+                session_id = line["session_id"]
+                if "spec" in line:
+                    # A whole record: a create's, or any line written
+                    # before batches journaled round parts only.
+                    self._learn(line)
+                try:
+                    constant = self._constant(session_id)
+                except KeyError:
+                    raise CheckpointCorrupt(
+                        f"journal {path} is corrupt: session {session_id!r} "
+                        "has a round but no record"
+                    ) from None
+                latest[session_id] = _merge(constant.record, line)
+        return latest, last
+
     def open_journal(self, index: int) -> Optional[Tuple[int, List[Any]]]:
         """Claim ``journal/<index>`` for :meth:`commit`.
 
@@ -518,7 +593,7 @@ class SessionStateStore:
         directory = self.root / JOURNAL_DIR
         directory.mkdir(exist_ok=True)
         path = directory / str(index)
-        latest, last = _replay(path)
+        latest, last = self._replay(path)
         for record in latest.values():
             self.save_session(record)
         marker = _frame([_dumps(last)]) if last is not None else b""
@@ -544,14 +619,28 @@ class SessionStateStore:
         """Journal one committed batch, or a create, in a single append.
 
         ``payloads`` are ``export_session`` payloads.  With weights (a
-        create's), the weights are stored by content first; without
-        (``weights=False``, a batch's), the record names the file its
-        session already has.  ``batch`` is ``None`` for a create, whose
-        ``responses`` are empty.
+        create's), the weights are stored by content first and the
+        whole record is journaled; without (``weights=False``, a
+        batch's), only ``session_id`` and the round part are, the rest
+        being the session's constant part.  ``batch`` is ``None`` for a
+        create, whose ``responses`` are empty.
         """
-        records = [self._record(payload) for payload in payloads]
-        lines = [_dumps(record) for record in records]
-        frame = _frame([_dumps({"batch": batch, "responses": responses}), *lines])
+        entries = []
+        for payload in payloads:
+            if "weights" in payload:
+                record = self._record(payload)
+                line = _dumps(record)
+                self._learn(record, len(line))
+                entries.append((record["session_id"], line, len(line)))
+            else:
+                session_id = payload["session_id"]
+                line = _dumps(_round_line(payload))
+                offset = self._constant(session_id).offset
+                entries.append((session_id, line, len(line) + offset))
+        frame = _frame([
+            _dumps({"batch": batch, "responses": responses}),
+            *(line for _, line, _ in entries),
+        ])
         written = os.write(self._journal_fd, frame)
         if written != len(frame):
             # A short append would hide every later frame behind a torn
@@ -559,14 +648,15 @@ class SessionStateStore:
             os.ftruncate(self._journal_fd, self._journal_bytes)
             raise OSError(f"short journal append ({written} of {len(frame)} bytes)")
         self._journal_bytes += len(frame)
-        for record, line in zip(records, lines):
-            previous = self._journaled.get(record["session_id"], b"")
-            self._journaled_bytes += len(line) - len(previous)
-            self._journaled[record["session_id"]] = line
+        for session_id, line, size in entries:
+            previous = self._journaled.get(session_id)
+            self._journaled_bytes += size - (previous[1] if previous else 0)
+            self._journaled[session_id] = (line, size)
 
     def journal_full(self) -> bool:
         """Whether the journal has outgrown ``JOURNAL_SNAPSHOTS`` times
-        the snapshot bytes of the sessions it journals."""
+        the snapshot bytes (whole records) of the sessions it
+        journals."""
         return bool(self._journaled) and (
             self._journal_bytes > JOURNAL_SNAPSHOTS * self._journaled_bytes
         )
@@ -576,8 +666,8 @@ class SessionStateStore:
         snapshot, then truncate the journal."""
         if not self._journaled:
             return
-        for line in self._journaled.values():
-            self.save_session(json.loads(line))
+        for session_id in self._journaled:
+            self.save_session(self.load_session_record(session_id))
         os.ftruncate(self._journal_fd, 0)
         self._journal_bytes = 0
         self._journaled.clear()
@@ -594,7 +684,7 @@ class SessionStateStore:
         directory — newer than its snapshot when one is present."""
         latest: Dict[str, Dict[str, Any]] = {}
         for path in sorted((self.root / JOURNAL_DIR).glob("[0-9]*")):
-            latest.update(_replay(path)[0])
+            latest.update(self._replay(path)[0])
         return latest
 
     def compact_journals(self) -> None:
@@ -602,7 +692,7 @@ class SessionStateStore:
         directory no worker is appending to (supervisor open, after a
         drain)."""
         for path in sorted((self.root / JOURNAL_DIR).glob("[0-9]*")):
-            for record in _replay(path)[0].values():
+            for record in self._replay(path)[0].values():
                 self.save_session(record)
             path.unlink()
 
@@ -671,7 +761,9 @@ class SessionStateStore:
             self.delete_session(session_id)
         for name in set(self.market_names()) - set(markets):
             self._market_path(name).unlink()
-        referenced = {self._weights[session_id] for session_id in sessions}
+        referenced = {
+            self._constants[session_id].record["weights"] for session_id in sessions
+        }
         for file in (self.root / AGENTS_DIR).glob("*.npz"):
             if f"{AGENTS_DIR}/{file.name}" not in referenced:
                 file.unlink()

@@ -91,8 +91,9 @@ def _coerce(value: Any) -> Any:
     return value
 
 
-def save_json(path: PathLike, payload: Dict[str, Any]) -> None:
-    """Write a JSON result file atomically, coercing numpy types.
+def save_json(path: PathLike, payload: Dict[str, Any]) -> int:
+    """Write a JSON result file atomically, coercing numpy types, and
+    return the length of its text.
 
     The JSON is compact and key-sorted: ``indent`` would force CPython's
     pure-Python encoder, which doubles the cost of the per-round
@@ -101,14 +102,14 @@ def save_json(path: PathLike, payload: Dict[str, Any]) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    text = json.dumps(_coerce(payload), sort_keys=True, separators=(",", ":"))
     try:
-        tmp.write_text(
-            json.dumps(_coerce(payload), sort_keys=True, separators=(",", ":"))
-        )
+        tmp.write_text(text)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
     _atomic_replace(path, tmp)
+    return len(text)
 
 
 def load_json(path: PathLike) -> Dict[str, Any]:

@@ -317,3 +317,24 @@ def test_state_dir_check(tmp_path):
     agent.write_bytes(agent.read_bytes()[:100])
     (failure,) = serving_chaos.check_state_dir(root)
     assert failure.startswith("state dir does not load: CheckpointCorrupt")
+
+
+def test_rounds_check(tmp_path):
+    from repro.experiments import build_experiment_data, make_config
+    from repro.serving import PortfolioService, RebalanceRequest
+
+    service = PortfolioService()
+    service.register_market("m", build_experiment_data(make_config(1, "quick")).test)
+    for session_id in ("a", "b"):
+        service.create_session(session_id, "ons", market="m")
+    for _ in range(3):
+        service.rebalance_many([RebalanceRequest("a"), RebalanceRequest("b")])
+    service.rebalance("a")
+    root = service.save_checkpoint(tmp_path / "state")
+    assert serving_chaos.check_rounds(root, sessions=2, rounds=3) == [
+        "decisions {'a': 4}, expected 3 each"
+    ]
+    assert serving_chaos.check_rounds(root, sessions=3, rounds=4) == [
+        "2 session snapshots, expected 3",
+        "decisions {'b': 3}, expected 4 each",
+    ]

@@ -418,6 +418,27 @@ class TestExecutionRegime:
             "s", "quick", 1, "sdp", 7, cost=_paper_cost()
         ).shard_id
 
+    def test_parsed_zero_regime_keys_as_the_default(self):
+        """``--execution zero`` and ``--executions zero=zero`` name the
+        ideal regime, so their shards are the default's, not distinct
+        cells recomputing its numbers."""
+        from repro.__main__ import _parse_execution_spec, _parse_executions
+
+        default = ShardSpec("s", "quick", 1, "sdp", 7, cost=_paper_cost())
+        for parsed in (_parse_execution_spec("zero"), *_parse_executions(["zero=zero"])):
+            shard = ShardSpec("s", "quick", 1, "sdp", 7, cost=_paper_cost(),
+                              execution=parsed)
+            assert shard == default and shard.shard_id == default.shard_id
+        spec = ExperimentSpec("z", profile="quick", strategies=("sdp", "ucrp"),
+                              seeds=(7,), execution_regimes=(parsed,))
+        assert [s.shard_id for s in spec.expand()] == [
+            s.shard_id for s in ExperimentSpec(
+                "z", profile="quick", strategies=("sdp", "ucrp"), seeds=(7,)
+            ).expand()
+        ]
+        with pytest.raises(ValueError):
+            ExperimentSpec("dup", execution_regimes=(ZERO_EXECUTION, parsed))
+
     def test_estimate_matches_execute_under_caps(self):
         # The advisory estimate charges the fillable portion, like the
         # engine — not the uncapped request.

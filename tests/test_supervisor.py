@@ -749,12 +749,17 @@ class TestJournal:
         assert reader.load_session_record("a")["state"]["decisions"] == 2
         assert successor.journaled_records() == {}  # only the batch header
 
-        # Compaction is due once the journal outgrows its bound.
+        # Compaction is due once the journal outgrows its bound, counted
+        # in whole-record bytes though a batch journals round parts.
         commits = 0
         while not successor.journal_full():
+            before = journal.stat().st_size
             successor.commit(commits, [service.export_session("a", weights=False)], [])
             commits += 1
-        assert 0 < commits <= JOURNAL_SNAPSHOTS
+        bound = JOURNAL_SNAPSHOTS * len(
+            store_mod._dumps(successor.load_session_record("a"))
+        )
+        assert commits > 0 and before <= bound < journal.stat().st_size
         successor.compact()
         assert journal.stat().st_size == 0
         assert reader.load_session_record("a")["state"]["decisions"] == 3
@@ -815,6 +820,125 @@ class TestJournal:
                 **service.export_session(sid, weights=False), "weights": None
             }
         store.close()
+
+    def test_crash_after_compaction_resumes_from_snapshots_and_rounds(
+        self, tmp_path, market, monkeypatch
+    ):
+        """A worker that compacts and then journals more rounds dies: its
+        successor merges the journaled rounds over constant parts read
+        from the snapshots, and resumes every acknowledged round."""
+        monkeypatch.setattr(store_mod, "JOURNAL_SNAPSHOTS", 2)
+        name0, _ = two_market_names()
+        sessions = [("a", "ons", {}, name0), ("b", "ucrp", {}, name0)]
+        requests = [RebalanceRequest("a"), RebalanceRequest("b")]
+        reference = json_rounds(
+            in_process({name0: market}, sessions), requests, rounds=9
+        )
+        root = tmp_path / "state"
+        sup, _, _ = make_supervisor(
+            tmp_path, market, workers=1, heartbeat_interval=60.0
+        )
+        with sup:
+            self.open(sup, sessions)
+            assert json_rounds(sup, requests, rounds=6) == reference[:6]
+            snapshot = SessionStateStore(root).load_session_record("a")
+            assert 0 < snapshot["state"]["decisions"] < 6  # compacted, then rounds
+            victim = sup._workers[0]
+            victim.process.terminate()
+            victim.process.join(timeout=5.0)
+            assert json_rounds(sup, requests, rounds=3) == reference[6:]
+            assert sup.stats.worker_restarts == 1
+
+    def test_torn_round_frame_drops_only_its_batch(self, tmp_path, market):
+        service = in_process(
+            {"m": market}, [("a", "ons", {}, "m"), ("b", "ucrp", {}, "m")]
+        )
+        store = SessionStateStore(tmp_path)
+        store.open_journal(0)
+        store.commit(None, [service.export_session(sid) for sid in "ab"], [])
+        acknowledged = {}
+        for batch, ids in enumerate(["ab", "a", "b"]):
+            responses = service.rebalance_many([RebalanceRequest(s) for s in ids])
+            store.commit(
+                batch,
+                [service.export_session(sid, weights=False) for sid in ids],
+                [r.to_json_dict() for r in responses],
+            )
+            if batch < 2:
+                acknowledged.update(
+                    (sid, {**service.export_session(sid, weights=False),
+                           "weights": None})
+                    for sid in ids
+                )
+        store.close()
+        journal = tmp_path / "journal" / "0"
+        journal.write_bytes(journal.read_bytes()[:-1])  # tear batch 2 ("b")
+
+        successor = SessionStateStore(tmp_path)
+        assert successor.open_journal(0)[0] == 1
+        reader = SessionStateStore(tmp_path)
+        assert {sid: reader.load_session_record(sid) for sid in "ab"} == acknowledged
+        assert [acknowledged[sid]["state"]["decisions"] for sid in "ab"] == [2, 1]
+        successor.close()
+
+    def test_journal_of_whole_records_replays_to_them(self, tmp_path, market):
+        """A journal whose every line is a whole record, the format
+        written before batches journaled round parts only, replays
+        through the same merge."""
+        service = in_process(
+            {"m": market}, [("a", "ons", {}, "m"), ("b", "ucrp", {}, "m")]
+        )
+        dumps, frame = store_mod._dumps, store_mod._frame
+
+        def records(ids):
+            return [
+                {**service.export_session(sid, weights=False), "weights": None}
+                for sid in ids
+            ]
+
+        frames = [frame([dumps({"batch": None, "responses": []}), *map(dumps, records("ab"))])]
+        for batch, ids in enumerate(["ab", "a"]):
+            responses = service.rebalance_many([RebalanceRequest(s) for s in ids])
+            frames.append(frame([
+                dumps({"batch": batch, "responses": [r.to_json_dict() for r in responses]}),
+                *map(dumps, records(ids)),
+            ]))
+        (tmp_path / "journal").mkdir()
+        (tmp_path / "journal" / "0").write_bytes(b"".join(frames))
+        expected = dict(zip("ab", records("ab")))
+
+        assert SessionStateStore(tmp_path).journaled_records() == expected
+        store = SessionStateStore(tmp_path)
+        batch, responses = store.open_journal(0)
+        assert batch == 1 and responses[0]["session_id"] == "a"
+        reader = SessionStateStore(tmp_path)
+        assert {sid: reader.load_session_record(sid) for sid in "ab"} == expected
+        store.close()
+
+    def test_serve_batch_line_holds_only_the_round_part(self, tmp_path, market):
+        risk = risk_regime_preset("caps")
+        service = in_process(
+            {"m": market}, [("a", "sdp", SDP_PARAMS, "m")], risk.build_engine()
+        )
+        store = SessionStateStore(tmp_path)
+        store.open_journal(0)
+        store.commit(None, [service.export_session("a")], [])
+        response = service.rebalance("a")
+        store.commit(
+            0, [service.export_session("a", weights=False)], [response.to_json_dict()]
+        )
+        store.close()
+        (_, (create,)), (_, (line,)) = store_mod._read_frames(
+            tmp_path / "journal" / "0"
+        )
+        assert {"spec", "agent_key"} <= set(create)
+        assert set(line) == {"session_id", "state"}
+        assert set(line["state"]) == set(store_mod.ROUND_STATE)
+        record = SessionStateStore(tmp_path).journaled_records()["a"]
+        assert record == {
+            **service.export_session("a", weights=False), "weights": create["weights"]
+        }
+        assert len(store_mod._dumps(line)) < len(store_mod._dumps(record)) / 2
 
 
 def agent_file(root):
