@@ -6,6 +6,8 @@ sessions and two ``sdp`` sessions (which share one agent), and serves
 five batched rounds.  Then:
 
 * every round answers every session;
+* a batch holding one out-of-range ``t`` beside good requests answers
+  400, and (by the last check) moves no session;
 * ``/health`` reports one restart and one failover, both on the owning
   worker, every worker alive and every session intact;
 * ``/stats`` reports the failover with a round in flight;
@@ -19,7 +21,7 @@ five batched rounds.  Then:
   digest.  The bytes under each of its subdirectories are printed;
 * every session's snapshot in it is at ``ROUNDS`` decisions, so the
   crash, the journal replay and the compactions lost no acknowledged
-  round.
+  round, and the refused batch moved nothing.
 
 Run from the repo root with ``PYTHONPATH=src``::
 
@@ -35,6 +37,7 @@ import signal
 import subprocess
 import sys
 import time
+import urllib.error
 import urllib.request
 from pathlib import Path
 from typing import Dict, List
@@ -226,6 +229,17 @@ def main(argv=None) -> int:
             served = req("/rebalance/batch", batch)["responses"]
             if len(served) != SESSIONS:
                 failures.append(f"a round served {len(served)} sessions")
+
+        refused = {"requests": batch["requests"][:-1] + [
+            {"session_id": f"s{SESSIONS - 1}", "t": 10**9}
+        ]}
+        try:
+            fetch("/rebalance/batch", refused)
+            failures.append("a batch with an out-of-range t was served")
+        except urllib.error.HTTPError as exc:
+            exc.close()
+            if exc.code != 400:
+                failures.append(f"a batch with an out-of-range t answered {exc.code}")
 
         health, stats = req("/health"), req("/stats")
         metrics = fetch("/metrics").decode("utf-8")

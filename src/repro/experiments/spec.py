@@ -368,10 +368,13 @@ class ShardSpec:
     walk: Optional[WalkForward] = None
 
     def __post_init__(self):
-        # Every zero-model execution regime is the ideal one, whatever
-        # its name: it keys (and runs) as the default.
+        # Every zero-model execution regime is the ideal one, and every
+        # none-preset risk regime the unconstrained one, whatever its
+        # name: each keys (and runs) as the default.
         if self.execution.model == "zero":
             object.__setattr__(self, "execution", ZERO_EXECUTION)
+        if self.risk.preset == "none":
+            object.__setattr__(self, "risk", NO_RISK)
 
     @property
     def overrides_dict(self) -> Dict[str, Any]:
@@ -584,10 +587,14 @@ class ExperimentSpec:
             raise ValueError(
                 f"spec {self.name!r}: risk regime names must be unique"
             )
-        # Shards key each as the ideal regime, so two would be one cell.
+        # Shards key each as the default regime, so two would be one cell.
         if sum(e.model == "zero" for e in self.execution_regimes) > 1:
             raise ValueError(
                 f"spec {self.name!r}: more than one zero-model execution regime"
+            )
+        if sum(r.preset == "none" for r in self.risk_regimes) > 1:
+            raise ValueError(
+                f"spec {self.name!r}: more than one none-preset risk regime"
             )
         object.__setattr__(
             self, "overrides", _freeze_overrides(dict(self.overrides))

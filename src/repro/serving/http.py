@@ -44,6 +44,7 @@ from typing import Any, Dict, Optional
 
 from .. import __version__
 from ..obs import Obs, render_prometheus
+from ..utils.serialization import decode_tagged
 from .service import (
     DeadlineExceeded,
     Draining,
@@ -52,7 +53,6 @@ from .service import (
     PortfolioService,
     QueueFull,
     RebalanceRequest,
-    decode_params,
 )
 from .supervisor import LoadShed
 
@@ -333,7 +333,7 @@ class ServingHandler(BaseHTTPRequestHandler):
         # Params pass through the checkpoint codec, so tagged config
         # objects (e.g. {"__type__": "ObservationConfig", ...}) can be
         # expressed over the wire.
-        params = decode_params(payload.get("params") or {})
+        params = decode_tagged(payload.get("params") or {})
         info = self.server.service.create_session(
             session_id=str(payload["session_id"]),
             strategy=str(payload.get("strategy", "sdp")),

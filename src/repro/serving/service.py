@@ -40,7 +40,9 @@ from pathlib import Path
 from typing import (
     Any,
     Callable,
+    Collection,
     Dict,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -99,8 +101,7 @@ class QueueFull(RuntimeError):
 class Draining(RuntimeError):
     """A draining supervisor admits no new work (503).  Like
     :class:`QueueFull` it is backpressure: it refuses a batch as a
-    whole, so :class:`MicroBatcher` never replays it request by
-    request."""
+    whole, before anything runs."""
 
 
 class DeadlineExceeded(TimeoutError):
@@ -140,16 +141,6 @@ class ServingResilience:
 register_tagged_type(ObservationConfig)
 register_tagged_type(LIFParameters)
 
-_encode_value = encode_tagged
-_decode_value = decode_tagged
-
-
-def decode_params(params: Any) -> Any:
-    """Decode a JSON params payload, resolving tagged config objects
-    (``{"__type__": "ObservationConfig", ...}``) — the same codec
-    checkpoints use, exposed for the HTTP layer."""
-    return decode_tagged(params)
-
 
 def _canonical_key(strategy: str, params: Dict[str, Any]) -> Optional[str]:
     """Canonical JSON identity of a strategy spec, used both for
@@ -158,7 +149,7 @@ def _canonical_key(strategy: str, params: Dict[str, Any]) -> Optional[str]:
     the params are not encodable."""
     try:
         return json.dumps(
-            {"strategy": strategy, "params": _encode_value(params)},
+            {"strategy": strategy, "params": encode_tagged(params)},
             sort_keys=True,
         )
     except TypeError:
@@ -366,7 +357,68 @@ class _Session:
     constant: Optional[Dict[str, Any]] = None
 
 
-class PortfolioService:
+def serve_each(
+    serve_many: Callable[[Sequence[Any]], Sequence[Any]], requests: Sequence[Any]
+) -> Iterator[Any]:
+    """Yield, in request order, each request's result or the exception
+    that refused it — the one routine that replays requests one at a
+    time.
+
+    ``serve_many`` is a batch call that raises only with nothing
+    committed.  The whole batch is tried first; if it raises, each
+    request is replayed alone, lazily, so the caller sees each commit
+    before the next request runs and no request is served twice.
+    """
+    try:
+        results = serve_many(requests)
+    except Exception as exc:
+        if len(requests) == 1:
+            yield exc
+            return
+    else:
+        yield from results
+        return
+    for request in requests:
+        try:
+            result = serve_many([request])[0]
+        except Exception as exc:
+            yield exc
+        else:
+            yield result
+
+
+class ServingFront:
+    """What the in-process service and the supervisor front share: the
+    obs handle and counters each records into, its uptime, and the
+    bare-id :meth:`rebalance` over its ``rebalance_many``."""
+
+    @property
+    def obs(self):
+        """The observability handle this front records into."""
+        return self._obs
+
+    @property
+    def metrics(self) -> MetricsRegistry:
+        """The registry holding this front's counters."""
+        return self._metrics
+
+    @property
+    def stats(self):
+        """The counters in :attr:`metrics`, read as one snapshot."""
+        return self._counts.read()
+
+    def uptime_seconds(self) -> float:
+        """Seconds since this front was constructed."""
+        return time.monotonic() - self._started
+
+    def rebalance(self, request: Union[RebalanceRequest, str]) -> RebalanceResponse:
+        """Serve one rebalance decision (accepts a bare session id)."""
+        if isinstance(request, str):
+            request = RebalanceRequest(session_id=request)
+        return self.rebalance_many([request])[0]
+
+
+class PortfolioService(ServingFront):
     """Serves rebalance decisions for many concurrent portfolio sessions.
 
     Parameters
@@ -459,25 +511,6 @@ class PortfolioService:
                 help="rebalance_many wall-clock per call",
                 component="service",
             )
-
-    @property
-    def obs(self):
-        """The observability handle this service records into."""
-        return self._obs
-
-    @property
-    def metrics(self) -> MetricsRegistry:
-        """The registry holding this service's counters."""
-        return self._metrics
-
-    @property
-    def stats(self) -> ServiceStats:
-        """The counters in :attr:`metrics`, read as one snapshot."""
-        return self._counts.read()
-
-    def uptime_seconds(self) -> float:
-        """Seconds since this service instance was constructed."""
-        return time.monotonic() - self._started
 
     @property
     def execution(self):
@@ -794,12 +827,6 @@ class PortfolioService:
             raise KeyError(f"unknown session {session_id!r}") from None
 
     # -- serving -------------------------------------------------------
-    def rebalance(self, request: Union[RebalanceRequest, str]) -> RebalanceResponse:
-        """Serve one rebalance decision (accepts a bare session id)."""
-        if isinstance(request, str):
-            request = RebalanceRequest(session_id=request)
-        return self.rebalance_many([request])[0]
-
     def rebalance_many(
         self, requests: Sequence[RebalanceRequest]
     ) -> List[RebalanceResponse]:
@@ -812,138 +839,110 @@ class PortfolioService:
         semantics: they are processed in arrival order across rounds,
         each seeing the weights the previous one produced.
 
-        The batch is transactional: decisions are computed against
-        staged copies of the session state, and the sessions (and
-        stats) are only updated after every request in the batch has
-        produced a valid decision.  Any error — unknown session, index
-        out of range, a strategy returning invalid weights — leaves
-        every session untouched.
-
-        With a :class:`ServingResilience` config the transaction is a
-        best-effort outer shell instead: a strategy failure no longer
-        fails the whole batch — the offending requests are isolated,
-        their sessions' breaker counters advance, and circuit-broken
-        sessions are served degraded hold-previous-weights responses
-        (``degraded=True``) while healthy siblings commit normally.
-        Client errors (unknown session, out-of-range index) still raise
-        either way.
+        The call raises only with nothing committed.  Every request is
+        resolved before any session moves, so a client error (unknown
+        session, index out of range) leaves every session untouched.
+        Decisions are computed against staged copies of the session
+        state, committed only after every request has produced a valid
+        decision, so a strategy error leaves every session untouched
+        too.  With a :class:`ServingResilience` config a strategy error
+        fails only its own request instead: the batch is replayed one
+        request at a time (:func:`serve_each`), the offender's breaker
+        advances, and circuit-broken sessions are served degraded
+        hold-previous-weights responses (``degraded=True``) while
+        healthy siblings commit normally.
         """
         if not requests:
             return []
         obs_on = self._obs.enabled
         if obs_on:
             t0 = time.perf_counter()
-        if self._resilience is None:
-            responses = self._rebalance_transactional(requests)
-        else:
-            responses = self._rebalance_resilient(requests)
+        with self._lock:
+            items = self._resolve(requests)
+            if self._resilience is None:
+                responses = self._decide(items)
+            else:
+                responses = self._decide_resilient(items)
         if obs_on:
             self._m_latency.observe(time.perf_counter() - t0)
         return responses
 
-    def _rebalance_resilient(
+    def rebalance_each(
         self, requests: Sequence[RebalanceRequest]
+    ) -> Iterator[Union[RebalanceResponse, Exception]]:
+        """Serve a batch so that only offenders fail: yields, in request
+        order, each request's response or the exception that refused
+        it, as each commits (:func:`serve_each` over
+        :meth:`rebalance_many`)."""
+        return serve_each(self.rebalance_many, requests)
+
+    def _resolve(
+        self, requests: Sequence[RebalanceRequest]
+    ) -> List[Tuple[_Session, int]]:
+        """Each request's session and decision index, a session's
+        cursor advancing through the batch in arrival order.  Held and
+        decided requests alike move a cursor to ``t + 1``, so no later
+        step changes an index resolved here."""
+        cursors: Dict[str, int] = {}
+        items: List[Tuple[_Session, int]] = []
+        for req in requests:
+            session = self._session(req.session_id)
+            t = (
+                int(req.t)
+                if req.t is not None
+                else cursors.get(req.session_id, session.next_t)
+            )
+            first = session.observation.first_decision_index()
+            if not first <= t <= session.data.n_periods - 2:
+                raise ValueError(
+                    f"session {session.session_id!r}: decision index {t} "
+                    f"outside decidable range "
+                    f"[{first}, {session.data.n_periods - 2}]"
+                )
+            cursors[req.session_id] = t + 1
+            items.append((session, t))
+        return items
+
+    def _decide_resilient(
+        self, items: List[Tuple[_Session, int]]
     ) -> List[RebalanceResponse]:
-        """The circuit-breaker shell around the transactional core."""
-        with self._lock:
-            if not self._breaker_dirty:
-                # Hot path: every breaker closed and clean.  Serve the
-                # whole batch through the transactional core with O(1)
-                # extra work — the overhead budget CI's dispatch gate holds.
-                try:
-                    return self._rebalance_transactional(requests)
-                except Exception:
-                    pass
-                responses: List[Optional[RebalanceResponse]] = [None] * len(requests)
-                live: List[Tuple[int, RebalanceRequest]] = list(enumerate(requests))
-            else:
-                responses = [None] * len(requests)
-                live = []
-                for i, req in enumerate(requests):
-                    session = self._session(req.session_id)
-                    if session.breaker_cooldown > 0:
-                        responses[i] = self._serve_degraded(session, req)
-                    else:
-                        live.append((i, req))
-                if live:
-                    try:
-                        served = self._rebalance_transactional(
-                            [req for _, req in live]
-                        )
-                    except Exception:
-                        served = None
-                    if served is not None:
-                        for (i, _), resp in zip(live, served):
-                            responses[i] = resp
-                        for _, req in live:
-                            self._reset_breaker(self._sessions[req.session_id])
-                        live = []
-            # The live batch failed as a whole; replay it one request at
-            # a time so only the offenders degrade.  Earlier successes
-            # in the replay stay committed — isolation trades away
-            # all-or-nothing on purpose.
-            for i, req in live:
-                session = self._session(req.session_id)
-                if session.breaker_cooldown > 0:
-                    responses[i] = self._serve_degraded(session, req)
-                    continue
-                try:
-                    responses[i] = self._rebalance_transactional([req])[0]
-                    self._reset_breaker(session)
-                except (KeyError, TypeError):
-                    raise  # client error, breaker not at fault
-                except Exception as exc:
-                    if isinstance(exc, ValueError) and not isinstance(
-                        exc, InvalidStrategyOutput
-                    ):
-                        raise  # bad index etc. — client error
-                    self._record_breaker_failure(session)
-                    responses[i] = self._serve_degraded(session, req)
-            return responses  # type: ignore[return-value]
+        """The circuit-breaker shell: any exception a resolved request
+        meets is a strategy failure, which advances its session's
+        breaker and serves it degraded.  Earlier successes in the
+        replay stay committed — isolation trades away all-or-nothing
+        on purpose."""
+        responses = []
+        for item, outcome in zip(items, serve_each(self._decide_or_hold, items)):
+            if isinstance(outcome, Exception):
+                self._record_breaker_failure(item[0])
+                (outcome,) = self._decide([item], held={0})
+            responses.append(outcome)
+        return responses
 
-    def _serve_degraded(
-        self, session: _Session, request: RebalanceRequest
-    ) -> RebalanceResponse:
-        """Hold-previous-weights response for a circuit-broken session.
-
-        The cursor still advances (a live stream keeps flowing) but the
-        strategy, the served weights, and the risk paper book are left
-        untouched — the degraded period is a hold, not a trade.
-        """
-        t = int(request.t) if request.t is not None else session.next_t
-        first = session.observation.first_decision_index()
-        if not first <= t <= session.data.n_periods - 2:
-            raise ValueError(
-                f"session {session.session_id!r}: decision index {t} "
-                f"outside decidable range "
-                f"[{first}, {session.data.n_periods - 2}]"
-            )
-        session.next_t = t + 1
-        session.decisions += 1
-        if session.breaker_cooldown > 0:
-            session.breaker_cooldown -= 1
-        self._counts.requests_served.inc()
-        self._counts.degraded_responses.inc()
-        if self._obs.enabled:
-            self._obs.event(
-                "serving_degraded",
-                level="warn",
-                session=session.session_id,
-                t=t,
-            )
-        return RebalanceResponse(
-            session_id=session.session_id,
-            t=t,
-            weights=session.w_prev.copy(),
-            strategy=session.spec["strategy"],
-            degraded=True,
-        )
-
-    def _reset_breaker(self, session: _Session) -> None:
-        """A successful live decision closes the session's breaker."""
-        session.breaker_failures = 0
-        if session.breaker_cooldown == 0:
-            self._breaker_dirty.discard(session.session_id)
+    def _decide_or_hold(
+        self, items: List[Tuple[_Session, int]]
+    ) -> List[RebalanceResponse]:
+        """:meth:`_decide`, holding the requests of sessions whose
+        breaker is open; a decided request closes its session's
+        breaker.  With every breaker closed and clean (the hot path)
+        this is the bare core."""
+        if not self._breaker_dirty:
+            return self._decide(items)
+        # A cooldown runs down request by request, so a session's later
+        # requests in the batch may be decided again.
+        held, cooldowns = set(), {}
+        for pos, (session, _) in enumerate(items):
+            left = cooldowns.get(session.session_id, session.breaker_cooldown)
+            if left > 0:
+                held.add(pos)
+                cooldowns[session.session_id] = left - 1
+        responses = self._decide(items, held)
+        for pos, (session, _) in enumerate(items):
+            if pos not in held:
+                session.breaker_failures = 0
+                if session.breaker_cooldown == 0:
+                    self._breaker_dirty.discard(session.session_id)
+        return responses
 
     def _record_breaker_failure(self, session: _Session) -> None:
         session.breaker_failures += 1
@@ -963,96 +962,103 @@ class PortfolioService:
                     cooldown=session.breaker_cooldown,
                 )
 
-    def _rebalance_transactional(
-        self, requests: Sequence[RebalanceRequest]
+    def _decide(
+        self,
+        items: List[Tuple[_Session, int]],
+        held: Collection[int] = (),
     ) -> List[RebalanceResponse]:
-        with self._lock:
-            # Resolve every request upfront: staged per-session cursor
-            # and weights that rounds read and write without touching
-            # the sessions themselves.
-            staged: Dict[str, _StagedState] = {}
-            resolved: List[Tuple[int, _Session, int]] = []
-            for pos, req in enumerate(requests):
-                session = self._session(req.session_id)
-                state = staged.get(req.session_id)
-                if state is None:
-                    state = _StagedState(
-                        w_prev=session.w_prev,
-                        next_t=session.next_t,
-                        risk_value=session.risk_value,
-                        risk_w_drifted=session.risk_w_drifted,
-                        lockout=(
-                            session.lockout.copy()
-                            if session.lockout is not None
-                            else None
-                        ),
-                    )
-                    staged[req.session_id] = state
-                t = int(req.t) if req.t is not None else state.next_t
-                first = session.observation.first_decision_index()
-                if not first <= t <= session.data.n_periods - 2:
-                    raise ValueError(
-                        f"session {session.session_id!r}: decision index {t} "
-                        f"outside decidable range "
-                        f"[{first}, {session.data.n_periods - 2}]"
-                    )
-                state.next_t = t + 1
-                resolved.append((pos, session, t))
+        """The transactional core: decide resolved ``items`` against
+        staged copies of their sessions and commit only once all have
+        decided, so it raises with nothing committed.
 
-            # Stateful strategies mutate internal state inside act()
-            # (e.g. ONS's running Hessian), which staging cannot defer —
-            # snapshot them (once per session) so an aborted batch can
-            # roll the agents back.
-            backups: Dict[str, Agent] = {}
-            for _, session, _ in resolved:
-                if (
-                    not session.agent.stateless
-                    and session.session_id not in backups
-                ):
-                    backups[session.session_id] = copy.deepcopy(session.agent)
+        The positions in ``held`` are holds: served degraded, they move
+        the cursor and run the breaker cooldown down but leave the
+        strategy, the weights and the risk paper book untouched.
+        """
+        staged: Dict[str, _StagedState] = {}
+        # Stateful strategies mutate internal state inside act()
+        # (e.g. ONS's running Hessian), which staging cannot defer —
+        # snapshot them (once per session) so an aborted batch can
+        # roll the agents back.
+        backups: Dict[str, Agent] = {}
+        for session, _ in items:
+            if session.session_id in staged:
+                continue
+            staged[session.session_id] = _StagedState(
+                w_prev=session.w_prev,
+                next_t=session.next_t,
+                risk_value=session.risk_value,
+                risk_w_drifted=session.risk_w_drifted,
+                lockout=(
+                    session.lockout.copy() if session.lockout is not None else None
+                ),
+            )
+            if not session.agent.stateless:
+                backups[session.session_id] = copy.deepcopy(session.agent)
 
-            responses: List[Optional[RebalanceResponse]] = [None] * len(requests)
-            tally = {"batched_forwards": 0, "single_decisions": 0, "largest_batch": 0}
-            pending = resolved
-            try:
-                while pending:
-                    this_round: List[Tuple[int, _Session, int]] = []
-                    seen_sessions = set()
-                    deferred = []
-                    for item in pending:
-                        if item[1].session_id in seen_sessions:
-                            deferred.append(item)
-                        else:
-                            seen_sessions.add(item[1].session_id)
-                            this_round.append(item)
+        responses: List[Optional[RebalanceResponse]] = [None] * len(items)
+        tally = {"batched_forwards": 0, "single_decisions": 0, "largest_batch": 0}
+        pending = [(pos, session, t) for pos, (session, t) in enumerate(items)]
+        try:
+            while pending:
+                this_round: List[Tuple[int, _Session, int]] = []
+                seen_sessions = set()
+                deferred = []
+                for item in pending:
+                    if item[1].session_id in seen_sessions:
+                        deferred.append(item)
+                    else:
+                        seen_sessions.add(item[1].session_id)
+                        this_round.append(item)
+                if held:
+                    # A hold moves the cursor and keeps the weights.
+                    for pos, session, t in this_round:
+                        if pos in held:
+                            state = staged[session.session_id]
+                            state.next_t = t + 1
+                            state.decisions += 1
+                            responses[pos] = RebalanceResponse(
+                                session.session_id, t, state.w_prev.copy(),
+                                session.spec["strategy"], degraded=True,
+                            )
+                    this_round = [i for i in this_round if i[0] not in held]
+                if this_round:
                     self._serve_round(this_round, staged, responses, tally)
-                    pending = deferred
-            except BaseException:
-                for session_id, agent in backups.items():
-                    self._sessions[session_id].agent = agent
-                raise
+                pending = deferred
+        except BaseException:
+            for session_id, agent in backups.items():
+                self._sessions[session_id].agent = agent
+            raise
 
-            # Everything decided cleanly: commit sessions and counts.
-            for session_id, state in staged.items():
-                session = self._sessions[session_id]
-                session.w_prev = state.w_prev
-                session.next_t = state.next_t
-                if self._risk is not None:
-                    session.risk_value = state.risk_value
-                    session.risk_w_drifted = state.risk_w_drifted
-                    session.lockout = state.lockout
-                if session.decisions == 0 and state.first_t is not None:
-                    # The session's true anchor is the first index it
-                    # actually served (an explicit-t first request may
-                    # seek past the default start) — checkpoint restore
-                    # re-anchors stateful strategies here.
-                    session.start = state.first_t
-                session.decisions += state.decisions
-            self._counts.requests_served.inc(len(requests))
-            self._counts.batched_forwards.inc(tally["batched_forwards"])
-            self._counts.single_decisions.inc(tally["single_decisions"])
-            self._counts.largest_batch.set_max(tally["largest_batch"])
-            return responses  # type: ignore[return-value]
+        # Everything decided cleanly: commit sessions and counts.
+        for session_id, state in staged.items():
+            session = self._sessions[session_id]
+            session.w_prev = state.w_prev
+            session.next_t = state.next_t
+            if self._risk is not None:
+                session.risk_value = state.risk_value
+                session.risk_w_drifted = state.risk_w_drifted
+                session.lockout = state.lockout
+            if session.decisions == 0 and state.first_t is not None:
+                # The session's true anchor is the first index it
+                # actually served (an explicit-t first request may
+                # seek past the default start) — checkpoint restore
+                # re-anchors stateful strategies here.
+                session.start = state.first_t
+            session.decisions += state.decisions
+        for pos in sorted(held):
+            session, t = items[pos]
+            session.breaker_cooldown = max(session.breaker_cooldown - 1, 0)
+            if self._obs.enabled:
+                self._obs.event(
+                    "serving_degraded", level="warn", session=session.session_id, t=t
+                )
+        self._counts.requests_served.inc(len(items))
+        self._counts.degraded_responses.inc(len(held))
+        self._counts.batched_forwards.inc(tally["batched_forwards"])
+        self._counts.single_decisions.inc(tally["single_decisions"])
+        self._counts.largest_batch.set_max(tally["largest_batch"])
+        return responses  # type: ignore[return-value]
 
     def _serve_round(
         self,
@@ -1198,6 +1204,7 @@ class PortfolioService:
         ):
             state = staged[session.session_id]
             state.w_prev = w.copy()
+            state.next_t = t + 1
             if state.decisions == 0:
                 state.first_t = t
             state.decisions += 1
@@ -1385,13 +1392,13 @@ class PortfolioService:
             "session_id": session.session_id,
             "spec": {
                 "strategy": session.spec["strategy"],
-                "params": _encode_value(session.spec["params"]),
+                "params": encode_tagged(session.spec["params"]),
             },
             "market": session.market,
             "shared": session.shared,
             "agent_key": session.agent_key if session.shared else None,
             "state": {
-                "observation": _encode_value(session.observation),
+                "observation": encode_tagged(session.observation),
                 # Denormalised so a store can describe evicted sessions
                 # without loading their (large) market panel.
                 "n_assets": session.data.n_assets,
@@ -1420,7 +1427,7 @@ class PortfolioService:
             )
         spec = {
             "strategy": payload["spec"]["strategy"],
-            "params": _decode_value(payload["spec"]["params"]),
+            "params": decode_tagged(payload["spec"]["params"]),
         }
         state = payload["state"]
         with self._lock:
@@ -1469,7 +1476,7 @@ class PortfolioService:
                 shared=shared,
                 market=market_name,
                 data=panel,
-                observation=_decode_value(state["observation"]),
+                observation=decode_tagged(state["observation"]),
                 next_t=int(state["next_t"]),
                 start=int(state["start"]),
                 w_prev=np.asarray(state["w_prev"], dtype=np.float64),
@@ -1536,7 +1543,7 @@ class MicroBatcher:
     Threads call :meth:`submit`; the first waiter becomes the *leader*,
     waits up to ``max_wait`` seconds (or until ``max_batch`` requests
     accumulate), then flushes the whole batch through
-    :meth:`PortfolioService.rebalance_many` — one SNN forward for the
+    :meth:`PortfolioService.rebalance_each` — one SNN forward for the
     lot — and distributes the responses.
 
     ``max_queue`` bounds admission: a request arriving with that many
@@ -1676,56 +1683,39 @@ class MicroBatcher:
     def _flush(self, batch: List[Tuple[RebalanceRequest, _Slot]]) -> None:
         """Serve ``batch`` outside the lock and wake its waiters.
 
-        If the batched call rejects (one bad request fails the whole
-        transactional batch, leaving every session untouched), fall
-        back to serving each request individually so only the
-        offenders see the error.  Backpressure (:class:`QueueFull`, and
-        so a supervisor's ``LoadShed``, and :class:`Draining`) is the
-        exception: it rejects the batch as a whole, so every request
-        sees it and none is replayed (a replay would be refused, and a
-        shed one counted, once more).
-
-        Outcomes are tracked per slot as they commit: when a
-        ``KeyboardInterrupt``/``SystemExit`` lands mid individual
-        fallback, slots whose decisions already committed still get
-        their real responses — only the requests that never ran see the
-        interrupt.
+        One :meth:`PortfolioService.rebalance_each` call serves it, so
+        only the offenders see an error.  An exception escaping that
+        call refuses every request it has not yet answered: backpressure
+        (:class:`QueueFull`, and so a supervisor's ``LoadShed``, and
+        :class:`Draining`) is raised before anything runs, so it fails
+        the batch as a whole.  Outcomes are recorded as they are
+        yielded: when a ``KeyboardInterrupt``/``SystemExit`` lands
+        mid-batch, requests that already committed still get their
+        real responses, and only the rest see the interrupt, which then
+        propagates.
         """
-        # slot id -> (response, error); filled in as outcomes commit.
-        outcomes: Dict[int, Tuple[Optional[RebalanceResponse], Optional[BaseException]]] = {}
+        outcomes: List[Any] = []
+        failure: Optional[BaseException] = None
         try:
             with self._obs.span("batcher.flush", size=len(batch)):
-                try:
-                    responses = self.service.rebalance_many(
-                        [req for req, _ in batch]
-                    )
-                    for (_, s), resp in zip(batch, responses):
-                        outcomes[id(s)] = (resp, None)
-                except (QueueFull, Draining) as exc:
-                    for _, s in batch:
-                        outcomes[id(s)] = (None, exc)
-                except Exception:
-                    for req, s in batch:
-                        try:
-                            outcomes[id(s)] = (self.service.rebalance(req), None)
-                        except Exception as exc:
-                            outcomes[id(s)] = (None, exc)
+                for outcome in self.service.rebalance_each(
+                    [req for req, _ in batch]
+                ):
+                    outcomes.append(outcome)
         except BaseException as exc:
-            # KeyboardInterrupt/SystemExit: report committed slots
-            # accurately, fail only the undone ones, then propagate.
-            with self._cond:
-                for _, s in batch:
-                    resp, err = outcomes.get(id(s), (None, exc))
-                    s.response, s.error, s.done = resp, err, True
-                self._leader_active = False
-                self._cond.notify_all()
-            raise
+            failure = exc
+        outcomes += [failure] * (len(batch) - len(outcomes))
         with self._cond:
-            for _, s in batch:
-                resp, err = outcomes[id(s)]
-                s.response, s.error, s.done = resp, err, True
+            for (_, s), outcome in zip(batch, outcomes):
+                if isinstance(outcome, BaseException):
+                    s.error = outcome
+                else:
+                    s.response = outcome
+                s.done = True
             self._leader_active = False
             self._cond.notify_all()
+        if failure is not None and not isinstance(failure, Exception):
+            raise failure
 
     def _collect_locked(self) -> List[Tuple[RebalanceRequest, _Slot]]:
         """Wait (holding the lock) for the batch window, then drain."""

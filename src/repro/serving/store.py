@@ -354,9 +354,6 @@ class SessionStateStore:
     def _market_path(self, name: str) -> Path:
         return self.root / "markets" / f"{_safe(name)}.npz"
 
-    def has_market(self, name: str) -> bool:
-        return self._market_path(name).exists()
-
     def save_market(self, name: str, data: MarketData) -> None:
         """Persist a panel once; market names are immutable (the same
         contract as ``PortfolioService.register_market``), so an
@@ -718,10 +715,6 @@ class SessionStateStore:
                 while len(self._resident) > self.max_resident:
                     evicted.append(self._resident.popitem(last=False)[0])
             return evicted
-
-    def drop_resident(self, session_id: str) -> None:
-        with self._lock:
-            self._resident.pop(session_id, None)
 
     def resident_ids(self) -> Tuple[str, ...]:
         with self._lock:

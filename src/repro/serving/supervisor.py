@@ -5,8 +5,9 @@
 workers by **market panel** (a stable hash of the market name), so every
 session sharing a panel lands on one worker, where its rows share that
 panel's feature gathers inside the round's one ``prepare_rows`` call:
-the micro-batching win survives the process split.  The supervisor's front is duck-compatible with the in-process
-service (``rebalance`` / ``rebalance_many`` / ``create_session`` /
+the micro-batching win survives the process split.  The supervisor's
+front is duck-compatible with the in-process service (``rebalance`` /
+``rebalance_many`` / ``rebalance_each`` / ``create_session`` /
 ``describe_sessions`` / ``stats`` …), which is how the HTTP layer and
 :class:`~repro.serving.MicroBatcher` serve through it unchanged.
 
@@ -86,10 +87,10 @@ import threading
 import time
 import weakref
 from dataclasses import asdict, dataclass, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..envs.costs import DEFAULT_COMMISSION
-from ..obs import MetricsRegistry, Obs, get_obs
+from ..obs import Obs, get_obs
 from ..registry import DEFAULT_REGISTRY
 from ..resilience import injector_from
 from ..utils.blas import blas_threads, set_blas_threads, worker_budget
@@ -101,10 +102,12 @@ from .service import (
     QueueFull,
     RebalanceRequest,
     RebalanceResponse,
+    ServingFront,
     ServingResilience,
     SessionInfo,
     StatsSeries,
     counting_registry,
+    serve_each,
     stat,
 )
 from .store import SessionStateStore
@@ -451,7 +454,7 @@ class _Worker:
         return payload
 
 
-class ServingSupervisor:
+class ServingSupervisor(ServingFront):
     """Process-supervised, store-backed front over N service shards.
 
     Parameters mirror :class:`~repro.serving.PortfolioService` where
@@ -828,25 +831,39 @@ class ServingSupervisor:
         return tuple(infos[sid] for sid in sorted(infos))
 
     # -- serving -------------------------------------------------------
-    def rebalance(
-        self, request: Union[RebalanceRequest, str]
-    ) -> RebalanceResponse:
-        if isinstance(request, str):
-            request = RebalanceRequest(session_id=request)
-        return self.rebalance_many([request])[0]
-
     def rebalance_many(
         self, requests: Sequence[RebalanceRequest]
     ) -> List[RebalanceResponse]:
         """Serve a batch across workers, healing crashes on the way.
 
         Requests are split into per-worker sub-batches (arrival order
-        preserved within each) and dispatched concurrently; each
-        sub-batch is transactional within its worker exactly like the
-        in-process service — but sub-batches on *different* workers
-        commit independently, so a multi-worker batch is not
-        all-or-nothing across shards.
+        preserved within each) and dispatched concurrently.  An unknown
+        session raises before anything is dispatched; each sub-batch is
+        transactional within its worker like the in-process service, so
+        a client error leaves every session on its worker untouched.
+        Sub-batches on *different* workers commit independently, so a
+        multi-worker batch is not all-or-nothing across shards;
+        ``requests_served`` counts each shard's responses at commit.
         """
+        return self._fan_out(requests, isolate=False)
+
+    def rebalance_each(
+        self, requests: Sequence[RebalanceRequest]
+    ) -> Iterator[Union[RebalanceResponse, Exception]]:
+        """Serve a batch so that only offenders fail: in request order,
+        each request's response or the exception that refused it.
+        Admission refuses the batch as a whole (backpressure raises
+        from the call before anything runs); then each worker's
+        sub-batch runs through :func:`~repro.serving.service.serve_each`."""
+        return iter(self._fan_out(requests, isolate=True))
+
+    def _fan_out(
+        self, requests: Sequence[RebalanceRequest], isolate: bool
+    ) -> List[Any]:
+        """Admit ``requests``, route them, and serve each worker's
+        sub-batch concurrently: whole through :meth:`_dispatch`, or,
+        with ``isolate``, through :func:`serve_each` over it, an unknown
+        session being that request's outcome rather than the batch's."""
         if not requests:
             return []
         obs_on = self._obs.enabled
@@ -854,26 +871,32 @@ class ServingSupervisor:
             t0 = time.perf_counter()
         token = self._admit(requests)
         try:
+            outcomes: List[Any] = [None] * len(requests)
             by_worker: Dict[int, List[Tuple[int, RebalanceRequest]]] = {}
-            for position, request in enumerate(requests):
-                with self._route_lock:
+            with self._route_lock:
+                for position, request in enumerate(requests):
                     index = self._session_worker.get(request.session_id)
-                if index is None:
-                    raise KeyError(
-                        f"unknown session {request.session_id!r}"
-                    )
-                by_worker.setdefault(index, []).append((position, request))
-
-            responses: List[Optional[RebalanceResponse]] = [None] * len(requests)
+                    if index is not None:
+                        by_worker.setdefault(index, []).append((position, request))
+                        continue
+                    unknown = KeyError(f"unknown session {request.session_id!r}")
+                    if not isolate:
+                        raise unknown
+                    outcomes[position] = unknown
             errors: List[BaseException] = []
 
             def run(index: int, items: List[Tuple[int, RebalanceRequest]]) -> None:
+                worker = self._workers[index]
+                batch = [request for _, request in items]
                 try:
-                    served = self._dispatch(
-                        self._workers[index], [request for _, request in items]
-                    )
-                    for (position, _), response in zip(items, served):
-                        responses[position] = response
+                    if isolate:
+                        served = list(serve_each(
+                            lambda sub: self._dispatch(worker, sub), batch
+                        ))
+                    else:
+                        served = self._dispatch(worker, batch)
+                    for (position, _), outcome in zip(items, served):
+                        outcomes[position] = outcome
                 except BaseException as exc:
                     errors.append(exc)
 
@@ -891,10 +914,9 @@ class ServingSupervisor:
                     thread.join()
             if errors:
                 raise errors[0]
-            self._counts.requests_served.inc(len(requests))
             if obs_on:
                 self._m_dispatch.observe(time.perf_counter() - t0)
-            return responses  # type: ignore[return-value]
+            return outcomes
         finally:
             self._release(token)
 
@@ -927,6 +949,9 @@ class ServingSupervisor:
                             help="per-worker sub-batch round-trip",
                             worker=str(worker.index),
                         ).observe(time.perf_counter() - t0)
+                    # Counted at commit: a later shard's failure does
+                    # not undo this one.
+                    self._counts.requests_served.inc(len(served))
                     return served
                 except WorkerDied:
                     attempts += 1
@@ -991,25 +1016,6 @@ class ServingSupervisor:
     def inflight(self) -> int:
         with self._cond:
             return self._inflight
-
-    @property
-    def obs(self):
-        """The observability handle this supervisor records into."""
-        return self._obs
-
-    @property
-    def metrics(self) -> MetricsRegistry:
-        """The registry holding this supervisor's front counters."""
-        return self._metrics
-
-    @property
-    def stats(self) -> SupervisorStats:
-        """The counters in :attr:`metrics`, read as one snapshot."""
-        return self._counts.read()
-
-    def uptime_seconds(self) -> float:
-        """Seconds since this supervisor was constructed."""
-        return time.monotonic() - self._started
 
     # -- observability -------------------------------------------------
     def worker_health(self) -> List[WorkerHealth]:

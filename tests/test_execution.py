@@ -24,6 +24,7 @@ from repro.experiments import (
     ArtifactStore,
     ExecutionRegime,
     ExperimentSpec,
+    NO_RISK,
     ShardSpec,
     SweepRunner,
     WalkForward,
@@ -438,6 +439,27 @@ class TestExecutionRegime:
         ]
         with pytest.raises(ValueError):
             ExperimentSpec("dup", execution_regimes=(ZERO_EXECUTION, parsed))
+
+    def test_parsed_none_risk_regime_keys_as_the_default(self):
+        """``--risk none`` and ``--risks off=none`` name the
+        unconstrained regime, so their shards are the default's, not
+        distinct cells recomputing its numbers."""
+        from repro.__main__ import _parse_risk_spec, _parse_risks
+
+        default = ShardSpec("s", "quick", 1, "ucrp", 1, cost=_paper_cost())
+        for parsed in (_parse_risk_spec("none"), *_parse_risks(["off=none"])):
+            shard = ShardSpec("s", "quick", 1, "ucrp", 1, cost=_paper_cost(),
+                              risk=parsed)
+            assert shard == default and shard.shard_id == default.shard_id
+        spec = ExperimentSpec("z", profile="quick", strategies=("ucrp",),
+                              seeds=(1,), risk_regimes=(parsed,))
+        assert [s.shard_id for s in spec.expand()] == [
+            s.shard_id for s in ExperimentSpec(
+                "z", profile="quick", strategies=("ucrp",), seeds=(1,)
+            ).expand()
+        ]
+        with pytest.raises(ValueError, match="none-preset"):
+            ExperimentSpec("dup", risk_regimes=(NO_RISK, parsed))
 
     def test_estimate_matches_execute_under_caps(self):
         # The advisory estimate charges the fillable portion, like the

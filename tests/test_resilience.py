@@ -37,7 +37,9 @@ from repro.experiments import (
 from repro.envs import Backtester, ObservationConfig
 from repro.experiments import engine as engine_mod
 from repro.experiments.engine import run_shard
-from repro.registry import DEFAULT_REGISTRY
+from repro.agents import Agent
+from repro.baselines import UCRP
+from repro.registry import DEFAULT_REGISTRY, StrategyRegistry
 from repro.resilience import (
     DataFaults,
     FaultInjector,
@@ -568,6 +570,32 @@ class TestServingChaos:
                 assert np.array_equal(r.weights, mine[0].weights)
         assert service.stats.degraded_responses == len(responses)
         assert service.stats.breaker_trips == 2  # one per session
+
+    def test_plain_value_error_in_a_strategy_degrades(self, panel):
+        """Once a batch resolves, any exception a strategy raises is its
+        failure — a plain ``ValueError`` too: its session degrades while
+        a healthy neighbour commits, and nothing propagates."""
+        reg = StrategyRegistry()
+        reg.register("ucrp", UCRP)
+
+        @reg.register("picky")
+        class Picky(Agent):
+            stateless = True
+
+            def act(self, data, t, w_prev):
+                raise ValueError("no decision here")
+
+        service = PortfolioService(registry=reg, resilience=ServingResilience())
+        service.register_market("m", panel)
+        service.create_session("a", strategy="ucrp", market="m")
+        held = service.create_session("p", strategy="picky", market="m")
+        a, p = service.rebalance_many([RebalanceRequest("a"), RebalanceRequest("p")])
+        assert not a.degraded
+        assert p.degraded and p.t == held.next_t
+        np.testing.assert_array_equal(p.weights, service._sessions["p"].w_prev)
+        assert service.stats.degraded_responses == 1
+        assert service._sessions["p"].breaker_failures == 1
+        assert service.describe_session("p").decisions == 1
 
     def test_breaker_reopens_on_half_open_failure(self, panel):
         plan = FaultPlan(seed=1, serving=ServingFaults(forward_error_rate=1.0))

@@ -965,14 +965,14 @@ class TestMicroBatcherSlotBookkeeping:
         served = []
 
         class FakeService:
-            def rebalance_many(self, requests):
-                raise ValueError("force the individual fallback")
-
-            def rebalance(self, request):
-                if request.session_id == "boom":
-                    raise KeyboardInterrupt()
-                served.append(request.session_id)
-                return f"ok:{request.session_id}"
+            # The replay lives behind the backend: its rebalance_each
+            # yields a's and b's outcomes, then the interrupt lands.
+            def rebalance_each(self, requests):
+                for request in requests:
+                    if request.session_id == "boom":
+                        raise KeyboardInterrupt()
+                    served.append(request.session_id)
+                    yield f"ok:{request.session_id}"
 
         batcher = MicroBatcher(FakeService())
         batch = [
@@ -1012,6 +1012,33 @@ class TestMicroBatcherSlotBookkeeping:
         assert batch[0][1].response.session_id == "good"
         assert batch[0][1].error is None
         assert isinstance(batch[1][1].error, KeyError)
+
+
+    @pytest.mark.parametrize(
+        "bad", [RebalanceRequest("b", t=10**9), RebalanceRequest("ghost")],
+        ids=["out-of-range", "unknown"],
+    )
+    def test_resilient_fallback_serves_a_neighbour_once(self, market, bad):
+        """A breaker-armed service refuses ``[a, bad]`` before ``a``
+        moves, so the batcher's isolation serves ``a`` once, at its
+        cursor."""
+        from repro.serving import ServingResilience
+        from repro.serving.service import _Slot
+
+        service = PortfolioService(resilience=ServingResilience())
+        service.register_market("m", market)
+        start = service.create_session("a", "ucrp", market="m").next_t
+        service.create_session("b", "ucrp", market="m")
+        batcher = MicroBatcher(service)
+        batch = [(RebalanceRequest("a"), _Slot()), (bad, _Slot())]
+        batcher._leader_active = True
+        batcher._flush(batch)
+        (_, a), (_, refused) = batch
+        assert a.error is None and a.response.t == start
+        assert isinstance(refused.error, (KeyError, ValueError))
+        assert service.describe_session("a").decisions == 1
+        assert service.describe_session("b").decisions == 0
+        assert service.stats.requests_served == 1
 
 
 class TestExportImport:

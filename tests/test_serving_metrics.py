@@ -143,20 +143,20 @@ def assert_stats_match_metrics(stats, page):
 # ----------------------------------------------------------------------
 class TestRequestsCountedAtCommit:
     def test_unknown_session_in_a_resilient_batch(self, panel):
-        """``[known, unknown]`` on a breaker-armed service: the known
-        session commits in the one-at-a-time replay before the unknown
-        one raises, and every count of it reads 1."""
+        """``[known, unknown]`` on a breaker-armed service raises before
+        anything moves: the known session is untouched, and every count
+        of it reads 0."""
         service = PortfolioService(resilience=ServingResilience())
         service.register_market("m", panel)
-        service.create_session("a", strategy="ucrp", market="m")
+        before = service.create_session("a", strategy="ucrp", market="m")
         with pytest.raises(KeyError, match="nope"):
             service.rebalance_many(
                 [RebalanceRequest("a"), RebalanceRequest("nope")]
             )
         counters = service.metrics.snapshot()["counters"]
-        assert service.stats.requests_served == 1
-        assert counters["repro_requests_total"] == 1.0
-        assert service.describe_session("a").decisions == 1
+        assert service.stats.requests_served == 0
+        assert counters["repro_requests_total"] == 0.0
+        assert service.describe_session("a") == before
 
     def test_stats_are_frozen_reads(self, panel):
         service = PortfolioService()

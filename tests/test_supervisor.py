@@ -35,9 +35,11 @@ from repro.serving import (
     PortfolioService,
     RebalanceRequest,
     ServingSupervisor,
+    ServingResilience,
     SessionStateStore,
 )
 from repro.serving import store as store_mod
+from repro.serving.service import _Slot
 from repro.serving.store import JOURNAL_SNAPSHOTS, read_checkpoint, weights_digest
 from repro.utils import blas
 from repro.utils.rng import stable_hash
@@ -1230,10 +1232,14 @@ class TestLoadShedding:
             sup.create_session("b", "ucrp", market=name0)
             sup.drain(timeout=30.0)
             batched, single = [], []
-            rebalance_many, rebalance = sup.rebalance_many, sup.rebalance
-            sup.rebalance_many = lambda requests: (
-                batched.append(len(requests)), rebalance_many(requests)
-            )[1]
+            rebalance = sup.rebalance
+            # The batcher serves through rebalance_each; either batch
+            # entry point counts into ``batched``.
+            for name in ("rebalance_many", "rebalance_each"):
+                serve = getattr(sup, name)
+                setattr(sup, name, lambda requests, serve=serve: (
+                    batched.append(len(requests)), serve(requests)
+                )[1])
             sup.rebalance = lambda request: (
                 single.append(request), rebalance(request)
             )[1]
@@ -1263,6 +1269,74 @@ class TestLoadShedding:
                 [RebalanceRequest("a"), RebalanceRequest("b")]
             )
             assert len(responses) == 2
+
+
+def flush_one_batch(backend, requests):
+    """Flush ``requests`` as one micro-batch; their slots, in order."""
+    batcher = MicroBatcher(backend)
+    batch = [(request, _Slot()) for request in requests]
+    batcher._leader_active = True
+    batcher._flush(batch)
+    return [slot for _, slot in batch]
+
+
+def assert_journal_matches_memory(sup):
+    """Every session's journaled record agrees with its worker's memory."""
+    memory = {info.session_id: info for info in sup.describe_sessions()}
+    journal = sup.store.journaled_records()
+    assert set(journal) == set(memory)
+    for session_id, record in journal.items():
+        assert record["state"]["decisions"] == memory[session_id].decisions
+        assert record["state"]["next_t"] == memory[session_id].next_t
+
+
+class TestServedOnce:
+    """A micro-batch holding one refused request serves each of its
+    neighbours exactly once, and the journal keeps up with memory."""
+
+    def test_resilient_single_worker(self, tmp_path, market):
+        sup, name0, _ = make_supervisor(
+            tmp_path, market, workers=1, resilience=ServingResilience()
+        )
+        with sup:
+            start = sup.create_session("a", "ucrp", market=name0).next_t
+            sup.create_session("b", "ucrp", market=name0)
+            bad = (RebalanceRequest("b", t=10**9), RebalanceRequest("ghost"))
+            for round_, refused in enumerate(bad):
+                a, b = flush_one_batch(sup, [RebalanceRequest("a"), refused])
+                assert a.error is None and a.response.t == start + round_
+                assert isinstance(b.error, (KeyError, ValueError))
+            infos = {i.session_id: i for i in sup.describe_sessions()}
+            assert infos["a"].decisions == 2 and infos["b"].decisions == 0
+            assert sup.stats.requests_served == 2
+            assert_journal_matches_memory(sup)
+
+    def test_two_workers_count_each_shard_at_commit(
+        self, tmp_path, market, market2
+    ):
+        sup, name0, name1 = make_supervisor(
+            tmp_path, market, market2, workers=2
+        )
+        with sup:
+            start = sup.create_session("a", "ucrp", market=name0).next_t
+            sup.create_session("b", "ucrp", market=name1)
+            batch = [RebalanceRequest("a"), RebalanceRequest("b", t=10**9)]
+            # a's shard commits, b's raises: the front counts a's.
+            with pytest.raises(ValueError, match="outside decidable range"):
+                sup.rebalance_many(batch)
+            journal = sup.store.journaled_records()
+            assert sup.stats.requests_served == 1
+            assert journal["a"]["state"]["decisions"] == 1
+            for round_, refused in enumerate(
+                (batch[1], RebalanceRequest("ghost")), start=1
+            ):
+                a, b = flush_one_batch(sup, [batch[0], refused])
+                assert a.error is None and a.response.t == start + round_
+                assert isinstance(b.error, (KeyError, ValueError))
+            infos = {i.session_id: i for i in sup.describe_sessions()}
+            assert infos["a"].decisions == 3 and infos["b"].decisions == 0
+            assert sup.stats.requests_served == 3
+            assert_journal_matches_memory(sup)
 
 
 class TestSessionStateStore:
